@@ -17,6 +17,7 @@ configuration is invalid, 3 the parameters hit a degeneracy guard.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -109,16 +110,15 @@ _FAMILIES = {
 
 
 def _parse_complex(text: str, flag: str) -> complex:
-    """Accept "re" or "re,im"."""
+    """Accept "re" or "re,im" with finite parts."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        value = complex(*map(float, parts)) if len(parts) <= 2 else None
     except ValueError:
-        pass
-    raise DomainError(f"{flag} expects re or re,im, got {text!r}")
+        value = None
+    if value is None or not cmath.isfinite(value):
+        raise DomainError(f"{flag} expects finite re or re,im, got {text!r}")
+    return value
 
 
 def _parse_board(text: str) -> FerrersBoard:

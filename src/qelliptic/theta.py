@@ -15,13 +15,27 @@ of the lattice.
 Every theta factor that lands in a denominator is guarded: a modulus below
 ``min_denominator`` raises DegenerateParameters naming the factor.  Values
 are memoized per parameter set, keyed by the integer (alpha, beta) exponent
-pair of the shift a -> a q^alpha, b -> b q^beta; results do not depend on
-cache state, so concurrent readers are safe.
+pair of the shift a -> a q^alpha, b -> b q^beta.
+
+Two caches sit under those values, and neither changes a result by a
+bit: both feed the same operands to the same operations in the same
+order as a cold evaluation.  Each parameter set memoizes theta(x; p) per
+argument, so no product is evaluated twice for one set; the key carries
+the signs of both zero parts, so 0.3+0j and 0.3-0j (equal under ==) never
+share an entry, and every miss calls ``theta``.  ``theta`` walks a table
+of nome power pairs (p^j, p^(j+1)), built by the recurrence pj *= p and
+kept in a bounded cache per (p, truncation order).  Results therefore do
+not depend on cache state, and concurrent readers are safe.
+
+Truncation orders above MAX_TRUNCATION_ORDER (|p| above about 0.991 at
+the default target_eps) and non-finite parameters raise DomainError, so
+no input asks for unbounded work.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -40,9 +54,13 @@ __all__ = [
     "sample_annulus",
     "sample_elliptic_params",
     "DEFAULT_MIN_DENOMINATOR",
+    "MAX_TRUNCATION_ORDER",
 ]
 
 DEFAULT_MIN_DENOMINATOR = 1e-6
+# Most factors one theta product may take; at the default target_eps this
+# admits |p| up to about 0.991.
+MAX_TRUNCATION_ORDER = 4096
 _TWO_PI = 2 * math.pi
 
 
@@ -66,7 +84,8 @@ class ThetaPolicy:
 
     The invariant truncation_order >= ceil(log(target_eps) / log(|p|)) keeps
     the dropped tail below target_eps; `for_nome` constructs the smallest
-    compliant order but never less than 24 factors.
+    compliant order but never less than 24 factors.  An order above
+    MAX_TRUNCATION_ORDER is refused.
     """
 
     truncation_order: int
@@ -75,11 +94,18 @@ class ThetaPolicy:
     def __post_init__(self):
         if self.truncation_order < 1:
             raise DomainError("truncation order must be positive")
+        if self.truncation_order > MAX_TRUNCATION_ORDER:
+            raise DomainError(
+                f"theta truncation order {self.truncation_order} exceeds the "
+                f"limit {MAX_TRUNCATION_ORDER}; use a nome with |p| <= 0.99"
+            )
         if not 0 < self.target_eps < 1:
             raise DomainError("target_eps must lie in (0, 1)")
 
     @classmethod
     def for_nome(cls, p: complex, target_eps: float = 1e-16) -> "ThetaPolicy":
+        if not cmath.isfinite(p):
+            raise DomainError(f"nome must be finite, got {p}")
         if p == 0:
             return cls(24, target_eps)
         needed = math.ceil(math.log(target_eps) / math.log(abs(p)))
@@ -103,13 +129,29 @@ def theta(x: complex, p: complex, policy: ThetaPolicy | None = None) -> complex:
         return 1 - x
     if policy is None:
         policy = ThetaPolicy.for_nome(p)
+    powers = _nome_powers(
+        p, policy.truncation_order, math.copysign(1, p.real), math.copysign(1, p.imag)
+    )
     acc = 1 + 0j
-    pj = 1 + 0j
     inv = 1 / x
-    for _ in range(policy.truncation_order):
-        acc *= (1 - pj * x) * (1 - pj * p * inv)
-        pj *= p
+    for pj, pj1 in powers:
+        acc *= (1 - pj * x) * (1 - pj1 * inv)
     return acc
+
+
+@functools.lru_cache(maxsize=16)
+def _nome_powers(p: complex, order: int, re_sign: float, im_sign: float) -> tuple:
+    """((p^j, p^j * p) for j < order), by the recurrence pj *= p.
+
+    The zero signs are part of the cache key only: p = -0.3+0j and
+    -0.3-0j compare equal but give differently signed zero parts.
+    """
+    powers = []
+    pj = 1 + 0j
+    for _ in range(order):
+        powers.append((pj, pj * p))
+        pj *= p
+    return tuple(powers)
 
 
 def theta_multi(xs, p: complex, policy: ThetaPolicy | None = None) -> complex:
@@ -144,12 +186,16 @@ class EllipticParams:
     _wt_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
+    _theta_cache: dict = field(
+        default_factory=dict, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "q", complex(self.q))
-        object.__setattr__(self, "p", complex(self.p))
+        for name in ("a", "b", "q", "p"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.q == 0:
             raise DomainError("q must be nonzero")
         if abs(self.p) >= 1:
@@ -195,10 +241,13 @@ class EllipticParams:
             return False
         return True
 
-    def require_window(self, lo: int, hi: int) -> None:
-        for z in range(lo, hi + 1):
-            elliptic_number(z, self)
-            elliptic_weight(z, self)
+    def _theta(self, x: complex) -> complex:
+        """theta(x; p), memoized per argument; see the module docstring."""
+        key = (x, math.copysign(1, x.real), math.copysign(1, x.imag))
+        value = self._theta_cache.get(key)
+        if value is None:
+            value = self._theta_cache[key] = theta(x, self.p, self.policy)
+        return value
 
 
 def _guard(value: complex, label: str, min_den: float) -> complex:
@@ -209,7 +258,8 @@ def _guard(value: complex, label: str, min_den: float) -> complex:
     return value
 
 
-def _number_raw(z, a, b, q, p, policy, min_den) -> complex:
+def _number_raw(z, a, b, params: EllipticParams) -> complex:
+    q, p, min_den = params.q, params.p, params.min_denominator
     if p == 0 and a == 0 and b == 0 and q == 1:
         return complex(z)
     u = qpow(q, z)
@@ -229,17 +279,21 @@ def _number_raw(z, a, b, q, p, policy, min_den) -> complex:
             * _guard(1 - a * u / b, "(1 - a q^z / b)", min_den)
         )
         return (1 - u) * (1 - a * u) * (1 - b * q) * (1 - a * q / b) / den
-    num = theta_multi([u, a * u, b * q, a * q / b], p, policy)
+    th = params._theta
+    num = 1 + 0j
+    for x in (u, a * u, b * q, a * q / b):
+        num *= th(x)
     den = (
-        _guard(theta(q, p, policy), "theta(q)", min_den)
-        * _guard(theta(a * q, p, policy), "theta(a q)", min_den)
-        * _guard(theta(b * u, p, policy), "theta(b q^z)", min_den)
-        * _guard(theta(a * u / b, p, policy), "theta(a q^z / b)", min_den)
+        _guard(th(q), "theta(q)", min_den)
+        * _guard(th(a * q), "theta(a q)", min_den)
+        * _guard(th(b * u), "theta(b q^z)", min_den)
+        * _guard(th(a * u / b), "theta(a q^z / b)", min_den)
     )
     return num / den
 
 
-def _weight_raw(k, a, b, q, p, policy, min_den) -> complex:
+def _weight_raw(k, a, b, params: EllipticParams) -> complex:
+    q, p, min_den = params.q, params.p, params.min_denominator
     u = qpow(q, k)
     if p == 0:
         if a == 0 and b == 0:
@@ -264,15 +318,16 @@ def _weight_raw(k, a, b, q, p, policy, min_den) -> complex:
             * (1 - a * q / b)
         )
         return num / den * u
-    num = theta_multi(
-        [a * q * u * u, b, b * q, a / b, a * q / b], p, policy
-    )
+    th = params._theta
+    num = 1 + 0j
+    for x in (a * q * u * u, b, b * q, a / b, a * q / b):
+        num *= th(x)
     den = (
-        _guard(theta(a * q, p, policy), "theta(a q)", min_den)
-        * _guard(theta(b * u, p, policy), "theta(b q^k)", min_den)
-        * _guard(theta(b * q * u, p, policy), "theta(b q^(k+1))", min_den)
-        * _guard(theta(a * u / b, p, policy), "theta(a q^k / b)", min_den)
-        * _guard(theta(a * q * u / b, p, policy), "theta(a q^(k+1) / b)", min_den)
+        _guard(th(a * q), "theta(a q)", min_den)
+        * _guard(th(b * u), "theta(b q^k)", min_den)
+        * _guard(th(b * q * u), "theta(b q^(k+1))", min_den)
+        * _guard(th(a * u / b), "theta(a q^k / b)", min_den)
+        * _guard(th(a * q * u / b), "theta(a q^(k+1) / b)", min_den)
     )
     return num / den * u
 
@@ -287,7 +342,7 @@ def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -
     q = params.q
     a = params.a * qpow(q, alpha) if alpha else params.a
     b = params.b * qpow(q, beta) if beta else params.b
-    value = _number_raw(z, a, b, q, params.p, params.policy, params.min_denominator)
+    value = _number_raw(z, a, b, params)
     params._num_cache[key] = value
     return value
 
@@ -307,7 +362,7 @@ def elliptic_weight_shifted(k, shift: tuple[int, int], params: EllipticParams) -
     q = params.q
     a = params.a * qpow(q, alpha) if alpha else params.a
     b = params.b * qpow(q, beta) if beta else params.b
-    value = _weight_raw(k, a, b, q, params.p, params.policy, params.min_denominator)
+    value = _weight_raw(k, a, b, params)
     params._wt_cache[key] = value
     return value
 

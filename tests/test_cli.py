@@ -3,6 +3,7 @@
 import json
 import io
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -206,3 +207,35 @@ def test_suite_reports_structure():
     ]
     assert all(c.trials == 5 for c in rep.checks)
     assert rep.passed
+
+
+def run_cli_exit(capsys, *argv):
+    """Like run_cli, but an argument-parser exit counts as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_nome_above_truncation_cap_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--n", "3",
+        "--p", "0.99999", "--seed", "1",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("flag", ["--p=nan", "--q=inf", "--a=nan,0", "--b=0.5,-inf"])
+def test_non_finite_parameters_exit_2(capsys, flag):
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--n", "3", "--seed", "1", flag,
+    )
+    assert code == 2
+    assert out == ""
+    assert flag.split("=")[0] in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,12 +10,15 @@ import pytest
 from qelliptic.errors import DegenerateParameters, DomainError
 from qelliptic.scalars import q_number, q_number_numeric
 from qelliptic.theta import (
+    MAX_TRUNCATION_ORDER,
+    _nome_powers,
     EllipticParams,
     ThetaPolicy,
     elliptic_number,
     elliptic_number_shifted,
     elliptic_weight,
     elliptic_weight_shifted,
+    qpow,
     sample_annulus,
     sample_elliptic_params,
     theta,
@@ -287,3 +291,168 @@ def test_shifted_params_equal_explicit_construction():
     for z in range(-2, 4):
         direct = elliptic_number_shifted(z, (2, 1), params)
         assert rel_err(direct, elliptic_number(z, moved)) < 1e-12
+
+
+# -- truncation cap and non-finite input ------------------------------------------
+
+
+def test_truncation_order_cap():
+    assert ThetaPolicy(MAX_TRUNCATION_ORDER).truncation_order == MAX_TRUNCATION_ORDER
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        ThetaPolicy(MAX_TRUNCATION_ORDER + 1)
+    assert ThetaPolicy.for_nome(0.99).truncation_order <= MAX_TRUNCATION_ORDER
+    for p in (0.99999, 0.992j, -0.999999):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            ThetaPolicy.for_nome(p)
+    with pytest.raises(DomainError):
+        EllipticParams(a=0.5, b=0.7, q=0.6, p=0.99999)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.2, math.nan)])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        ThetaPolicy.for_nome(bad)
+    good = dict(a=0.5, b=0.7, q=0.6, p=0.2)
+    for name in good:
+        with pytest.raises(DomainError, match="finite"):
+            EllipticParams(**{**good, name: bad})
+
+
+# -- bit identity of the cached evaluation ------------------------------------------
+
+
+def _theta_loop(x, p, policy):
+    """theta as a plain loop that rebuilds every nome power."""
+    acc = 1 + 0j
+    pj = 1 + 0j
+    inv = 1 / x
+    for _ in range(policy.truncation_order):
+        acc *= (1 - pj * x) * (1 - pj * p * inv)
+        pj *= p
+    return acc
+
+
+def _reference(kind, z, shift, params):
+    """[z] or W(z), every theta factor evaluated afresh, in the same order."""
+    q, p, pol, min_den = params.q, params.p, params.policy, params.min_denominator
+    alpha, beta = shift
+    a = params.a * qpow(q, alpha) if alpha else params.a
+    b = params.b * qpow(q, beta) if beta else params.b
+    u = qpow(q, z)
+    if kind == "number":
+        num_args = [u, a * u, b * q, a * q / b]
+        den_args = [q, a * q, b * u, a * u / b]
+    else:
+        num_args = [a * q * u * u, b, b * q, a / b, a * q / b]
+        den_args = [a * q, b * u, b * q * u, a * u / b, a * q * u / b]
+    num = 1 + 0j
+    for x in num_args:
+        num *= _theta_loop(x, p, pol)
+    den = None
+    for x in den_args:
+        value = _theta_loop(x, p, pol)
+        if abs(value) < min_den:
+            raise DegenerateParameters(f"theta({x}) near zero")
+        den = value if den is None else den * value
+    return num / den if kind == "number" else num / den * u
+
+
+def _same_bits(x, y):
+    return x == y and all(
+        math.copysign(1, s) == math.copysign(1, t)
+        for s, t in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+_SHIFTS = [(0, 0), (1, 0), (0, 1), (-1, 2), (3, -2)]
+_ENTRY = {"number": elliptic_number_shifted, "weight": elliptic_weight_shifted}
+
+
+def _assert_bit_identical(params):
+    compared = 0
+    # weights first and z descending, so the memo is warmed in another order
+    # than a number-first sweep would warm it
+    for kind in ("weight", "number"):
+        for shift in _SHIFTS:
+            for z in range(10, -9, -1):
+                try:
+                    want = _reference(kind, z, shift, params)
+                except DegenerateParameters:
+                    with pytest.raises(DegenerateParameters):
+                        _ENTRY[kind](z, shift, params)
+                    continue
+                got = _ENTRY[kind](z, shift, params)
+                assert _same_bits(got, want), (kind, z, shift, got, want)
+                compared += 1
+    return compared
+
+
+def test_theta_power_table_is_bit_identical_to_loop():
+    rng = random.Random(11)
+    nomes = [complex(-0.3, 0.0), complex(-0.3, -0.0), complex(0.25, -0.0), 0.4]
+    nomes += [sample_annulus(rng, 0.05, 0.5) for _ in range(20)]
+    for p in nomes:
+        pol = ThetaPolicy.for_nome(p)
+        for x in [0.7, complex(-0.6, -0.0)] + [sample_annulus(rng, 0.3, 1.8) for _ in range(5)]:
+            assert _same_bits(theta(x, p), _theta_loop(x, p, pol)), (x, p)
+
+
+def test_caches_keep_signed_zeros_apart():
+    # -0.3+0j == -0.3-0j, but their power tables differ in signed zeros
+    for p in (complex(-0.3, 0.0), complex(-0.3, -0.0), complex(-0.3, 0.0)):
+        pj, table = 1 + 0j, []
+        for _ in range(24):
+            table.append((pj, pj * p))
+            pj *= p
+        got = _nome_powers(p, 24, math.copysign(1, p.real), math.copysign(1, p.imag))
+        assert all(
+            _same_bits(s, t) for pair, want in zip(got, table) for s, t in zip(pair, want)
+        )
+    # q ** 1 is 0.6+0j for q = 0.6-0j: two memo entries, not one
+    params = EllipticParams(a=0.5, b=0.7, q=complex(0.6, -0.0), p=0.2)
+    elliptic_number(1, params)
+    signs = {math.copysign(1, x.imag) for x, _, _ in params._theta_cache if x == 0.6}
+    assert signs == {1.0, -1.0}
+
+
+def test_cached_numbers_and_weights_bit_identical_complex():
+    rng = random.Random(2024)
+    for _ in range(6):
+        params = sample_elliptic_params(rng)
+        assert _assert_bit_identical(params) > 100
+
+
+@pytest.mark.parametrize("a,b,q,p", [
+    (complex(0.5, -0.0), 0.7, complex(0.6, -0.0), 0.2),
+    (-0.5, complex(0.7, -0.0), -0.6, complex(-0.3, -0.0)),
+    (complex(0.45, -0.0), -0.8, complex(0.55, -0.0), complex(-0.25, -0.0)),
+])
+def test_cached_numbers_and_weights_bit_identical_real(a, b, q, p):
+    assert _assert_bit_identical(EllipticParams(a=a, b=b, q=q, p=p)) > 100
+
+
+def test_theta_memo_is_per_parameter_set():
+    one = EllipticParams(a=0.5 + 0.1j, b=0.7, q=0.6 - 0.2j, p=0.2)
+    two = EllipticParams(a=0.5 + 0.1j, b=0.7, q=0.6 - 0.2j, p=0.3)
+    for z in range(-3, 5):
+        elliptic_number(z, one)
+        elliptic_weight(z, two)
+    shared = one._theta_cache.keys() & two._theta_cache.keys()
+    assert shared
+    assert all(one._theta_cache[key] != two._theta_cache[key] for key in shared)
+    assert _assert_bit_identical(one) and _assert_bit_identical(two)
+
+
+# -- independent oracle -------------------------------------------------------------
+
+
+def test_theta_against_mpmath_qpochhammer():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    with mpmath.workdps(50):
+        for _ in range(60):
+            p = sample_annulus(rng, 0.05, 0.5)
+            x = sample_annulus(rng, 0.3, 1.8)
+            want = mpmath.qp(x, p) * mpmath.qp(p / mpmath.mpc(x), p)
+            got = theta(x, p)
+            assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want), (x, p)
