@@ -24,7 +24,6 @@ from .eulerian import (
 from .eulerian import elliptic_eulerian, elliptic_r_whitney_eulerian
 from .families import (
     FerrersBoard,
-    TriangularTable,
     elliptic_lah,
     elliptic_rook,
     elliptic_shifted_stirling,
@@ -63,7 +62,6 @@ from .scalars import (
     LaurentPoly,
     ScalarField,
     Tolerance,
-    approx_eq,
     complex_field,
     q_binomial,
     q_factorial,

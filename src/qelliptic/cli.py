@@ -24,29 +24,43 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .eulerian import (
     elliptic_eulerian,
+    elliptic_eulerian_rows,
     elliptic_r_whitney_eulerian,
+    elliptic_r_whitney_eulerian_rows,
     eulerian,
+    general_eulerian_rows,
     q_eulerian,
     q_r_whitney_eulerian,
+    q_r_whitney_eulerian_rows,
     r_whitney_eulerian,
+    r_whitney_eulerian_rows,
 )
 from .families import (
     FerrersBoard,
     elliptic_lah,
+    elliptic_lah_rows,
     elliptic_rook,
     elliptic_shifted_stirling,
     elliptic_stirling2,
+    elliptic_stirling2_rows,
     lah,
     q_stirling2,
     st_shifted_stirling,
     stirling2,
     whitney_qr,
 )
-from .newton import ClassicalSequence, connection_recurrence
+from .newton import (
+    ClassicalSequence,
+    EllipticSequence,
+    QNumberSequence,
+    connection_recurrence,
+)
 from .scalars import ExactScalar, residual
 from .suites import SUITE_NAMES, run_suites
 from .theta import EllipticParams, sample_annulus, sample_elliptic_params
@@ -60,56 +74,89 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-# per-family flag vocabulary; anything else on the command line is an
-# invalid combination and must be rejected before computing
+
+class _Family(NamedTuple):
+    """One table family: its flags, its routes (the first is the default),
+    the entry (args, n, k) -> value, and for each route that grows a whole
+    triangle the builder args -> rows 0..args.n."""
+
+    flags: tuple[str, ...]
+    routes: tuple[str, ...]
+    entry: Callable
+    rows: dict = {}
+
+
+_MR = ("m", "r")
+_ST = ("s", "t")
+_ELLIPTIC = ("a", "b", "q", "p")
+# the order of the flag checks; families list their flags in this order,
+# which is also the order of the echoed parameters
+_FLAGS = _MR + _ST + _ELLIPTIC + ("board",)
+
+# any flag a family does not list is an invalid combination and must be
+# rejected before computing
 _FAMILIES = {
-    "stirling": {
-        "args": (), "routes": ("recurrence", "explicit"),
-    },
-    "qstirling": {
-        "args": (), "routes": ("recurrence", "explicit", "h"),
-    },
-    "estirling": {
-        "args": ("elliptic",),
-        "routes": ("recurrence", "h", "explicit", "oracle"),
-    },
-    "whitney": {
-        "args": ("m", "r"), "routes": ("recurrence", "explicit"),
-    },
-    "stshifted": {
-        "args": ("m", "r", "s", "t"), "routes": ("recurrence", "explicit"),
-    },
-    "eshifted": {
-        "args": ("m", "r", "elliptic"), "routes": ("recurrence", "explicit"),
-    },
-    "rook": {
-        "args": ("board", "elliptic"), "routes": ("explicit", "oracle"),
-    },
-    "lah": {
-        "args": ("elliptic",), "routes": ("recurrence", "explicit", "oracle"),
-    },
-    "eulerian": {
-        "args": (), "routes": ("recurrence", "explicit"),
-    },
-    "qeulerian": {
-        "args": (), "routes": ("recurrence", "explicit", "engine"),
-    },
-    "rwhitneyeulerian": {
-        "args": ("m", "r"), "routes": ("direct", "engine"),
-    },
-    "qrwhitneyeulerian": {
-        "args": ("m", "r"), "routes": ("recurrence", "explicit", "engine"),
-    },
-    "eeulerian": {
-        "args": ("elliptic",), "routes": ("recurrence", "explicit", "engine"),
-    },
-    "erwhitneyeulerian": {
-        "args": ("m", "r", "elliptic"), "routes": ("recurrence", "explicit"),
-    },
+    "stirling": _Family(
+        (), ("recurrence", "explicit"),
+        lambda args, n, k: stirling2(n, k, args.route)),
+    "qstirling": _Family(
+        (), ("recurrence", "explicit", "h"),
+        lambda args, n, k: q_stirling2(n, k, args.route)),
+    "estirling": _Family(
+        _ELLIPTIC, ("recurrence", "h", "explicit", "oracle"),
+        lambda args, n, k: elliptic_stirling2(n, k, args.params, args.route),
+        {"recurrence": lambda args: elliptic_stirling2_rows(args.n, args.params)}),
+    "whitney": _Family(
+        _MR, ("recurrence", "explicit"),
+        lambda args, n, k: whitney_qr(n, k, args.m, args.r, args.route)),
+    "stshifted": _Family(
+        _MR + _ST, ("recurrence", "explicit"),
+        lambda args, n, k: st_shifted_stirling(
+            n, k, args.m, args.r, args.s, args.t, args.route)),
+    "eshifted": _Family(
+        _MR + _ELLIPTIC, ("recurrence", "explicit"),
+        lambda args, n, k: elliptic_shifted_stirling(
+            n, k, args.m, args.r, args.params, args.route)),
+    "rook": _Family(
+        ("board",) + _ELLIPTIC, ("explicit", "oracle"),
+        lambda args, n, k: elliptic_rook(args.board, k, args.params, args.route)),
+    "lah": _Family(
+        _ELLIPTIC, ("recurrence", "explicit", "oracle"),
+        lambda args, n, k: elliptic_lah(n, k, args.params, args.route),
+        {"recurrence": lambda args: elliptic_lah_rows(args.n, args.params)}),
+    "eulerian": _Family(
+        (), ("recurrence", "explicit"),
+        lambda args, n, k: eulerian(n, k, args.route)),
+    "qeulerian": _Family(
+        (), ("recurrence", "explicit", "engine"),
+        lambda args, n, k: q_eulerian(n, k, args.route),
+        {"engine": lambda args: general_eulerian_rows(QNumberSequence(), args.n)}),
+    "rwhitneyeulerian": _Family(
+        _MR, ("direct", "engine"),
+        lambda args, n, k: r_whitney_eulerian(n, k, args.m, args.r, args.route),
+        dict.fromkeys(("direct", "engine"), lambda args: r_whitney_eulerian_rows(
+            args.n, args.m, args.r, args.route))),
+    "qrwhitneyeulerian": _Family(
+        _MR, ("recurrence", "explicit", "engine"),
+        lambda args, n, k: q_r_whitney_eulerian(n, k, args.m, args.r, args.route),
+        dict.fromkeys(("recurrence", "engine"), lambda args: q_r_whitney_eulerian_rows(
+            args.n, args.m, args.r, args.route))),
+    "eeulerian": _Family(
+        _ELLIPTIC, ("recurrence", "explicit", "engine"),
+        lambda args, n, k: elliptic_eulerian(n, k, args.params, args.route),
+        {"recurrence": lambda args: elliptic_eulerian_rows(args.n, args.params),
+         "engine": lambda args: general_eulerian_rows(
+             EllipticSequence(args.params), args.n)}),
+    "erwhitneyeulerian": _Family(
+        _MR + _ELLIPTIC, ("recurrence", "explicit"),
+        lambda args, n, k: elliptic_r_whitney_eulerian(
+            n, k, args.m, args.r, args.params, args.route),
+        {"recurrence": lambda args: elliptic_r_whitney_eulerian_rows(
+            args.n, args.m, args.r, args.params)}),
 }
 
 
-def _parse_complex(text: str, flag: str) -> complex:
+def _parse_complex(text: str) -> complex:
     """Accept "re" or "re,im" with finite parts."""
     parts = text.split(",")
     try:
@@ -117,16 +164,20 @@ def _parse_complex(text: str, flag: str) -> complex:
     except ValueError:
         value = None
     if value is None or not cmath.isfinite(value):
-        raise DomainError(f"{flag} expects finite re or re,im, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects finite re or re,im, got {text!r}")
     return value
 
 
 def _parse_board(text: str) -> FerrersBoard:
+    # argparse replaces the text of a ValueError (DomainError is one) raised
+    # by a type callable, so the library's message travels as ArgumentTypeError
     try:
-        heights = tuple(int(part) for part in text.split(","))
+        return FerrersBoard(tuple(int(part) for part in text.split(",")))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise DomainError(f"--board expects comma-separated integers, got {text!r}")
-    return FerrersBoard(heights)
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
 
 
 def _pair(z: complex) -> dict:
@@ -146,7 +197,7 @@ def _resolve_params(args, rng: random.Random) -> tuple[EllipticParams, bool]:
     """
     given = {
         name: getattr(args, name)
-        for name in ("a", "b", "q", "p")
+        for name in _ELLIPTIC
         if getattr(args, name) is not None
     }
     if len(given) == 4:
@@ -167,81 +218,34 @@ def _resolve_params(args, rng: random.Random) -> tuple[EllipticParams, bool]:
     )
 
 
-def _table_rows(args, params):
-    family = args.family
-    route = args.route
-    rows = []
-
-    def put(n, k, value):
-        rows.append({"n": n, "k": k, "value": value})
-
-    if family == "rook":
-        board = args.board
-        for j in range(len(board.heights) + 1):
-            put(board.columns, j, elliptic_rook(board, j, params, route))
-        return rows
-
-    for n in range(args.n + 1):
-        for k in range(n + 1):
-            if family == "stirling":
-                put(n, k, stirling2(n, k, route))
-            elif family == "qstirling":
-                put(n, k, q_stirling2(n, k, route))
-            elif family == "estirling":
-                put(n, k, elliptic_stirling2(n, k, params, route))
-            elif family == "whitney":
-                put(n, k, whitney_qr(n, k, args.m, args.r, route))
-            elif family == "stshifted":
-                put(n, k, st_shifted_stirling(
-                    n, k, args.m, args.r, args.s, args.t, route))
-            elif family == "eshifted":
-                put(n, k, elliptic_shifted_stirling(
-                    n, k, args.m, args.r, params, route))
-            elif family == "lah":
-                put(n, k, elliptic_lah(n, k, params, route))
-            elif family == "eulerian":
-                put(n, k, eulerian(n, k, route))
-            elif family == "qeulerian":
-                put(n, k, q_eulerian(n, k, route))
-            elif family == "rwhitneyeulerian":
-                put(n, k, r_whitney_eulerian(n, k, args.m, args.r, route))
-            elif family == "qrwhitneyeulerian":
-                put(n, k, q_r_whitney_eulerian(n, k, args.m, args.r, route))
-            elif family == "eeulerian":
-                put(n, k, elliptic_eulerian(n, k, params, route))
-            elif family == "erwhitneyeulerian":
-                put(n, k, elliptic_r_whitney_eulerian(
-                    n, k, args.m, args.r, params, route))
-    return rows
-
-
-def _document(args, params) -> dict:
-    entry = _FAMILIES[args.family]
+def _document(args) -> dict:
+    family = _FAMILIES[args.family]
     echo: dict = {"route": args.route}
-    if args.family == "rook":
-        echo["board"] = list(args.board.heights)
-    else:
+    if "board" not in family.flags:
         echo["n"] = args.n
-    if "m" in entry["args"]:
-        echo["m"] = args.m
-        echo["r"] = args.r
-    if "s" in entry["args"]:
-        echo["s"] = _pair(args.s)
-        echo["t"] = _pair(args.t)
-    if "elliptic" in entry["args"]:
-        echo["a"] = _pair(params.a)
-        echo["b"] = _pair(params.b)
-        echo["q"] = _pair(params.q)
-        echo["p"] = _pair(params.p)
-    raw = _table_rows(args, params)
-    rows = []
-    for row in raw:
-        value = row["value"]
-        if isinstance(value, ExactScalar):
-            value = str(value)
+    for flag in family.flags:
+        value = getattr(args, flag)
+        if flag == "board":
+            value = list(value.heights)
         elif isinstance(value, complex):
             value = _pair(value)
-        rows.append({"n": row["n"], "k": row["k"], "value": value})
+        echo[flag] = value
+    build = family.rows.get(args.route)
+    triangle = build(args) if build else None
+    rows = []
+    # rook tables hold the single row n = columns
+    for n in range(args.n if "board" in family.flags else 0, args.n + 1):
+        for k in range(n + 1):
+            value = triangle[n][k] if build else family.entry(args, n, k)
+            if isinstance(value, ExactScalar):
+                value = str(value)
+            elif isinstance(value, complex):
+                if not cmath.isfinite(value):
+                    raise DegenerateParameters(
+                        f"entry ({n}, {k}) is {value}, not a finite double"
+                    )
+                value = _pair(value)
+            rows.append({"n": n, "k": k, "value": value})
     return {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,
@@ -252,7 +256,7 @@ def _document(args, params) -> dict:
 
 def _render_table(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def flat(value):
         if isinstance(value, dict):
@@ -287,53 +291,42 @@ def _render_table(doc: dict, fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
-    entry = _FAMILIES[args.family]
+    family = _FAMILIES[args.family]
     if args.route is None:
-        args.route = entry["routes"][0]
-    if args.route not in entry["routes"]:
+        args.route = family.routes[0]
+    if args.route not in family.routes:
         raise DomainError(
-            f"family {args.family} has routes {', '.join(entry['routes'])}, "
+            f"family {args.family} has routes {', '.join(family.routes)}, "
             f"not {args.route!r}"
         )
-    if args.family == "rook":
+    if "board" in family.flags:
         if args.board is None:
-            raise DomainError("family rook needs --board")
+            raise DomainError(f"family {args.family} needs --board")
+        args.n = args.board.columns
     elif args.n is None:
         raise DomainError("table needs --n")
     elif args.n < 0:
         raise DomainError("--n must be >= 0")
+    for flag in _FLAGS:
+        if getattr(args, flag) is not None and flag not in family.flags:
+            raise DomainError(f"family {args.family} does not take --{flag}")
 
-    allowed = set(entry["args"])
-    for flag in ("m", "r"):
-        if getattr(args, flag) is not None and "m" not in allowed:
-            raise DomainError(f"family {args.family} does not take --{flag}")
-    for flag in ("s", "t"):
-        if getattr(args, flag) is not None and "s" not in allowed:
-            raise DomainError(f"family {args.family} does not take --{flag}")
-    for flag in ("a", "b", "q", "p"):
-        if getattr(args, flag) is not None and "elliptic" not in allowed:
-            raise DomainError(f"family {args.family} does not take --{flag}")
-    if args.board is not None and args.family != "rook":
-        raise DomainError(f"family {args.family} does not take --board")
-
-    if "m" in allowed:
+    if "m" in family.flags:
         if args.m is None:
             args.m = 1
         if args.r is None:
             args.r = 0
     rng = random.Random(args.seed)
-    params = None
     sampled = False
-    if "elliptic" in allowed:
-        params, sampled = _resolve_params(args, rng)
-    if "s" in allowed:
-        if args.s is None:
-            args.s = sample_annulus(rng, 0.4, 0.9)
+    if "a" in family.flags:
+        args.params, sampled = _resolve_params(args, rng)
+        for name in _ELLIPTIC:
+            setattr(args, name, getattr(args.params, name))
+    for name in _ST:
+        if name in family.flags and getattr(args, name) is None:
+            setattr(args, name, sample_annulus(rng, 0.4, 0.9))
             sampled = True
-        if args.t is None:
-            args.t = sample_annulus(rng, 0.4, 0.9)
-            sampled = True
-    doc = _document(args, params)
+    doc = _document(args)
     if sampled:
         doc["params"]["seed"] = args.seed
     sys.stdout.write(_render_table(doc, args.format))
@@ -360,48 +353,28 @@ def cmd_check(args) -> int:
     return EXIT_OK if failing == 0 else EXIT_CHECK_FAILED
 
 
-def _degenerate_stirling(N, tol, rng, out) -> bool:
+def _degenerate_q(family, elliptic_rows, q_entry, classical, N, tol, rng, out) -> bool:
+    """Elliptic at p = a = b = 0 against the exact q triangle, then q = 1
+    against the classical one."""
     qv = sample_annulus(rng, 0.4, 0.9)
-    flat = EllipticParams(a=0, b=0, q=qv, p=0)
+    rows = elliptic_rows(N, EllipticParams(a=0, b=0, q=qv, p=0))
     dev_q = 0.0
     dev_classical = 0.0
     for n in range(N + 1):
         for k in range(n + 1):
-            got = elliptic_stirling2(n, k, flat, "recurrence")
-            want = q_stirling2(n, k).evaluate(qv)
-            dev_q = max(dev_q, residual(got, want))
+            dev_q = max(dev_q, residual(rows[n][k], q_entry(n, k).evaluate(qv)))
             dev_classical = max(
                 dev_classical,
-                abs(q_stirling2(n, k).evaluate(1.0) - stirling2(n, k)),
+                abs(q_entry(n, k).evaluate(1.0) - classical(n, k)),
             )
-    out.write(f"family stirling  N={N}  q={_fmt_numeric(qv)}\n")
-    out.write(f"  elliptic -> exact q analogue  max rel dev {dev_q:.3e}\n")
-    out.write(f"  q=1 -> classical triangle     max dev {dev_classical:.3e}\n")
-    return dev_q <= tol and dev_classical <= tol
-
-
-def _degenerate_eulerian(N, tol, rng, out) -> bool:
-    qv = sample_annulus(rng, 0.4, 0.9)
-    flat = EllipticParams(a=0, b=0, q=qv, p=0)
-    dev_q = 0.0
-    dev_classical = 0.0
-    for n in range(N + 1):
-        for k in range(n + 1):
-            got = elliptic_eulerian(n, k, flat, "recurrence")
-            want = q_eulerian(n, k).evaluate(qv)
-            dev_q = max(dev_q, residual(got, want))
-            dev_classical = max(
-                dev_classical,
-                abs(q_eulerian(n, k).evaluate(1.0) - eulerian(n, k)),
-            )
-    out.write(f"family eulerian  N={N}  q={_fmt_numeric(qv)}\n")
+    out.write(f"family {family}  N={N}  q={_fmt_numeric(qv)}\n")
     out.write(f"  elliptic -> exact q analogue  max rel dev {dev_q:.3e}\n")
     out.write(f"  q=1 -> classical triangle     max dev {dev_classical:.3e}\n")
     return dev_q <= tol and dev_classical <= tol
 
 
 def _degenerate_lah(N, tol, rng, out) -> bool:
-    flat = EllipticParams(a=0, b=0, q=1, p=0)
+    elliptic = elliptic_lah_rows(N, EllipticParams(a=0, b=0, q=1, p=0))
     dev = 0.0
     oracle_ok = True
     seq = ClassicalSequence()
@@ -409,8 +382,7 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
         cs = [Fraction(-(i - 1)) for i in range(1, n + 1)]
         rows = connection_recurrence(Fraction(1), cs, seq)
         for k in range(n + 1):
-            got = elliptic_lah(n, k, flat, "recurrence")
-            dev = max(dev, abs(got - lah(n, k)))
+            dev = max(dev, abs(elliptic[n][k] - lah(n, k)))
             if rows[n][k] != lah(n, k):
                 oracle_ok = False
     out.write(f"family lah  N={N}  chain ends at q=1\n")
@@ -423,8 +395,10 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
 
 
 _DEGENERATE = {
-    "stirling": (_degenerate_stirling, 7, 1e-9),
-    "eulerian": (_degenerate_eulerian, 6, 1e-8),
+    "stirling": (partial(_degenerate_q, "stirling", elliptic_stirling2_rows,
+                         q_stirling2, stirling2), 7, 1e-9),
+    "eulerian": (partial(_degenerate_q, "eulerian", elliptic_eulerian_rows,
+                         q_eulerian, eulerian), 6, 1e-8),
     "lah": (_degenerate_lah, 6, 1e-8),
 }
 
@@ -459,10 +433,10 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--r", type=int, default=None)
     table.add_argument("--board", type=_parse_board, default=None,
                        help="comma-separated column heights, e.g. 1,2,2")
-    for flag in ("a", "b", "q", "p", "s", "t"):
+    for flag in _ELLIPTIC + _ST:
         table.add_argument(
-            f"--{flag}", type=lambda v, f=flag: _parse_complex(v, "--" + f),
-            default=None, help=f"{flag} as re or re,im; sampled when omitted",
+            f"--{flag}", type=_parse_complex, default=None,
+            help=f"{flag} as re or re,im; sampled when omitted",
         )
     table.add_argument("--seed", type=int, default=0)
     table.add_argument("--route", default=None,

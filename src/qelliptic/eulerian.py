@@ -29,6 +29,7 @@ import math
 from functools import lru_cache
 
 from .errors import DegenerateSequence, DomainError
+from .families import _bad_route, _check_entry, _grow_rows
 from .newton import (
     DISTINCTNESS_REL,
     AffineWhitneySequence,
@@ -56,10 +57,14 @@ __all__ = [
     "eulerian",
     "q_eulerian",
     "r_whitney_eulerian",
+    "r_whitney_eulerian_rows",
     "q_r_whitney_eulerian",
+    "q_r_whitney_eulerian_rows",
     "elliptic_eulerian",
+    "elliptic_eulerian_rows",
     "elliptic_eulerian_scaled",
     "elliptic_r_whitney_eulerian",
+    "elliptic_r_whitney_eulerian_rows",
     "elliptic_r_whitney_eulerian_scaled",
     "general_eulerian",
     "general_eulerian_scaled",
@@ -67,15 +72,6 @@ __all__ = [
     "worpitzky_check",
     "lagrange_delta",
 ]
-
-
-def _check_entry(n: int, k: int) -> None:
-    if n < 0 or k < 0:
-        raise DomainError("triangle entries need n >= 0 and k >= 0")
-
-
-def _bad_route(route: str, allowed: tuple[str, ...]):
-    return DomainError(f"unknown route {route!r}, expected one of {allowed}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +101,18 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
         raise DomainError("need N >= 0")
     field = seq.field
     _guard_window(seq, N)
-    rows = [[field.one]]
-    for n in range(N):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            acc = field.zero
-            if k >= 1:
-                acc = acc + seq[n - k + 2] * prev[k - 1]
-            if k <= n:
-                p = field.one
-                for i in range(1, n + 2):
-                    p = p * field.div(
-                        seq[n - k + 2] - seq[i - k],
-                        seq[n - k + 1] - seq[i - 1 - k],
-                    )
-                acc = acc + (-seq[-k]) * p * prev[k]
-            row.append(acc)
-        rows.append(row)
-    return rows
+
+    def right(n, k, x):
+        p = field.one
+        for i in range(1, n + 2):
+            p = p * field.div(
+                seq[n - k + 2] - seq[i - k],
+                seq[n - k + 1] - seq[i - 1 - k],
+            )
+        return (-seq[-k]) * p * x
+
+    return _grow_rows(N, field.one, field.zero,
+                      lambda n, k, x: seq[n - k + 2] * x, right)
 
 
 def _gap_amplification(u, v) -> float:
@@ -350,32 +339,52 @@ def q_eulerian(n: int, k: int, route: str = "recurrence") -> ExactScalar:
 # r-Whitney levels
 # ---------------------------------------------------------------------------
 
+def _check_whitney(m: int, r: int) -> None:
+    if m < 1 or r < 0:
+        raise DomainError("need m >= 1 and r >= 0")
+
+
+def r_whitney_eulerian_rows(N: int, m: int, r: int,
+                            route: str = "direct") -> list[list[int]]:
+    """Rows 0..N over the affine nodes m i - r, by the direct triangle or
+    the generic engine."""
+    _check_entry(N)
+    _check_whitney(m, r)
+    if route == "direct":
+        return _grow_rows(N, 1, 0, lambda n, k, x: (m * (n - k + 2) - r) * x,
+                          lambda n, k, x: (m * k + r) * x)
+    if route == "engine":
+        rows = general_eulerian_rows(AffineWhitneySequence(m, r), N)
+        assert all(value.denominator == 1 for row in rows for value in row)
+        return [[int(value) for value in row] for row in rows]
+    raise _bad_route(route, ("direct", "engine"))
+
+
 def r_whitney_eulerian(n: int, k: int, m: int, r: int,
                        route: str = "direct") -> int:
     """Eulerian numbers over the affine nodes m i - r, integer valued."""
     _check_entry(n, k)
-    if m < 1 or r < 0:
-        raise DomainError("need m >= 1 and r >= 0")
+    _check_whitney(m, r)
     if k > n:
         return 0
-    if route == "direct":
-        row = [1]
-        for step in range(n):
-            nxt = []
-            for kk in range(step + 2):
-                v = 0
-                if kk >= 1:
-                    v += (m * (step - kk + 2) - r) * row[kk - 1]
-                if kk <= step:
-                    v += (m * kk + r) * row[kk]
-                nxt.append(v)
-            row = nxt
-        return row[k]
+    return r_whitney_eulerian_rows(n, m, r, route)[n][k]
+
+
+def q_r_whitney_eulerian_rows(N: int, m: int, r: int,
+                              route: str = "recurrence") -> list[list[ExactScalar]]:
+    """Rows 0..N of the q-deformed r-Whitney Eulerian triangle, by the
+    direct triangle or the generic engine over the nodes [m i - r]_q."""
+    _check_entry(N)
+    _check_whitney(m, r)
+    if route == "recurrence":
+        return _grow_rows(
+            N, ExactScalar.from_int(1), EXACT_Q.zero,
+            lambda n, k, x: q_number(m * (n - k + 2) - r) * x,
+            lambda n, k, x: (ExactScalar.q_power(m * (n + 1) - m * k - r)
+                             * q_number(m * k + r) * x))
     if route == "engine":
-        value = general_eulerian(n, k, AffineWhitneySequence(m, r))
-        assert value.denominator == 1
-        return int(value)
-    raise _bad_route(route, ("direct", "engine"))
+        return general_eulerian_rows(QWhitneySequence(m, r), N)
+    raise _bad_route(route, ("recurrence", "engine"))
 
 
 def q_r_whitney_eulerian(n: int, k: int, m: int, r: int,
@@ -389,27 +398,11 @@ def q_r_whitney_eulerian(n: int, k: int, m: int, r: int,
     the plain q-Eulerian triangle.
     """
     _check_entry(n, k)
-    if m < 1 or r < 0:
-        raise DomainError("need m >= 1 and r >= 0")
+    _check_whitney(m, r)
     if k > n:
         return EXACT_Q.zero
-    if route == "recurrence":
-        row = [ExactScalar.from_int(1)]
-        for step in range(n):
-            nxt = []
-            for kk in range(step + 2):
-                v = EXACT_Q.zero
-                if kk >= 1:
-                    v = v + q_number(m * (step - kk + 2) - r) * row[kk - 1]
-                if kk <= step:
-                    v = v + (
-                        ExactScalar.q_power(m * (step + 1) - m * kk - r)
-                        * q_number(m * kk + r)
-                        * row[kk]
-                    )
-                nxt.append(v)
-            row = nxt
-        return row[k]
+    if route in ("recurrence", "engine"):
+        return q_r_whitney_eulerian_rows(n, m, r, route)[n][k]
     if route == "explicit":
         total = EXACT_Q.zero
         for j in range(k + 1):
@@ -424,8 +417,6 @@ def q_r_whitney_eulerian(n: int, k: int, m: int, r: int,
                 term = -term
             total = total + term
         return total
-    if route == "engine":
-        return general_eulerian(n, k, QWhitneySequence(m, r))
     raise _bad_route(route, ("recurrence", "explicit", "engine"))
 
 
@@ -433,27 +424,23 @@ def q_r_whitney_eulerian(n: int, k: int, m: int, r: int,
 # elliptic levels
 # ---------------------------------------------------------------------------
 
-def _elliptic_eulerian_rows(N: int, params: EllipticParams) -> list[list[complex]]:
-    rows = [[complex(1.0)]]
-    for n in range(N):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            acc = complex(0.0)
-            if k >= 1:
-                acc += elliptic_number(n - k + 2, params) * prev[k - 1]
-            if k <= n:
-                # the gap-quotient product, with every weight telescoped
-                # into a single shifted one so no 1/a inversion is needed
-                p = elliptic_weight_shifted(n + 1, (-2 * k, -k), params)
-                for i in range(1, n + 2):
-                    u = i - k
-                    p *= elliptic_number_shifted(n - i + 2, (2 * u, u), params)
-                    p /= elliptic_number_shifted(n - i + 2, (2 * (u - 1), u - 1), params)
-                acc += -elliptic_number(-k, params) * p * prev[k]
-            row.append(acc)
-        rows.append(row)
-    return rows
+def elliptic_eulerian_rows(N: int, params: EllipticParams) -> list[list[complex]]:
+    """Rows 0..N of the elliptic Eulerian triangle, the correction product
+    kept in its weight form."""
+    _check_entry(N)
+
+    def right(n, k, x):
+        # the gap-quotient product, with every weight telescoped into a
+        # single shifted one so no 1/a inversion is needed
+        p = elliptic_weight_shifted(n + 1, (-2 * k, -k), params)
+        for i in range(1, n + 2):
+            u = i - k
+            p *= elliptic_number_shifted(n - i + 2, (2 * u, u), params)
+            p /= elliptic_number_shifted(n - i + 2, (2 * (u - 1), u - 1), params)
+        return -elliptic_number(-k, params) * p * x
+
+    return _grow_rows(N, complex(1.0), complex(0.0),
+                      lambda n, k, x: elliptic_number(n - k + 2, params) * x, right)
 
 
 def _elliptic_explicit_terms(n: int, k: int,
@@ -484,7 +471,7 @@ def elliptic_eulerian(n: int, k: int, params: EllipticParams,
     if k > n:
         return complex(0.0)
     if route == "recurrence":
-        return _elliptic_eulerian_rows(n, params)[n][k]
+        return elliptic_eulerian_rows(n, params)[n][k]
     if route == "explicit":
         return elliptic_eulerian_scaled(n, k, params)[0]
     if route == "engine":
@@ -502,18 +489,25 @@ def elliptic_eulerian_scaled(n: int, k: int,
     return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
 
 
+def elliptic_r_whitney_eulerian_rows(N: int, m: int, r: int,
+                                     params: EllipticParams) -> list[list[complex]]:
+    """Rows 0..N over the elliptic nodes [m i - r], by the engine."""
+    _check_whitney(m, r)
+    return general_eulerian_rows(EllipticSequence(params, scale=m, offset=-r), N)
+
+
 def elliptic_r_whitney_eulerian(n: int, k: int, m: int, r: int,
                                 params: EllipticParams,
                                 route: str = "recurrence") -> complex:
     """Eulerian triangle over the elliptic nodes [m i - r], via the engine."""
     _check_entry(n, k)
-    if m < 1 or r < 0:
-        raise DomainError("need m >= 1 and r >= 0")
+    _check_whitney(m, r)
     if k > n:
         return complex(0.0)
-    seq = EllipticSequence(params, scale=m, offset=-r)
-    if route in ("recurrence", "explicit"):
-        return general_eulerian(n, k, seq, route)
+    if route == "recurrence":
+        return elliptic_r_whitney_eulerian_rows(n, m, r, params)[n][k]
+    if route == "explicit":
+        return elliptic_r_whitney_eulerian_scaled(n, k, m, r, params)[0]
     raise _bad_route(route, ("recurrence", "explicit"))
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "stirling2",
     "q_stirling2",
     "elliptic_stirling2",
+    "elliptic_stirling2_rows",
     "elliptic_stirling2_scaled",
     "whitney_qr",
     "st_shifted_stirling",
@@ -64,18 +65,37 @@ __all__ = [
     "elliptic_rook_scaled",
     "lah",
     "elliptic_lah",
+    "elliptic_lah_rows",
     "elliptic_lah_scaled",
-    "TriangularTable",
 ]
 
 
-def _check_entry(n: int, k: int) -> None:
+def _check_entry(n: int, k: int = 0) -> None:
     if n < 0 or k < 0:
         raise DomainError("triangle entries need n >= 0 and k >= 0")
 
 
 def _bad_route(route: str, allowed: tuple[str, ...]):
     return DomainError(f"unknown route {route!r}, expected one of {allowed}")
+
+
+def _grow_rows(N: int, one, zero, left, right) -> list[list]:
+    """Rows 0..N of T(n+1, k) = left(n, k, T(n, k-1)) + right(n, k, T(n, k)),
+    with T(0, 0) = one.  Each caller forms its two terms itself, so the
+    order of its floating-point operations is its own."""
+    rows = [[one]]
+    for n in range(N):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 2):
+            acc = zero
+            if k >= 1:
+                acc = acc + left(n, k, prev[k - 1])
+            if k <= n:
+                acc = acc + right(n, k, prev[k])
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +194,11 @@ def q_stirling2(n: int, k: int, route: str = "recurrence") -> ExactScalar:
 # elliptic Stirling numbers
 # ---------------------------------------------------------------------------
 
-def _elliptic_stirling2_rows(n: int, params: EllipticParams) -> list[list[complex]]:
-    rows = [[complex(1.0)]]
-    for m in range(n):
-        prev = rows[-1]
-        row = []
-        for k in range(m + 2):
-            acc = complex(0.0)
-            if k >= 1:
-                acc += prev[k - 1]
-            if k <= m:
-                acc += elliptic_number(k, params) * prev[k]
-            row.append(acc)
-        rows.append(row)
-    return rows
+def elliptic_stirling2_rows(N: int, params: EllipticParams) -> list[list[complex]]:
+    """Rows 0..N of the elliptic Stirling triangle, with multiplier [k]."""
+    _check_entry(N)
+    return _grow_rows(N, complex(1.0), complex(0.0), lambda n, k, x: x,
+                      lambda n, k, x: elliptic_number(k, params) * x)
 
 
 def _elliptic_stirling2_terms(n: int, k: int,
@@ -223,7 +234,7 @@ def elliptic_stirling2(n: int, k: int, params: EllipticParams,
     if k > n:
         return complex(0.0)
     if route == "recurrence":
-        return _elliptic_stirling2_rows(n, params)[n][k]
+        return elliptic_stirling2_rows(n, params)[n][k]
     if route == "h":
         seq = EllipticSequence(params)
         return h_recurrence(n - k, seq.window(0, k), seq.field)
@@ -443,26 +454,16 @@ def lah(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
 
 
-def _elliptic_lah_rows(n: int, params: EllipticParams) -> list[list[complex]]:
-    rows = [[complex(1.0)]]
-    for m in range(n):
-        prev = rows[-1]
-        row = []
-        for k in range(m + 2):
-            acc = complex(0.0)
-            if k >= 1:
-                acc += prev[k - 1]
-            if k <= m:
-                # [k] - [-m] split by the addition rule, so the triangle
-                # weight is W(-m) [m+k] at base shift (-2m, -m)
-                acc += (
-                    elliptic_weight(-m, params)
-                    * elliptic_number_shifted(m + k, (-2 * m, -m), params)
-                    * prev[k]
-                )
-            row.append(acc)
-        rows.append(row)
-    return rows
+def elliptic_lah_rows(N: int, params: EllipticParams) -> list[list[complex]]:
+    """Rows 0..N of the elliptic Lah triangle, with multiplier W(-n) [n+k]."""
+    _check_entry(N)
+    # [k] - [-n] split by the addition rule, so the triangle weight is
+    # W(-n) [n+k] at base shift (-2n, -n)
+    return _grow_rows(
+        N, complex(1.0), complex(0.0), lambda n, k, x: x,
+        lambda n, k, x: (elliptic_weight(-n, params)
+                         * elliptic_number_shifted(n + k, (-2 * n, -n), params)
+                         * x))
 
 
 def _elliptic_lah_terms(n: int, k: int,
@@ -496,7 +497,7 @@ def elliptic_lah(n: int, k: int, params: EllipticParams,
     if k > n:
         return complex(0.0)
     if route == "recurrence":
-        return _elliptic_lah_rows(n, params)[n][k]
+        return elliptic_lah_rows(n, params)[n][k]
     if route in ("explicit", "oracle"):
         return elliptic_lah_scaled(n, k, params, route)[0]
     raise _bad_route(route, ("recurrence", "explicit", "oracle"))
@@ -516,19 +517,3 @@ def elliptic_lah_scaled(n: int, k: int, params: EllipticParams,
         cs = [elliptic_number(-(i - 1), params) for i in range(1, n + 1)]
         return connection_explicit_scaled(complex(1.0), cs, seq, n, k)
     raise _bad_route(route, ("explicit", "oracle"))
-
-
-# ---------------------------------------------------------------------------
-# table container shared with the command line front end
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TriangularTable:
-    """Rows 0..n of one family, plus the parameters that produced them."""
-
-    family: str
-    params: dict
-    rows: list[list]
-
-    def entry(self, n: int, k: int):
-        return self.rows[n][k]

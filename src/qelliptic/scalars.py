@@ -27,7 +27,6 @@ __all__ = [
     "EXACT_Q",
     "RATIONAL",
     "complex_field",
-    "approx_eq",
     "q_number",
     "q_factorial",
     "q_binomial",
@@ -577,10 +576,6 @@ class Tolerance:
 
     def close(self, x: complex, y: complex) -> bool:
         return abs(x - y) <= max(self.abs, self.rel * max(abs(x), abs(y)))
-
-
-def approx_eq(x: complex, y: complex, tol: Tolerance = Tolerance()) -> bool:
-    return tol.close(x, y)
 
 
 def residual(x: complex, y: complex, *terms: complex) -> float:

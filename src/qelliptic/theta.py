@@ -65,7 +65,10 @@ _TWO_PI = 2 * math.pi
 
 
 def qpow(base: complex, z) -> complex:
-    """base ** z: repeated multiplication for integer z, principal branch else."""
+    """base ** z: repeated multiplication for integer z, principal branch else.
+
+    An integer power that leaves double range raises DegenerateParameters.
+    """
     if isinstance(z, complex):
         if z.imag == 0:
             z = z.real
@@ -74,7 +77,11 @@ def qpow(base: complex, z) -> complex:
     if isinstance(z, float) and z.is_integer():
         z = int(z)
     if isinstance(z, int):
-        return base ** z
+        try:
+            return base ** z
+        except (ZeroDivisionError, OverflowError):
+            raise DegenerateParameters(
+                f"{base}^{z} is outside double range") from None
     return cmath.exp(z * cmath.log(base))
 
 
@@ -106,17 +113,12 @@ class ThetaPolicy:
     def for_nome(cls, p: complex, target_eps: float = 1e-16) -> "ThetaPolicy":
         if not cmath.isfinite(p):
             raise DomainError(f"nome must be finite, got {p}")
+        if abs(p) >= 1:
+            raise DomainError("nome needs |p| < 1")
         if p == 0:
             return cls(24, target_eps)
         needed = math.ceil(math.log(target_eps) / math.log(abs(p)))
         return cls(max(24, needed), target_eps)
-
-    def admits(self, p: complex) -> bool:
-        if p == 0:
-            return True
-        return self.truncation_order >= math.ceil(
-            math.log(self.target_eps) / math.log(abs(p))
-        )
 
 
 def theta(x: complex, p: complex, policy: ThetaPolicy | None = None) -> complex:

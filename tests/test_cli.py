@@ -2,15 +2,45 @@
 
 import json
 import io
+import math
 import pathlib
+import random
 import time
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
-from qelliptic.cli import main
+from qelliptic.cli import _FAMILIES, main
+from qelliptic.errors import DomainError
+from qelliptic.eulerian import (
+    elliptic_eulerian,
+    elliptic_eulerian_rows,
+    elliptic_r_whitney_eulerian,
+    elliptic_r_whitney_eulerian_rows,
+    eulerian,
+    q_eulerian,
+    q_r_whitney_eulerian,
+    q_r_whitney_eulerian_rows,
+    r_whitney_eulerian,
+    r_whitney_eulerian_rows,
+)
+from qelliptic.families import (
+    FerrersBoard,
+    elliptic_lah,
+    elliptic_lah_rows,
+    elliptic_rook,
+    elliptic_shifted_stirling,
+    elliptic_stirling2,
+    elliptic_stirling2_rows,
+    q_stirling2,
+    st_shifted_stirling,
+    stirling2,
+    whitney_qr,
+)
 from qelliptic.scalars import ExactScalar
 from qelliptic.suites import run_suite
+from qelliptic.theta import EllipticParams, sample_elliptic_params
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "schema"
@@ -239,3 +269,164 @@ def test_non_finite_parameters_exit_2(capsys, flag):
     assert code == 2
     assert out == ""
     assert flag.split("=")[0] in err
+
+
+def test_bad_value_flags_show_the_library_message(capsys):
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--n", "3", "--p=nan",
+    )
+    assert code == 2 and out == ""
+    assert "expects finite re or re,im" in err
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "rook", "--board", "2,1",
+    )
+    assert code == 2 and out == ""
+    assert "weakly increasing" in err
+
+
+@pytest.mark.parametrize("flag", ["--q=1e-300", "--q=1e300", "--a=1e300,0", "--b=1e-300"])
+def test_parameters_outside_double_range_exit_3(capsys, flag):
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--n", "3", "--seed", "1", flag,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("degenerate:")
+
+
+# every table entry recomputed by the public entry function, on the
+# parameters the document echoes
+ENTRIES = {
+    "stirling": lambda e, n, k: stirling2(n, k, e.route),
+    "qstirling": lambda e, n, k: q_stirling2(n, k, e.route),
+    "estirling": lambda e, n, k: elliptic_stirling2(n, k, e.ell, e.route),
+    "whitney": lambda e, n, k: whitney_qr(n, k, e.m, e.r, e.route),
+    "stshifted": lambda e, n, k: st_shifted_stirling(
+        n, k, e.m, e.r, e.s, e.t, e.route),
+    "eshifted": lambda e, n, k: elliptic_shifted_stirling(
+        n, k, e.m, e.r, e.ell, e.route),
+    "rook": lambda e, n, k: elliptic_rook(
+        FerrersBoard(tuple(e.board)), k, e.ell, e.route),
+    "lah": lambda e, n, k: elliptic_lah(n, k, e.ell, e.route),
+    "eulerian": lambda e, n, k: eulerian(n, k, e.route),
+    "qeulerian": lambda e, n, k: q_eulerian(n, k, e.route),
+    "rwhitneyeulerian": lambda e, n, k: r_whitney_eulerian(
+        n, k, e.m, e.r, e.route),
+    "qrwhitneyeulerian": lambda e, n, k: q_r_whitney_eulerian(
+        n, k, e.m, e.r, e.route),
+    "eeulerian": lambda e, n, k: elliptic_eulerian(n, k, e.ell, e.route),
+    "erwhitneyeulerian": lambda e, n, k: elliptic_r_whitney_eulerian(
+        n, k, e.m, e.r, e.ell, e.route),
+}
+
+
+def same_value(got, want) -> bool:
+    """Exact values by their canonical text, numeric ones bit for bit."""
+    if isinstance(want, complex):
+        return all(
+            x == y and math.copysign(1, x) == math.copysign(1, y)
+            for x, y in ((got["re"], want.real), (got["im"], want.imag))
+        )
+    return str(got) == str(want)
+
+
+def _echoed(params: dict) -> SimpleNamespace:
+    e = {key: complex(v["re"], v["im"]) if isinstance(v, dict) else v
+         for key, v in params.items()}
+    if "p" in e:
+        e["ell"] = EllipticParams(a=e["a"], b=e["b"], q=e["q"], p=e["p"])
+    return SimpleNamespace(**e)
+
+
+@pytest.mark.parametrize("family,route", [
+    (family, route) for family, record in _FAMILIES.items()
+    for route in record.routes
+])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_table_rows_equal_the_entry_functions(capsys, family, route, seed):
+    argv = ["table", "--family", family, "--route", route, "--seed", str(seed)]
+    if family == "rook":
+        argv += ["--board", "1,2,3"]
+    else:
+        argv += ["--n", "6"]
+    if "m" in _FAMILIES[family].flags:
+        argv += ["--m", "2", "--r", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    e = _echoed(doc["params"])
+    want = [(n, k) for n in range(7) for k in range(n + 1)]
+    if family == "rook":
+        want = [(3, k) for k in range(4)]
+    assert [(row["n"], row["k"]) for row in doc["rows"]] == want
+    for row in doc["rows"]:
+        reference = ENTRIES[family](e, row["n"], row["k"])
+        assert same_value(row["value"], reference), (row, reference)
+
+
+def test_schema_family_enum_is_the_family_record():
+    assert set(ENTRIES) == set(_FAMILIES)
+    assert sorted(SCHEMA["properties"]["family"]["enum"]) == sorted(_FAMILIES)
+
+
+def _ell(seed):
+    return sample_elliptic_params(random.Random(seed))
+
+
+@pytest.mark.parametrize("rows,entry", [
+    (lambda N: r_whitney_eulerian_rows(N, 2, 1, "direct"),
+     lambda n, k: r_whitney_eulerian(n, k, 2, 1, "direct")),
+    (lambda N: r_whitney_eulerian_rows(N, 3, 2, "engine"),
+     lambda n, k: r_whitney_eulerian(n, k, 3, 2, "engine")),
+    (lambda N: q_r_whitney_eulerian_rows(N, 2, 1, "recurrence"),
+     lambda n, k: q_r_whitney_eulerian(n, k, 2, 1, "recurrence")),
+    (lambda N: q_r_whitney_eulerian_rows(N, 2, 1, "engine"),
+     lambda n, k: q_r_whitney_eulerian(n, k, 2, 1, "engine")),
+    (lambda N: elliptic_r_whitney_eulerian_rows(N, 2, 1, _ell(3)),
+     lambda n, k: elliptic_r_whitney_eulerian(n, k, 2, 1, _ell(3))),
+    (lambda N: elliptic_stirling2_rows(N, _ell(4)),
+     lambda n, k: elliptic_stirling2(n, k, _ell(4))),
+    (lambda N: elliptic_lah_rows(N, _ell(5)),
+     lambda n, k: elliptic_lah(n, k, _ell(5))),
+    (lambda N: elliptic_eulerian_rows(N, _ell(6)),
+     lambda n, k: elliptic_eulerian(n, k, _ell(6))),
+])
+def test_row_builders_match_their_entries(rows, entry):
+    triangle = rows(6)
+    assert len(triangle) == 7
+    for n, row in enumerate(triangle):
+        want = [entry(n, k) for k in range(n + 1)]
+        if isinstance(want[0], complex):
+            assert all(same_value({"re": g.real, "im": g.imag}, w)
+                       for g, w in zip(row, want, strict=True))
+        else:
+            assert [str(v) for v in row] == [str(w) for w in want]
+
+
+@pytest.mark.parametrize("m,r", [(0, 0), (-1, 1), (1, -1)])
+def test_row_builders_reject_bad_whitney_parameters(m, r):
+    with pytest.raises(DomainError):
+        r_whitney_eulerian_rows(3, m, r)
+    with pytest.raises(DomainError):
+        q_r_whitney_eulerian_rows(3, m, r)
+    with pytest.raises(DomainError):
+        elliptic_r_whitney_eulerian_rows(3, m, r, _ell(1))
+
+
+@pytest.mark.parametrize("family", ["rwhitneyeulerian", "qrwhitneyeulerian",
+                                    "erwhitneyeulerian"])
+def test_whitney_eulerian_m_zero_exits_2(capsys, family):
+    code, out, err = run_cli(
+        capsys, "table", "--family", family, "--n", "3", "--m", "0", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "need m >= 1" in err
+
+
+def test_qeulerian_engine_table_builds_one_triangle(capsys):
+    start = time.perf_counter()
+    code, _, _ = run_cli(
+        capsys, "table", "--family", "qeulerian", "--route", "engine", "--n", "18",
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 2

@@ -16,7 +16,6 @@ from qelliptic.scalars import (
     ExactScalar,
     LaurentPoly,
     Tolerance,
-    approx_eq,
     complex_field,
     q_binomial,
     q_factorial,
@@ -258,7 +257,7 @@ def test_tolerance_policy():
         x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         y = x + complex(rng.uniform(-1e-9, 1e-9), 0)
         assert tol.close(x, y) == tol.close(y, x)
-    assert approx_eq(0.0, 1e-13)
+    assert Tolerance().close(0.0, 1e-13)
 
 
 def test_rational_field():

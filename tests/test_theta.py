@@ -58,14 +58,15 @@ def test_theta_domain_errors():
 def test_theta_policy():
     pol = ThetaPolicy.for_nome(0.5)
     assert pol.truncation_order >= 24
-    assert pol.admits(0.5)
+    assert pol.truncation_order >= math.ceil(math.log(pol.target_eps) / math.log(0.5))
     assert ThetaPolicy.for_nome(0.05).truncation_order == 24
     assert ThetaPolicy.for_nome(0).truncation_order == 24
     with pytest.raises(DomainError):
         ThetaPolicy(0)
     with pytest.raises(DomainError):
         ThetaPolicy(24, target_eps=2.0)
-    assert not ThetaPolicy(5, target_eps=1e-16).admits(0.5)
+    short = ThetaPolicy(5, target_eps=1e-16)
+    assert short.truncation_order < math.ceil(math.log(short.target_eps) / math.log(0.5))
 
 
 def test_theta_inversion_frozen_example():
@@ -306,6 +307,12 @@ def test_truncation_order_cap():
             ThetaPolicy.for_nome(p)
     with pytest.raises(DomainError):
         EllipticParams(a=0.5, b=0.7, q=0.6, p=0.99999)
+
+
+@pytest.mark.parametrize("p", [1.0, -1.0, 2.0, 1j, 1e300])
+def test_policy_rejects_nome_outside_unit_disc(p):
+    with pytest.raises(DomainError, match=r"nome needs \|p\| < 1"):
+        ThetaPolicy.for_nome(p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.2, math.nan)])
