@@ -300,6 +300,8 @@ def cmd_table(args) -> int:
             f"not {args.route!r}"
         )
     if "board" in family.flags:
+        if args.n is not None:
+            raise DomainError(f"family {args.family} does not take --n")
         if args.board is None:
             raise DomainError(f"family {args.family} needs --board")
         args.n = args.board.columns
@@ -428,7 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="emit one family's triangle")
     table.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     table.add_argument("--n", type=int, default=None,
-                       help="largest row index (not used by rook)")
+                       help="largest row index; rook refuses it and takes "
+                            "the row from --board")
     table.add_argument("--m", type=int, default=None)
     table.add_argument("--r", type=int, default=None)
     table.add_argument("--board", type=_parse_board, default=None,

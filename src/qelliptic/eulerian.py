@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import DegenerateSequence, DomainError
+from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .families import _bad_route, _check_entry, _grow_rows
 from .newton import (
     DISTINCTNESS_REL,
@@ -424,6 +424,18 @@ def q_r_whitney_eulerian(n: int, k: int, m: int, r: int,
 # elliptic levels
 # ---------------------------------------------------------------------------
 
+def _shifted_divisor(z: int, shift: tuple[int, int], params: EllipticParams) -> complex:
+    """The shifted elliptic number [z] where it divides; an exact zero (a = 1
+    makes some of them vanish) is a degeneracy of the parameters."""
+    value = elliptic_number_shifted(z, shift, params)
+    if value == 0:
+        raise DegenerateParameters(
+            f"elliptic number [{z}] at shift {shift} is exactly 0 and the "
+            "triangle divides by it"
+        )
+    return value
+
+
 def elliptic_eulerian_rows(N: int, params: EllipticParams) -> list[list[complex]]:
     """Rows 0..N of the elliptic Eulerian triangle, the correction product
     kept in its weight form."""
@@ -436,7 +448,7 @@ def elliptic_eulerian_rows(N: int, params: EllipticParams) -> list[list[complex]
         for i in range(1, n + 2):
             u = i - k
             p *= elliptic_number_shifted(n - i + 2, (2 * u, u), params)
-            p /= elliptic_number_shifted(n - i + 2, (2 * (u - 1), u - 1), params)
+            p /= _shifted_divisor(n - i + 2, (2 * (u - 1), u - 1), params)
         return -elliptic_number(-k, params) * p * x
 
     return _grow_rows(N, complex(1.0), complex(0.0),
@@ -452,7 +464,7 @@ def _elliptic_explicit_terms(n: int, k: int,
             if i != k - j:
                 u = i - k
                 ratio *= elliptic_number_shifted(n - i + 1, (2 * u, u), params)
-                ratio /= elliptic_number_shifted(k - j - i, (2 * u, u), params)
+                ratio /= _shifted_divisor(k - j - i, (2 * u, u), params)
         terms.append(ratio * elliptic_number(-j, params) ** n)
     return terms
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
+from . import intpoly
 from .errors import DegenerateParameters, DomainError
 
 __all__ = [
@@ -37,104 +38,52 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial helpers (internal, used only for gcd reduction)
-# ---------------------------------------------------------------------------
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _content(c: list[int]) -> int:
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
-def _primitive(c: list[int]) -> list[int]:
-    g = _content(c)
-    if g > 1:
-        return [x // g for x in c]
-    return c
-
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    # repeated single-step pseudo-division; coefficient growth is tamed by
-    # taking primitive parts between gcd iterations
-    r = list(f)
-    lg = g[-1]
-    dg = len(g)
-    while len(r) >= dg:
-        lr = r[-1]
-        if lr == 0:
-            r.pop()
-            continue
-        shift = len(r) - dg
-        r = [lg * x for x in r]
-        for i, cg in enumerate(g):
-            r[i + shift] -= lr * cg
-        _trim(r)
-    return r
-
-
-def _gcd_dense(f: list[int], g: list[int]) -> list[int]:
-    a = _primitive(_trim(list(f)))
-    b = _primitive(_trim(list(g)))
-    if not a:
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return a or [1]
-
-
-def _divexact_dense(f: list[int], g: list[int]) -> list[int]:
-    # long division that is known to be exact
-    r = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    lg = g[-1]
-    while len(r) >= len(g):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        shift = len(r) - len(g)
-        c, rem = divmod(r[-1], lg)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        out[shift] = c
-        for i, cg in enumerate(g):
-            r[i + shift] -= c * cg
-        _trim(r)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """Integer Laurent polynomial in q, stored as {exponent: coefficient}.
+def _poly(offset: int, coeffs: list[int]) -> "LaurentPoly":
+    # trusted constructor: coeffs is empty (offset 0) or has nonzero ends,
+    # and is never mutated afterwards
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._off = offset
+    out._co = coeffs
+    return out
 
-    Zero coefficients are never stored, so structural equality is dict
-    equality and the canonical printed form is unique.
+
+def _poly_trimmed(offset: int, coeffs: list[int]) -> "LaurentPoly":
+    lo, hi = 0, len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    if lo == hi:
+        return _poly(0, [])
+    if lo or hi < len(coeffs):
+        coeffs = coeffs[lo:hi]
+    return _poly(offset + lo, coeffs)
+
+
+class LaurentPoly:
+    """Integer Laurent polynomial in q, stored densely.
+
+    The coefficients of q^offset, q^(offset+1), ... are kept in a list whose
+    first and last entries are nonzero (the zero polynomial is offset 0 and
+    an empty list), so structural equality is list equality and the
+    canonical printed form is unique.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_off", "_co")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v:
-                    c[int(e)] = v
-        self._c = c
+        c = {int(e): v for e, v in coeffs.items() if v} if coeffs else {}
+        if not c:
+            self._off, self._co = 0, []
+            return
+        lo = min(c)
+        dense = [0] * (max(c) - lo + 1)
+        for e, v in c.items():
+            dense[e - lo] = v
+        self._off, self._co = lo, dense
 
     # -- constructors -------------------------------------------------------
 
@@ -156,143 +105,127 @@ class LaurentPoly:
 
     @classmethod
     def from_dense(cls, offset: int, coeffs: list[int]) -> "LaurentPoly":
-        return cls({offset + i: c for i, c in enumerate(coeffs)})
+        return _poly_trimmed(offset, list(coeffs))
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._co
 
     @property
     def min_exp(self) -> int:
-        if not self._c:
+        if not self._co:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
+        return self._off
 
     @property
     def max_exp(self) -> int:
-        if not self._c:
+        if not self._co:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
+        return self._off + len(self._co) - 1
 
     def items(self) -> list[tuple[int, int]]:
-        return sorted(self._c.items())
+        off = self._off
+        return [(off + i, v) for i, v in enumerate(self._co) if v]
 
     def coefficient(self, exponent: int) -> int:
-        return self._c.get(exponent, 0)
+        i = exponent - self._off
+        return self._co[i] if 0 <= i < len(self._co) else 0
 
     def as_dense(self) -> tuple[int, list[int]]:
         """Return (offset, coefficients) with a nonzero constant slot."""
-        if not self._c:
-            return 0, []
-        lo = min(self._c)
-        hi = max(self._c)
-        out = [0] * (hi - lo + 1)
-        for e, v in self._c.items():
-            out[e - lo] = v
-        return lo, out
+        return self._off, list(self._co)
 
     # -- ring operations ----------------------------------------------------
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        b = other._co
+        if not b:
+            return self
+        if sign < 0:
+            b = [-x for x in b]
+        a = self._co
+        if not a:
+            return _poly(other._off, b)
+        ao, bo = self._off, other._off
+        lo = min(ao, bo)
+        out = [0] * (max(ao + len(a), bo + len(b)) - lo)
+        i = ao - lo
+        out[i:i + len(a)] = a
+        i = bo - lo
+        j = i + len(b)
+        out[i:j] = [x + y for x, y in zip(out[i:j], b)]
+        return _poly_trimmed(lo, out)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return _poly(self._off, [-v for v in self._co])
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._c or not other._c:
-            return LaurentPoly()
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                elif e in c:
-                    del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        if not self._co or not other._co:
+            return _poly(0, [])
+        return _poly(self._off + other._off, intpoly.mul(self._co, other._co))
 
     def scale(self, k: int) -> "LaurentPoly":
         if k == 0:
-            return LaurentPoly()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: k * v for e, v in self._c.items()}
-        return out
+            return _poly(0, [])
+        return _poly(self._off, [k * v for v in self._co])
 
     def stretch(self, m: int) -> "LaurentPoly":
         """Substitute q -> q^m (a ring map for m >= 1)."""
         if m < 1:
             raise DomainError("stretch exponent must be a positive integer")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e * m: v for e, v in self._c.items()}
-        return out
+        if not self._co:
+            return self
+        out = [0] * ((len(self._co) - 1) * m + 1)
+        out[::m] = self._co
+        return _poly(self._off * m, out)
 
     def content(self) -> int:
-        return _content(list(self._c.values()))
+        return intpoly.content(self._co)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._off == other._off and self._co == other._co
 
     __hash__ = None  # type: ignore[assignment]
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x: complex) -> complex:
-        if not self._c:
+        if not self._co:
             return 0j
-        if x == 0 and self.min_exp < 0:
+        off = self._off
+        if x == 0 and off < 0:
             raise ZeroDivisionError("negative exponent at q = 0")
-        return sum(v * x ** e for e, v in sorted(self._c.items()))
+        return sum(v * x ** (off + i) for i, v in enumerate(self._co) if v)
 
     def evaluate_fraction(self, x: Fraction) -> Fraction:
         total = Fraction(0)
-        for e, v in self._c.items():
+        for e, v in self.items():
             total += v * x ** e
         return total
 
     # -- printing and parsing -----------------------------------------------
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._co:
             return "0"
         parts: list[str] = []
-        for e, v in sorted(self._c.items()):
+        for e, v in self.items():
             mag = abs(v)
             if e == 0:
                 body = str(mag)
@@ -384,7 +317,7 @@ class ExactScalar:
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "ExactScalar":
-        return cls._raw(LaurentPoly(dict(p.items())), _POLY_ONE)
+        return cls._raw(p, _POLY_ONE)
 
     @classmethod
     def q_power(cls, e: int) -> "ExactScalar":
@@ -435,8 +368,10 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den == _POLY_ONE and o._den == _POLY_ONE:
-            return ExactScalar._raw(self._num + o._num, _POLY_ONE)
+        if self._den == o._den:
+            if self._den == _POLY_ONE:
+                return ExactScalar._raw(self._num + o._num, _POLY_ONE)
+            return ExactScalar(self._num + o._num, self._den)
         return ExactScalar(
             self._num * o._den + o._num * self._den, self._den * o._den
         )
@@ -447,8 +382,10 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den == _POLY_ONE and o._den == _POLY_ONE:
-            return ExactScalar._raw(self._num - o._num, _POLY_ONE)
+        if self._den == o._den:
+            if self._den == _POLY_ONE:
+                return ExactScalar._raw(self._num - o._num, _POLY_ONE)
+            return ExactScalar(self._num - o._num, self._den)
         return ExactScalar(
             self._num * o._den - o._num * self._den, self._den * o._den
         )
@@ -544,20 +481,28 @@ def _normalized(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Lauren
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return _POLY_ZERO, _POLY_ONE
-    noff, nd = num.as_dense()
-    doff, dd = den.as_dense()
-    g = _gcd_dense(nd, dd)
-    if len(g) > 1 or g[0] != 1:
-        nd = _divexact_dense(nd, g)
-        dd = _divexact_dense(dd, g)
-    c = math.gcd(_content(nd), _content(dd))
-    if c > 1:
+    nd, dd = num._co, den._co
+    cn, cd = intpoly.content(nd), intpoly.content(dd)
+    c = math.gcd(cn, cd)
+    # a monomial shares no polynomial factor with a polynomial whose
+    # constant term is nonzero, so only the integer content cancels there
+    if len(nd) > 1 and len(dd) > 1:
+        pn, pd = intpoly.primitive(nd), intpoly.primitive(dd)
+        reduced = intpoly.gcd_heu(pn, pd)
+        if reduced is None:
+            g = intpoly.gcd_prs(pn, pd)
+            reduced = g, intpoly.divexact(pn, g), intpoly.divexact(pd, g)
+        _, pn, pd = reduced
+        un, ud = cn // c, cd // c
+        nd = [un * x for x in pn] if un > 1 else pn
+        dd = [ud * x for x in pd] if ud > 1 else pd
+    elif c > 1:
         nd = [x // c for x in nd]
         dd = [x // c for x in dd]
     if dd[0] < 0:
         nd = [-x for x in nd]
         dd = [-x for x in dd]
-    return LaurentPoly.from_dense(noff - doff, nd), LaurentPoly.from_dense(0, dd)
+    return _poly(num._off - den._off, nd), _poly(0, dd)
 
 
 # ---------------------------------------------------------------------------

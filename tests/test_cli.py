@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
+from qelliptic import intpoly
 from qelliptic.cli import _FAMILIES, main
 from qelliptic.errors import DomainError
 from qelliptic.eulerian import (
@@ -430,3 +431,41 @@ def test_qeulerian_engine_table_builds_one_triangle(capsys):
     )
     assert code == 0
     assert time.perf_counter() - start < 2
+
+
+def test_whitney_explicit_table_is_fast(capsys, monkeypatch):
+    # the Lagrange sum over q-number nodes normalizes hundreds of quotients
+    # whose gcds have degree up to ~100; the heuristic gcd finds every one of
+    # them, so the pseudo-remainder fallback never runs
+    prs, fallbacks = intpoly.gcd_prs, []
+    monkeypatch.setattr(intpoly, "gcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
+    start = time.perf_counter()
+    code, _, _ = run_cli(
+        capsys, "table", "--family", "whitney", "--route", "explicit",
+        "--n", "10", "--m", "2", "--r", "1",
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 1.5
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("route", ["recurrence", "explicit"])
+def test_eeulerian_zero_divisor_exits_3(capsys, route):
+    # a = 1 makes shifted elliptic numbers that the triangle divides by
+    # exactly 0
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "eeulerian", "--route", route,
+        "--n", "3", "--a", "1", "--seed", "4",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("degenerate:") and "is exactly 0" in err
+    assert "Traceback" not in err
+
+
+def test_rook_refuses_n(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--family", "rook", "--n", "3", "--board", "1",
+    )
+    assert code == 2 and out == ""
+    assert "family rook does not take --n" in err

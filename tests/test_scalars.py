@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qelliptic import intpoly
 from qelliptic.errors import DegenerateParameters, DomainError
 from qelliptic.scalars import (
     EXACT_Q,
@@ -24,10 +26,15 @@ from qelliptic.scalars import (
     st_number,
 )
 
+# wide enough that products land on both sides of the schoolbook cutoff and
+# at every digit width of the Kronecker packing (1, 2, 4, 8 and more bytes)
 coeff_dicts = st.dictionaries(
-    st.integers(min_value=-6, max_value=6),
-    st.integers(min_value=-50, max_value=50),
-    max_size=6,
+    st.integers(min_value=-30, max_value=30),
+    st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-(2**90), max_value=2**90),
+    ),
+    max_size=40,
 )
 
 
@@ -78,6 +85,42 @@ def test_poly_print_grammar():
     assert str(LaurentPoly({1: -1})) == "-q"
     assert str(LaurentPoly({-2: -1, -1: -1})) == "-q^-2 - q^-1"
     assert str(LaurentPoly({0: 1, 2: 3, 5: -1})) == "1 + 3*q^2 - q^5"
+
+
+def _reference_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    # the exponent-dict double loop
+    out: dict[int, int] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return LaurentPoly(out)
+
+
+def _random_dense_poly(rng: random.Random) -> LaurentPoly:
+    length = rng.choice([1, 2, 3, 5, 9, 14, 40, 120])
+    bits = rng.choice([1, 6, 15, 31, 63, 100, 300])
+    coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+    return LaurentPoly.from_dense(rng.randint(-20, 20), coeffs)
+
+
+def test_poly_mul_matches_schoolbook():
+    rng = random.Random(20)
+    for _ in range(300):
+        a, b = _random_dense_poly(rng), _random_dense_poly(rng)
+        assert a * b == _reference_product(a, b)
+        assert a * a == _reference_product(a, a)
+
+
+@pytest.mark.parametrize("m", [1, 11, 127, 128, 2**15, 2**31 - 1, 2**63, 2**200])
+@pytest.mark.parametrize("n", [3, 40, 150])
+def test_dense_mul_at_digit_boundaries(m, n):
+    # equal-magnitude coefficients make the middle product coefficient
+    # reach the bound the digit width is chosen from
+    same = [m] * n
+    alternating = [m * (-1) ** i for i in range(n)]
+    for a, b in ((same, same), (same, [-m] * n), (alternating, alternating),
+                 (alternating, same), (same[:2], alternating)):
+        assert intpoly.mul(a, b) == intpoly.mul_schoolbook(a, b)
 
 
 # -- canonical quotients ----------------------------------------------------
@@ -140,6 +183,97 @@ def test_numeric_field_axioms():
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert f.eq(a * (b + c), a * b + a * c)
         assert f.eq((a + b) + c, a + (b + c))
+
+
+def _dense(rng: random.Random, length: int, bits: int) -> list[int]:
+    coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or -1
+    return coeffs
+
+
+def planted_quotient(rng: random.Random) -> tuple[LaurentPoly, LaurentPoly]:
+    """f g / (h g) with a random common factor g, integer contents that share
+    a factor, and offsets on both sides."""
+    def part():
+        return _dense(rng, rng.randint(1, 12), rng.choice([1, 3, 10, 40]))
+
+    f, g, h = part(), part(), part()
+    if rng.random() < 0.3:
+        g = intpoly.mul(g, [1, -1])
+    shared = rng.choice([1, 2, 6])
+    num = [shared * rng.randint(1, 3) * x for x in intpoly.mul(f, g)]
+    den = [shared * rng.randint(1, 3) * x for x in intpoly.mul(h, g)]
+    return (LaurentPoly.from_dense(rng.randint(-6, 6), num),
+            LaurentPoly.from_dense(rng.randint(-6, 6), den))
+
+
+def test_gcd_heuristic_matches_prs():
+    rng = random.Random(4)
+    for _ in range(200):
+        num, den = planted_quotient(rng)
+        a = intpoly.primitive(num.as_dense()[1])
+        b = intpoly.primitive(den.as_dense()[1])
+        if len(a) == 1 or len(b) == 1:
+            continue
+        g, ca, cb = intpoly.gcd_heu(a, b)
+        assert g in (intpoly.gcd_prs(a, b), [-x for x in intpoly.gcd_prs(a, b)])
+        assert intpoly.mul(g, ca) == a and intpoly.mul(g, cb) == b
+
+
+def test_prs_fallback_gives_the_same_canonical_form(monkeypatch):
+    rng = random.Random(8)
+    cases = [planted_quotient(rng) for _ in range(80)]
+    heuristic = [str(ExactScalar(num, den)) for num, den in cases]
+    prs, fallbacks = intpoly.gcd_prs, []
+    monkeypatch.setattr(intpoly, "gcd_heu", lambda a, b: None)
+    monkeypatch.setattr(intpoly, "gcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
+    assert [str(ExactScalar(num, den)) for num, den in cases] == heuristic
+    assert len(fallbacks) > 40
+
+
+def test_normalization_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def rational_coeffs(expr) -> dict[int, Fraction]:
+        poly = sympy.Poly(expr, q, domain="QQ")
+        return {e: Fraction(int(c.p), int(c.q)) for (e,), c in poly.terms()}
+
+    rng = random.Random(13)
+    for _ in range(40):
+        num, den = planted_quotient(rng)
+        x = ExactScalar(num, den)
+        top, bottom = sympy.fraction(sympy.cancel(
+            sum(c * q**e for e, c in num.items())
+            / sum(c * q**e for e, c in den.items())
+        ))
+        top, bottom = rational_coeffs(top), rational_coeffs(bottom)
+        # to the canonical convention: integer coefficients without common
+        # content, a denominator with positive nonzero constant term
+        both = list(top.values()) + list(bottom.values())
+        scale = math.lcm(*(c.denominator for c in both))
+        content = math.gcd(*(int(c * scale) for c in both))
+        low = min(bottom)
+        sign = 1 if bottom[low] > 0 else -1
+        want_num = {e - low: sign * int(c * scale) // content for e, c in top.items()}
+        want_den = {e - low: sign * int(c * scale) // content for e, c in bottom.items()}
+        assert x.numerator == LaurentPoly(want_num)
+        assert x.denominator == LaurentPoly(want_den)
+
+
+def test_equal_denominators_add_over_the_shared_one():
+    rng = random.Random(6)
+    for _ in range(40):
+        x = random_exact(rng)
+        y = x + ExactScalar.from_poly(LaurentPoly.from_dense(rng.randint(-3, 3), _dense(rng, 4, 5)))
+        assert y.denominator == x.denominator
+        num_x = x.numerator * y.denominator
+        num_y = y.numerator * x.denominator
+        den = x.denominator * y.denominator
+        assert x + y == ExactScalar(num_x + num_y, den)
+        assert x - y == ExactScalar(num_x - num_y, den)
+        assert y - y == 0
 
 
 # -- q-objects ---------------------------------------------------------------
