@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DegenerateParameters, DomainError
 from .newton import (
     EllipticSequence,
     STSequence,
@@ -77,6 +77,17 @@ def _check_entry(n: int, k: int = 0) -> None:
 
 def _bad_route(route: str, allowed: tuple[str, ...]):
     return DomainError(f"unknown route {route!r}, expected one of {allowed}")
+
+
+def _nonzero(divisor: complex, what: str) -> complex:
+    """divisor where a route divides by it; an exact zero (q = -1 makes every
+    even-indexed elliptic number vanish) is a degeneracy of the parameters."""
+    if divisor == 0:
+        raise DegenerateParameters(
+            f"{what} divides by exactly 0: an elliptic number or node gap in "
+            "its denominator vanishes"
+        )
+    return divisor
 
 
 def _grow_rows(N: int, one, zero, left, right) -> list[list]:
@@ -214,7 +225,8 @@ def _elliptic_stirling2_terms(n: int, k: int,
                 den *= elliptic_weight(i, params) * elliptic_number_shifted(
                     k - j - i, (2 * i, i), params
                 )
-        terms.append(elliptic_number(k - j, params) ** n / den)
+        terms.append(elliptic_number(k - j, params) ** n
+                     / _nonzero(den, f"explicit term j = {j} of ({n}, {k})"))
     return terms
 
 
@@ -392,7 +404,8 @@ def _rook_terms(board: FerrersBoard, j: int,
         for i in range(k + 1):
             if i != t:
                 den *= elliptic_number_shifted(t - i, (2 * i, i), params)
-        terms.append(coef if num == den else coef * num / den)
+        terms.append(coef if num == den else
+                     coef * num / _nonzero(den, f"explicit term t = {t} of r_{j}"))
     return terms
 
 
@@ -478,7 +491,7 @@ def _elliptic_lah_terms(n: int, k: int,
         for i in range(k + 1):
             if i != j:
                 den *= aj - elliptic_number(i, params)
-        terms.append(num / den)
+        terms.append(num / _nonzero(den, f"explicit term j = {j} of ({n}, {k})"))
     return terms
 
 

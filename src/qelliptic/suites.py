@@ -18,6 +18,7 @@ The functions here never print; the CLI renders the reports.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field as _field
@@ -71,8 +72,10 @@ from .theta import (
     elliptic_weight_shifted,
     sample_annulus,
     sample_elliptic_params,
+    sample_route_argument,
     theta,
     theta_multi,
+    theta_product,
 )
 
 __all__ = [
@@ -209,10 +212,22 @@ def _suite_theta(trials, seed, tol):
         err = residual(lhs, t1 + t2, t1, t2)
         return err, f"x={x!r} y={y!r} u={u!r} z={z!r} p={p!r}"
 
+    def series_vs_product(rng):
+        # the reduced argument by both evaluators, over the arguments the
+        # routes form; a draw whose value leaves double range is redrawn
+        p = rng.uniform(0.05, 0.5)
+        x = sample_route_argument(rng)
+        want = theta_product(x, p)
+        if not cmath.isfinite(want):
+            raise DegenerateParameters(f"theta({x!r}; {p!r}) is outside double range")
+        err = residual(theta(x, p), want)
+        return err, f"x={x!r} p={p!r}"
+
     checks = [
         _run("inversion", trials, tol, rng, inversion),
         _run("quasi-periodicity", trials, tol, rng, quasi_periodicity),
         _run("three-term", trials, tol, rng, three_term),
+        _run("series-vs-product", trials, tol, rng, series_vs_product),
     ]
     return SuiteReport("theta", seed, tol, checks)
 

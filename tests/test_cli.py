@@ -463,6 +463,33 @@ def test_eeulerian_zero_divisor_exits_3(capsys, route):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ("--family", "rook", "--board", "1,2,3"),
+    ("--family", "estirling", "--route", "explicit", "--n", "4"),
+    ("--family", "lah", "--route", "explicit", "--n", "4"),
+])
+def test_explicit_zero_divisor_exits_3(capsys, args):
+    # q = -1 makes every even-indexed elliptic number exactly 0, and these
+    # explicit sums divide by products of them or of their gaps
+    code, out, err = run_cli_exit(capsys, "table", *args, "--q", "-1", "--seed", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("degenerate:") and "divides by exactly 0" in err
+    assert "Traceback" not in err
+
+
+def test_zero_divisor_check_leaves_undivided_terms_alone(capsys):
+    # on the empty board numerator and denominator products are
+    # bit-identical, so the sum takes the term without dividing and
+    # q = -1 still gives a table
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "rook", "--board", "0,0,0",
+        "--q", "-1", "--seed", "4", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["rows"]) == 4
+
+
 def test_rook_refuses_n(capsys):
     code, out, err = run_cli(
         capsys, "table", "--family", "rook", "--n", "3", "--board", "1",

@@ -10,11 +10,13 @@ from qelliptic.errors import DomainError
 from qelliptic.families import (
     FerrersBoard,
     elliptic_lah,
+    elliptic_lah_rows,
     elliptic_lah_scaled,
     elliptic_rook,
     elliptic_rook_scaled,
     elliptic_shifted_stirling,
     elliptic_stirling2,
+    elliptic_stirling2_rows,
     elliptic_stirling2_scaled,
     lah,
     q_stirling2,
@@ -362,3 +364,25 @@ def test_weight_product_edges():
     assert weight_product(0, params) == 1.0
     with pytest.raises(DomainError):
         weight_product(-1, params)
+
+
+@pytest.mark.parametrize("rows, scaled", [
+    (elliptic_lah_rows, elliptic_lah_scaled),
+    (elliptic_stirling2_rows, elliptic_stirling2_scaled),
+])
+def test_recurrence_matches_explicit_at_n14(rows, scaled):
+    # every entry of rows 0..14 for 20 sampler draws, under the 1e-8
+    # residual the lah suite uses; theta products truncated for |x| near 1
+    # put the two routes up to 5e-6 apart here
+    n_max = 14
+    disagreements = []
+    for seed in range(1, 21):
+        params = sample_elliptic_params(random.Random(seed))
+        triangle = rows(n_max, params)
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                rec = triangle[n][k]
+                exp_, scale = scaled(n, k, params, "explicit")
+                if not abs(rec - exp_) / max(1.0, abs(rec), scale) <= 1e-8:
+                    disagreements.append((seed, n, k))
+    assert disagreements == []

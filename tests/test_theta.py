@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -11,7 +12,8 @@ from qelliptic.errors import DegenerateParameters, DomainError
 from qelliptic.scalars import q_number, q_number_numeric
 from qelliptic.theta import (
     MAX_TRUNCATION_ORDER,
-    _nome_powers,
+    SERIES_MAX_NOME,
+    _nome,
     EllipticParams,
     ThetaPolicy,
     elliptic_number,
@@ -21,8 +23,10 @@ from qelliptic.theta import (
     qpow,
     sample_annulus,
     sample_elliptic_params,
+    sample_route_argument,
     theta,
     theta_multi,
+    theta_product,
 )
 
 
@@ -44,6 +48,21 @@ def test_theta_nome_zero_is_exact():
 def test_theta_vanishes_at_one():
     assert theta(1.0, 0.3) == 0
     assert theta(1.0, 0) == 0
+
+
+def test_exact_zeros_on_both_evaluators():
+    # theta(1; p) is exactly 0, and so is [0], for nomes on the series and
+    # on the product side of SERIES_MAX_NOME
+    rng = random.Random(3)
+    nomes = [sample_annulus(rng, 0.05, 0.95) for _ in range(40)] + [0.3, -0.7]
+    for p in nomes:
+        for x in (1.0, complex(1.0, -0.0)):
+            assert theta(x, p) == 0, (x, p)
+            assert theta_product(x, p) == 0, (x, p)
+    for _ in range(25):
+        params = sample_elliptic_params(rng)
+        assert elliptic_number(0, params) == 0
+        assert elliptic_number_shifted(0, (3, -2), params) == 0
 
 
 def test_theta_domain_errors():
@@ -328,19 +347,9 @@ def test_non_finite_parameters_rejected(bad):
 # -- bit identity of the cached evaluation ------------------------------------------
 
 
-def _theta_loop(x, p, policy):
-    """theta as a plain loop that rebuilds every nome power."""
-    acc = 1 + 0j
-    pj = 1 + 0j
-    inv = 1 / x
-    for _ in range(policy.truncation_order):
-        acc *= (1 - pj * x) * (1 - pj * p * inv)
-        pj *= p
-    return acc
-
-
 def _reference(kind, z, shift, params):
-    """[z] or W(z), every theta factor evaluated afresh, in the same order."""
+    """[z] or W(z), every theta factor from a fresh theta() call, in the
+    same order as the memoized evaluation."""
     q, p, pol, min_den = params.q, params.p, params.policy, params.min_denominator
     alpha, beta = shift
     a = params.a * qpow(q, alpha) if alpha else params.a
@@ -354,10 +363,10 @@ def _reference(kind, z, shift, params):
         den_args = [a * q, b * u, b * q * u, a * u / b, a * q * u / b]
     num = 1 + 0j
     for x in num_args:
-        num *= _theta_loop(x, p, pol)
+        num *= theta(x, p, pol)
     den = None
     for x in den_args:
-        value = _theta_loop(x, p, pol)
+        value = theta(x, p, pol)
         if abs(value) < min_den:
             raise DegenerateParameters(f"theta({x}) near zero")
         den = value if den is None else den * value
@@ -365,10 +374,9 @@ def _reference(kind, z, shift, params):
 
 
 def _same_bits(x, y):
-    return x == y and all(
-        math.copysign(1, s) == math.copysign(1, t)
-        for s, t in ((x.real, y.real), (x.imag, y.imag))
-    )
+    # struct bytes, so signed zeros differ and a NaN matches its own bits
+    x, y = complex(x), complex(y)
+    return struct.pack("<dd", x.real, x.imag) == struct.pack("<dd", y.real, y.imag)
 
 
 _SHIFTS = [(0, 0), (1, 0), (0, 1), (-1, 2), (3, -2)]
@@ -394,27 +402,50 @@ def _assert_bit_identical(params):
     return compared
 
 
-def test_theta_power_table_is_bit_identical_to_loop():
+def _nome_entry(p):
+    pol = ThetaPolicy.for_nome(p)
+    return _nome(p, pol.truncation_order, pol.target_eps,
+                 math.copysign(1, p.real), math.copysign(1, p.imag))
+
+
+def test_nome_cache_is_bit_identical_to_a_fresh_build():
+    # the per-nome constants and the lazily grown power table give the
+    # same bits whatever the cache held before, including a table grown
+    # by a far argument first
     rng = random.Random(11)
-    nomes = [complex(-0.3, 0.0), complex(-0.3, -0.0), complex(0.25, -0.0), 0.4]
+    nomes = [complex(-0.3, 0.0), complex(-0.3, -0.0), complex(0.25, -0.0), 0.4,
+             complex(0.8, -0.0), -0.95]
     nomes += [sample_annulus(rng, 0.05, 0.5) for _ in range(20)]
+    xs = [0.7, complex(-0.6, -0.0), 1e-9, complex(3e7, -0.0)]
+    xs += [sample_route_argument(rng) for _ in range(5)]
     for p in nomes:
-        pol = ThetaPolicy.for_nome(p)
-        for x in [0.7, complex(-0.6, -0.0)] + [sample_annulus(rng, 0.3, 1.8) for _ in range(5)]:
-            assert _same_bits(theta(x, p), _theta_loop(x, p, pol)), (x, p)
+        _nome.cache_clear()
+        warm = [theta(x, p) for x in reversed(xs)][::-1]
+        entry = _nome_entry(p)
+        _nome.cache_clear()
+        fresh = _nome_entry(p)
+        assert fresh is not entry
+        assert (fresh.terms is None) == (abs(p) > SERIES_MAX_NOME)
+        for got, want in zip(entry.terms or (), fresh.terms or ()):
+            assert _same_bits(got, want), p
+        if fresh.inv_euler is not None:
+            assert _same_bits(entry.inv_euler, fresh.inv_euler), p
+        for x, value in zip(xs, warm):
+            assert _same_bits(theta(x, p), value), (x, p)
+        table = entry.powers(60)
+        assert all(_same_bits(s, t) for s, t in zip(fresh.powers(60), table))
 
 
 def test_caches_keep_signed_zeros_apart():
-    # -0.3+0j == -0.3-0j, but their power tables differ in signed zeros
-    for p in (complex(-0.3, 0.0), complex(-0.3, -0.0), complex(-0.3, 0.0)):
-        pj, table = 1 + 0j, []
-        for _ in range(24):
-            table.append((pj, pj * p))
-            pj *= p
-        got = _nome_powers(p, 24, math.copysign(1, p.real), math.copysign(1, p.imag))
-        assert all(
-            _same_bits(s, t) for pair, want in zip(got, table) for s, t in zip(pair, want)
-        )
+    # -0.3+0j == -0.3-0j: one nome entry each, and a value comes out with
+    # the same bits whichever of the two built its entry
+    _nome.cache_clear()
+    plus, minus = complex(-0.3, 0.0), complex(-0.3, -0.0)
+    assert _nome_entry(plus) is not _nome_entry(minus)
+    x = complex(0.4, 0.2)
+    warm = theta(x, minus)
+    _nome.cache_clear()
+    assert _same_bits(theta(x, minus), warm)
     # q ** 1 is 0.6+0j for q = 0.6-0j: two memo entries, not one
     params = EllipticParams(a=0.5, b=0.7, q=complex(0.6, -0.0), p=0.2)
     elliptic_number(1, params)
@@ -453,13 +484,78 @@ def test_theta_memo_is_per_parameter_set():
 # -- independent oracle -------------------------------------------------------------
 
 
+# N = 18: the largest size the elliptic tables are checked at; the routes
+# form theta arguments down to |q|^(2N+2) min(|a|, |b|) and up to its inverse
+_N = 18
+
+
 def test_theta_against_mpmath_qpochhammer():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(5)
+    compared = 0
     with mpmath.workdps(50):
-        for _ in range(60):
+        while compared < 100:
             p = sample_annulus(rng, 0.05, 0.5)
-            x = sample_annulus(rng, 0.3, 1.8)
+            x = sample_route_argument(rng, _N)
             want = mpmath.qp(x, p) * mpmath.qp(p / mpmath.mpc(x), p)
+            if not 1e-300 < abs(want) < 1e300:
+                continue
             got = theta(x, p)
             assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want), (x, p)
+            compared += 1
+
+
+def _mp_elliptic(mpmath, kind, z, s, params, memo):
+    """50-digit [z] or W(z) at base shift (2s, s) from the exact double
+    parameters, or None when the value or one of its theta factors leaves
+    double range (theta values that overflow while their quotient does not
+    are an open item).  Factors are memoized by their monomial a^i b^j q^m.
+    """
+    a, b, q, p = (mpmath.mpc(v) for v in (params.a, params.b, params.q, params.p))
+
+    def th(i, j, m):
+        if (i, j, m) not in memo:
+            x = a ** i * b ** j * q ** m
+            memo[i, j, m] = mpmath.qp(x, p) * mpmath.qp(p / x, p)
+        return memo[i, j, m]
+
+    if kind == "number":
+        num = [(0, 0, z), (1, 0, 2 * s + z), (0, 1, s + 1), (1, -1, s + 1)]
+        den = [(0, 0, 1), (1, 0, 2 * s + 1), (0, 1, s + z), (1, -1, s + z)]
+    else:
+        num = [(1, 0, 2 * s + 2 * z + 1), (0, 1, s), (0, 1, s + 1), (1, -1, s),
+               (1, -1, s + 1)]
+        den = [(1, 0, 2 * s + 1), (0, 1, s + z), (0, 1, s + z + 1), (1, -1, s + z),
+               (1, -1, s + z + 1)]
+    factors = [th(*m) for m in num + den]
+    if not all(1e-300 < abs(f) < 1e300 for f in factors):
+        return None
+    value = mpmath.fprod(factors[:len(num)]) / mpmath.fprod(factors[len(num):])
+    value = value if kind == "number" else value * q ** z
+    return value if 1e-300 < abs(value) < 1e300 else None
+
+
+def test_elliptic_numbers_and_weights_against_mpmath():
+    # z over [-2N, 2N+2], unshifted and at base shifts (2s, s) as the
+    # explicit routes use them
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(17)
+    compared = 0
+    with mpmath.workdps(50):
+        for _ in range(2):
+            params, memo = sample_elliptic_params(rng), {}
+            for trial in range(40):
+                kind = ("number", "weight")[trial % 2]
+                s = 0 if trial % 4 < 2 else rng.randint(-_N // 2, _N // 2)
+                z = rng.randint(-2 * _N, 2 * _N + 2)
+                want = _mp_elliptic(mpmath, kind, z, s, params, memo)
+                if want is None:
+                    continue
+                try:
+                    got = _ENTRY[kind](z, (2 * s, s), params)
+                except DegenerateParameters:
+                    continue
+                err = abs(mpmath.mpc(got) - want) / abs(want)
+                assert err <= 1e-13, (kind, z, s, params, float(err))
+                compared += 1
+    assert compared > 40
