@@ -51,12 +51,15 @@ Two caches sit under those values, and neither changes a result by a
 bit.  Each parameter set memoizes theta(x; p) per argument, so no theta
 value is evaluated twice for one set; the key carries the signs of both
 zero parts, so 0.3+0j and 0.3-0j (equal under ==) never share an entry,
-and every miss calls ``theta``.  ``theta`` reads the constants of its
-nome from a bounded cache keyed the same way: the series coefficients,
-1 / (p; p)_inf, and the powers p^j, each rounded once from exact integer
-arithmetic and grown on demand.  Every entry is a fixed function of p's
-bits, so results do not depend on cache state, and concurrent readers
-are safe.
+and every miss calls ``theta``.  The sampler's window check
+(``EllipticParams.window_ok``) puts only the guarded denominator factors
+in this memo, about 4 per index; it range-checks the numerator arguments
+without evaluating them, and caches no number or weight.  ``theta``
+reads the constants of its nome from a bounded cache keyed the same
+way: the series coefficients, 1 / (p; p)_inf, and the powers p^j, each
+rounded once from exact integer arithmetic and grown on demand.  Every
+entry is a fixed function of p's bits, so results do not depend on
+cache state, and concurrent readers are safe.
 
 Truncation orders above MAX_TRUNCATION_ORDER (|p| above about 0.991 at
 the default target_eps) and non-finite parameters raise DomainError, so
@@ -429,11 +432,27 @@ class EllipticParams:
         )
 
     def window_ok(self, lo: int, hi: int) -> bool:
-        """True when numbers and weights over [lo, hi] clear the guards."""
+        """True when numbers and weights over [lo, hi] clear the guards.
+
+        Only the guarded denominator factors of [z] and W(z) are evaluated,
+        through the theta memo, and their product is thrown away.  Each
+        numerator argument is range-checked instead of evaluated: one that
+        is 0 or not finite fails the window, as its theta would raise.  No
+        number or weight is formed, so their caches stay empty.
+        """
+        if self.q == 1:
+            return True  # the classical end: [z] = z and W(k) = 1, no guard
+        a, b, q = self.a, self.b, self.q
         try:
+            # the numerator arguments of _number_raw and _weight_raw
+            if self.p != 0:
+                _check_arguments(b * q, a * q / b, b, a / b)
             for z in range(lo, hi + 1):
-                elliptic_number(z, self)
-                elliptic_weight(z, self)
+                u = qpow(q, z)
+                if self.p != 0:
+                    _check_arguments(u, a * u, a * q * u * u)
+                _number_den(u, a, b, self)
+                _weight_den(u, a, b, self)
         except DegenerateParameters:
             return False
         return True
@@ -455,58 +474,94 @@ def _guard(value: complex, label: str, min_den: float) -> complex:
     return value
 
 
-def _number_raw(z, a, b, params: EllipticParams) -> complex:
-    q, p, min_den = params.q, params.p, params.min_denominator
-    if p == 0 and a == 0 and b == 0 and q == 1:
-        return complex(z)
-    u = qpow(q, z)
-    if p == 0:
+def _check_arguments(*xs) -> None:
+    """Raise DegenerateParameters unless every theta argument is nonzero and
+    finite, the arguments theta accepts without an error."""
+    for x in xs:
+        if x == 0 or not cmath.isfinite(x):
+            raise DegenerateParameters(f"theta argument {x} is outside double range")
+
+
+def _number_den(u, a, b, params: EllipticParams) -> complex:
+    """The guarded denominator of [z] at u = q^z (off the classical end)."""
+    q, min_den = params.q, params.min_denominator
+    if params.p == 0:
         if a == 0 and b == 0:
-            den = _guard(1 - q, "(1 - q)", min_den)
-            return (1 - u) / den
+            return _guard(1 - q, "(1 - q)", min_den)
         if a == 0:
-            den = _guard(1 - q, "(1 - q)", min_den) * _guard(
+            return _guard(1 - q, "(1 - q)", min_den) * _guard(
                 1 - b * u, "(1 - b q^z)", min_den
             )
-            return (1 - u) * (1 - b * q) / den
-        den = (
+        return (
             _guard(1 - q, "(1 - q)", min_den)
             * _guard(1 - a * q, "(1 - a q)", min_den)
             * _guard(1 - b * u, "(1 - b q^z)", min_den)
             * _guard(1 - a * u / b, "(1 - a q^z / b)", min_den)
         )
-        return (1 - u) * (1 - a * u) * (1 - b * q) * (1 - a * q / b) / den
     th = params._theta
-    num = 1 + 0j
-    for x in (u, a * u, b * q, a * q / b):
-        num *= th(x)
-    den = (
+    return (
         _guard(th(q), "theta(q)", min_den)
         * _guard(th(a * q), "theta(a q)", min_den)
         * _guard(th(b * u), "theta(b q^z)", min_den)
         * _guard(th(a * u / b), "theta(a q^z / b)", min_den)
     )
-    return num / den
 
 
-def _weight_raw(k, a, b, params: EllipticParams) -> complex:
-    q, p, min_den = params.q, params.p, params.min_denominator
-    u = qpow(q, k)
-    if p == 0:
+def _weight_den(u, a, b, params: EllipticParams) -> complex:
+    """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k."""
+    q, min_den = params.q, params.min_denominator
+    if params.p == 0:
         if a == 0 and b == 0:
-            return u
+            return 1 + 0j
         if a == 0:
-            den = _guard(1 - b * u, "(1 - b q^k)", min_den) * _guard(
+            return _guard(1 - b * u, "(1 - b q^k)", min_den) * _guard(
                 1 - b * q * u, "(1 - b q^(k+1))", min_den
             )
-            return (1 - b) * (1 - b * q) / den * u
-        den = (
+        return (
             _guard(1 - a * q, "(1 - a q)", min_den)
             * _guard(1 - b * u, "(1 - b q^k)", min_den)
             * _guard(1 - b * q * u, "(1 - b q^(k+1))", min_den)
             * _guard(1 - a * u / b, "(1 - a q^k / b)", min_den)
             * _guard(1 - a * q * u / b, "(1 - a q^(k+1) / b)", min_den)
         )
+    th = params._theta
+    return (
+        _guard(th(a * q), "theta(a q)", min_den)
+        * _guard(th(b * u), "theta(b q^k)", min_den)
+        * _guard(th(b * q * u), "theta(b q^(k+1))", min_den)
+        * _guard(th(a * u / b), "theta(a q^k / b)", min_den)
+        * _guard(th(a * q * u / b), "theta(a q^(k+1) / b)", min_den)
+    )
+
+
+def _number_raw(z, a, b, params: EllipticParams) -> complex:
+    q, p = params.q, params.p
+    if p == 0 and a == 0 and b == 0 and q == 1:
+        return complex(z)
+    u = qpow(q, z)
+    if p == 0:
+        den = _number_den(u, a, b, params)
+        if a == 0 and b == 0:
+            return (1 - u) / den
+        if a == 0:
+            return (1 - u) * (1 - b * q) / den
+        return (1 - u) * (1 - a * u) * (1 - b * q) * (1 - a * q / b) / den
+    th = params._theta
+    num = 1 + 0j
+    for x in (u, a * u, b * q, a * q / b):
+        num *= th(x)
+    return num / _number_den(u, a, b, params)
+
+
+def _weight_raw(k, a, b, params: EllipticParams) -> complex:
+    q, p = params.q, params.p
+    u = qpow(q, k)
+    if p == 0:
+        if a == 0 and b == 0:
+            return u
+        den = _weight_den(u, a, b, params)
+        if a == 0:
+            return (1 - b) * (1 - b * q) / den * u
         num = (
             (1 - a * q * u * u)
             * (1 - b)
@@ -519,14 +574,7 @@ def _weight_raw(k, a, b, params: EllipticParams) -> complex:
     num = 1 + 0j
     for x in (a * q * u * u, b, b * q, a / b, a * q / b):
         num *= th(x)
-    den = (
-        _guard(th(a * q), "theta(a q)", min_den)
-        * _guard(th(b * u), "theta(b q^k)", min_den)
-        * _guard(th(b * q * u), "theta(b q^(k+1))", min_den)
-        * _guard(th(a * u / b), "theta(a q^k / b)", min_den)
-        * _guard(th(a * q * u / b), "theta(a q^(k+1) / b)", min_den)
-    )
-    return num / den * u
+    return num / _weight_den(u, a, b, params) * u
 
 
 def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -> complex:
@@ -601,7 +649,11 @@ def sample_elliptic_params(
 ) -> EllipticParams:
     """Draw generic parameters: |p| in [0.05, 0.5], moduli of q, a, b in
     [0.4, 0.9] with random phase.  Resamples (at most `retries` times) until
-    every guarded denominator over the index window clears min_denominator.
+    every guarded denominator over the index window clears min_denominator
+    and every numerator theta argument there is nonzero and finite
+    (``EllipticParams.window_ok``).  The window evaluates only those
+    denominator factors, about 4 theta values per index, and leaves the
+    returned parameters with no number or weight cached.
     """
     for _ in range(retries):
         p = rng.uniform(0.05, 0.5)

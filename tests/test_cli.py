@@ -295,6 +295,28 @@ def test_parameters_outside_double_range_exit_3(capsys, flag):
     assert err.startswith("degenerate:")
 
 
+# with q far from the unit circle the weight's theta argument a q^(2k+1)
+# leaves double range inside the sampler's window: at k = -8 it is 0 for
+# q = 1e30 and not finite for q = 1e-30, so every completion is refused
+@pytest.mark.parametrize("flag", ["--q=1e30", "--q=1e-30"])
+@pytest.mark.parametrize("seed", ["1", "4"])
+@pytest.mark.parametrize("family,size", [
+    ("estirling", ("--n", "6")),
+    ("lah", ("--n", "5")),
+    ("eeulerian", ("--n", "5")),
+    ("erwhitneyeulerian", ("--n", "6")),
+    ("eshifted", ("--n", "5")),
+    ("rook", ("--board", "1,2,3")),
+])
+def test_far_q_leaves_no_generic_completion_exit_3(capsys, family, size, seed, flag):
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", family, *size, "--seed", seed, flag,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("degenerate: no generic completion")
+
+
 # every table entry recomputed by the public entry function, on the
 # parameters the document echoes
 ENTRIES = {

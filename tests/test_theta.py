@@ -481,6 +481,93 @@ def test_theta_memo_is_per_parameter_set():
     assert _assert_bit_identical(one) and _assert_bit_identical(two)
 
 
+# -- the sampler's window --------------------------------------------------------
+
+
+def _full_window(params, lo=-8, hi=10):
+    """The oracle for window_ok: every number and weight over [lo, hi]
+    evaluated in full, on a fresh copy of params; False when a guard trips."""
+    params = params.with_ab()
+    try:
+        for z in range(lo, hi + 1):
+            elliptic_number(z, params)
+            elliptic_weight(z, params)
+    except DegenerateParameters:
+        return False
+    return True
+
+
+def _near_zero(rng, a, b, q, unit):
+    """(a, b, q) with one guarded argument moved next to a zero at unit:
+    q, a q, b q^z0 or a q^z0 / b set to unit (1 + delta), z0 in [-8, 11]
+    (the weight guards b q^(k+1) and a q^(k+1) / b up to k + 1 = 11), and
+    |delta| log-uniform in [1e-9, 1e-4], so that the window goes both ways."""
+    size = 10 ** rng.uniform(-9, -4)
+    near = unit * (1 + sample_annulus(rng, size, size))
+    z0 = rng.randint(-8, 11)
+    target = rng.randrange(4)
+    if target == 0:
+        return a, b, near
+    if target == 1:
+        return near / q, b, q
+    if target == 2:
+        return a, near * qpow(q, -z0), q
+    return near * b * qpow(q, -z0), b, q
+
+
+def test_window_matches_full_evaluation():
+    # draws from sample_elliptic_params' distribution, not filtered by the
+    # window; every second one moved next to a zero p^k of theta
+    rng = random.Random(17)
+    outcomes = set()
+    for i in range(2000):
+        p = rng.uniform(0.05, 0.5)
+        q, a, b = (sample_annulus(rng, 0.4, 0.9) for _ in range(3))
+        if i % 2:
+            a, b, q = _near_zero(rng, a, b, q, p ** rng.randint(-1, 1))
+        params = EllipticParams(a=a, b=b, q=q, p=p)
+        ok = params.window_ok(-8, 10)
+        assert ok == _full_window(params), (a, b, q, p)
+        outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_window_matches_full_evaluation_on_the_p0_chain():
+    rng = random.Random(18)
+    outcomes = set()
+    for _ in range(300):
+        q, a, b = (sample_annulus(rng, 0.4, 0.9) for _ in range(3))
+        a_, b_, q_ = _near_zero(rng, a, b, q, 1)
+        for case in [(0, 0, q), (0, 0, q_), (0, 0, 1), (0, b, q), (0, b_, q_),
+                     (a, b, q), (a_, b_, q_)]:
+            params = EllipticParams(*case, p=0)
+            ok = params.window_ok(-8, 10)
+            assert ok == _full_window(params), case
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_window_evaluates_only_the_guarded_factors():
+    # per index the window memoizes theta(b q^k), theta(a q^k / b),
+    # theta(b q^(k+1)) and theta(a q^(k+1) / b), plus theta(q) and theta(a q)
+    # once; it forms no number or weight, and leaves the values to come
+    # with the bits of a parameter set that never ran it
+    rng = random.Random(19)
+    for _ in range(20):
+        # copies with empty caches: the sampler ran the window on its draw
+        params = sample_elliptic_params(rng)
+        fresh = params.with_ab()
+        params = params.with_ab()
+        assert params.window_ok(-8, 10)
+        assert len(params._theta_cache) <= 4 * 19 + 2
+        assert not params._num_cache and not params._wt_cache
+        for kind in ("number", "weight"):
+            for shift in _SHIFTS:
+                for z in range(-8, 11):
+                    got = _ENTRY[kind](z, shift, params)
+                    assert _same_bits(got, _ENTRY[kind](z, shift, fresh)), (kind, z, shift)
+
+
 # -- independent oracle -------------------------------------------------------------
 
 
