@@ -24,7 +24,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
@@ -254,9 +254,57 @@ def _document(args) -> dict:
     }
 
 
+# json.dumps(value, allow_nan=False) without building an encoder per call
+_json_leaf = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_value(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a
+    value nested at ``indent``; its leaves go through the json encoder."""
+    step = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_json_leaf(key)}: {_json_value(value[key], step)}"
+                 for key in sorted(value)]
+        opening, closing = "{", "}"
+    elif isinstance(value, list) and value:
+        items = [_json_value(item, step) for item in value]
+        opening, closing = "[", "]"
+    else:
+        return _json_leaf(value)
+    return (f"{opening}\n{step}" + f",\n{step}".join(items)
+            + f"\n{indent}{closing}")
+
+
+def _json_row(row: dict) -> str:
+    # every row has this shape; _document refused non-finite entries, so
+    # float.__repr__ writes what the json encoder would
+    value = row["value"]
+    if isinstance(value, dict):
+        value = ('{\n        "im": ' + float.__repr__(value["im"])
+                 + ',\n        "re": ' + float.__repr__(value["re"]) + "\n      }")
+    else:
+        value = _json_leaf(value)
+    return (f'    {{\n      "k": {row["k"]},\n      "n": {row["n"]},\n'
+            f'      "value": {value}\n    }}')
+
+
+def _json_document(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
+    byte for byte, written from the fixed table schema: any ``indent``
+    sends ``json.dumps`` to its pure-Python encoder, which is slow."""
+    rows = "[]"
+    if doc["rows"]:
+        rows = "[\n" + ",\n".join(map(_json_row, doc["rows"])) + "\n  ]"
+    return ('{\n  "family": ' + _json_leaf(doc["family"])
+            + ',\n  "params": ' + _json_value(doc["params"], "  ")
+            + ',\n  "rows": ' + rows
+            + ',\n  "schema_version": ' + _json_leaf(doc["schema_version"])
+            + "\n}\n")
+
+
 def _render_table(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_document(doc)
 
     def flat(value):
         if isinstance(value, dict):
@@ -318,6 +366,8 @@ def cmd_table(args) -> int:
             args.m = 1
         if args.r is None:
             args.r = 0
+        if args.m < 1 or args.r < 0:
+            raise DomainError("need m >= 1 and r >= 0")
     rng = random.Random(args.seed)
     sampled = False
     if "a" in family.flags:
@@ -419,7 +469,10 @@ def cmd_degenerate(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing reads the parser and writes only the
+    # Namespace it returns, and commands mutate only that Namespace
     parser = argparse.ArgumentParser(
         prog="qelliptic",
         description="tables and identity checks for generalized "
@@ -472,8 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -230,6 +230,14 @@ class ExplicitSequence(ValueSequence):
         return self.values[j]
 
 
+# numeric node windows that passed the guard, keyed on (rel, *values); the
+# explicit and oracle routes guard the same window once per table entry,
+# so a table scans each distinct window once.  Only acceptances are kept,
+# so a refusal is re-derived, message and all, on every call.
+_ACCEPTED_WINDOWS: dict[tuple, None] = {}
+_ACCEPTED_WINDOWS_MAX = 256
+
+
 def pairwise_distinct_guard(values: Sequence, field: ScalarField,
                             rel: float = DISTINCTNESS_REL) -> None:
     """Reject node lists with coincident entries.
@@ -237,21 +245,36 @@ def pairwise_distinct_guard(values: Sequence, field: ScalarField,
     Exact fields compare structurally; numeric ones require
     |a_i - a_j| >= rel * max(1, |a_i|, |a_j|).
     """
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if field.exact:
+    if field.exact:
+        n = len(values)
+        for i in range(n):
+            for j in range(i + 1, n):
                 if field.eq(values[i], values[j]):
                     raise DegenerateSequence(
                         f"coincident nodes at positions {i} and {j}"
                     )
-            else:
-                gap = abs(values[i] - values[j])
-                scale = max(1.0, abs(values[i]), abs(values[j]))
-                if gap < rel * scale:
-                    raise DegenerateSequence(
-                        f"nodes at positions {i} and {j} are within {gap:.3e}"
-                    )
+        return
+    # the scan's outcome depends only on the values up to ==, so a window
+    # equal to an accepted one (0.0 and -0.0 included) is accepted too
+    key = (rel, *values)
+    if key in _ACCEPTED_WINDOWS:
+        return
+    _numeric_pair_scan(values, rel)
+    if len(_ACCEPTED_WINDOWS) >= _ACCEPTED_WINDOWS_MAX:
+        _ACCEPTED_WINDOWS.clear()
+    _ACCEPTED_WINDOWS[key] = None
+
+
+def _numeric_pair_scan(values: Sequence, rel: float) -> None:
+    n = len(values)
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(values[i] - values[j])
+            scale = max(1.0, abs(values[i]), abs(values[j]))
+            if gap < rel * scale:
+                raise DegenerateSequence(
+                    f"nodes at positions {i} and {j} are within {gap:.3e}"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -467,9 +467,15 @@ class EllipticParams:
 
 
 def _guard(value: complex, label: str, min_den: float) -> complex:
-    if abs(value) < min_den:
+    try:
+        modulus = abs(value)
+    except OverflowError:
+        # finite parts whose modulus is past double range: far from small,
+        # like an infinite factor; _finite_den refuses the product
+        return value
+    if modulus < min_den:
         raise DegenerateParameters(
-            f"denominator factor {label} has modulus {abs(value):.3e} < {min_den:.1e}"
+            f"denominator factor {label} has modulus {modulus:.3e} < {min_den:.1e}"
         )
     return value
 
@@ -534,13 +540,23 @@ def _weight_den(u, a, b, params: EllipticParams) -> complex:
     )
 
 
+def _finite_den(den: complex, label: str) -> complex:
+    """The denominator product of a number or weight, refused once it leaves
+    double range: a finite numerator over it would come out as an exact 0."""
+    if not cmath.isfinite(den):
+        raise DegenerateParameters(
+            f"denominator of {label} is {den}, outside double range"
+        )
+    return den
+
+
 def _number_raw(z, a, b, params: EllipticParams) -> complex:
     q, p = params.q, params.p
     if p == 0 and a == 0 and b == 0 and q == 1:
         return complex(z)
     u = qpow(q, z)
     if p == 0:
-        den = _number_den(u, a, b, params)
+        den = _finite_den(_number_den(u, a, b, params), f"[{z}]")
         if a == 0 and b == 0:
             return (1 - u) / den
         if a == 0:
@@ -550,7 +566,7 @@ def _number_raw(z, a, b, params: EllipticParams) -> complex:
     num = 1 + 0j
     for x in (u, a * u, b * q, a * q / b):
         num *= th(x)
-    return num / _number_den(u, a, b, params)
+    return num / _finite_den(_number_den(u, a, b, params), f"[{z}]")
 
 
 def _weight_raw(k, a, b, params: EllipticParams) -> complex:
@@ -559,7 +575,7 @@ def _weight_raw(k, a, b, params: EllipticParams) -> complex:
     if p == 0:
         if a == 0 and b == 0:
             return u
-        den = _weight_den(u, a, b, params)
+        den = _finite_den(_weight_den(u, a, b, params), f"W({k})")
         if a == 0:
             return (1 - b) * (1 - b * q) / den * u
         num = (
@@ -574,7 +590,7 @@ def _weight_raw(k, a, b, params: EllipticParams) -> complex:
     num = 1 + 0j
     for x in (a * q * u * u, b, b * q, a / b, a * q / b):
         num *= th(x)
-    return num / _weight_den(u, a, b, params) * u
+    return num / _finite_den(_weight_den(u, a, b, params), f"W({k})") * u
 
 
 def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -> complex:

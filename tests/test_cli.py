@@ -518,3 +518,27 @@ def test_rook_refuses_n(capsys):
     )
     assert code == 2 and out == ""
     assert "family rook does not take --n" in err
+
+
+def test_overflowing_denominator_exits_3(capsys):
+    # the recurrence multiplier [30] at base shift (-30, -15) has a finite
+    # numerator over a denominator product past double range; the quotient
+    # used to come out as an exact 0, and entry (16, 15) off by 1.4e-2
+    code, out, err = run_cli(
+        capsys, "table", "--family", "lah", "--n", "16", "--seed", "15",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate: denominator of [30] is")
+    assert "outside double range" in err
+
+
+def test_theta_factor_with_overflowing_modulus_exits_3(capsys):
+    # at p = 0.99 a sampled window meets a theta value with finite parts
+    # whose modulus is past double range; the denominator guard's abs()
+    # used to raise OverflowError out of main
+    code, out, err = run_cli(
+        capsys, "table", "--family", "eeulerian", "--n", "0", "--seed", "4",
+        "--p=0.99",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate:")

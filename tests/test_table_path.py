@@ -1,0 +1,236 @@
+"""The `table` path without per-command overhead: the JSON writer, the
+once-built parser, the once-per-window node guard, and a fuzz over the
+`table` flag grammar."""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qelliptic import cli, newton
+from qelliptic.cli import _ELLIPTIC, _FAMILIES, main
+from qelliptic.errors import DegenerateSequence
+from qelliptic.scalars import complex_field
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schema" / "table_document.schema.json").read_text())
+
+
+def run_exit(*argv):
+    """main(argv) with an argument-parser exit counted as the exit code."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# ---------------------------------------------------------------------------
+# the writer is byte-identical to json.dumps
+# ---------------------------------------------------------------------------
+
+def _family_args(family, route, n, board):
+    argv = ["table", "--family", family, "--route", route, "--seed", "1"]
+    if "board" in _FAMILIES[family].flags:
+        return argv + ["--board", board]
+    return argv + ["--n", str(n)]
+
+
+NEGATIVE_ZERO_ARGV = ["table", "--family", "estirling", "--n", "4", "--a=0.3,-0.0",
+                      "--b=-0.6,-0.0", "--q=0.8,-0.0", "--p=0.2,-0.0"]
+WRITER_CASES = [
+    _family_args(family, route, n, board)
+    for family, record in _FAMILIES.items()
+    for route in record.routes
+    for n, board in ((0, "1"), (1, "1,2,2"), (4, "1,2,2"))
+] + [
+    NEGATIVE_ZERO_ARGV,
+    ["table", "--family", "rook", "--board", "1,2,2", "--a=-0.0,0.4",
+     "--b=0.6,0.1", "--q=-0.0,0.8", "--p=0.1,-0.0"],
+] + [
+    ["table", "--family", family, "--n", "4",
+     "--a", "0", "--b", "0", "--q", "0.7", "--p", "0"]
+    for family in ("estirling", "lah", "eeulerian")
+]
+
+
+@pytest.mark.parametrize("argv", WRITER_CASES, ids=" ".join)
+def test_writer_is_byte_identical_to_json_dumps(capsys, monkeypatch, argv):
+    rendered = []
+    render = cli._render_table
+
+    def spy(doc, fmt):
+        text = render(doc, fmt)
+        rendered.append((doc, text))
+        return text
+
+    monkeypatch.setattr(cli, "_render_table", spy)
+    assert main(argv) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    [(doc, text)] = rendered
+    assert text == out
+    assert text == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_writer_keeps_negative_zero_parts(capsys):
+    main(NEGATIVE_ZERO_ARGV)
+    out = capsys.readouterr().out
+    assert json.loads(out)["params"]["a"] == {"re": 0.3, "im": -0.0}
+    assert '"im": -0.0' in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+REUSE_ARGV = [
+    ["table", "--family", "rook", "--board", "1,2", "--seed", "3"],
+    ["table", "--family", "stirling", "--n", "3", "--m", "2"],
+    ["table", "--family", "nosuch", "--n", "3"],
+    ["table", "--family", "estirling", "--n", "4", "--seed", "2"],
+    ["table", "--family", "lah", "--n", "3", "--seed", "1", "--format", "csv"],
+    ["check", "--suite", "theta", "--trials", "3"],
+    ["table", "--family", "qeulerian", "--n", "3", "--route", "engine"],
+    ["table", "--family", "rook", "--board", "1,2", "--seed", "3"],
+]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli._build_parser.cache_clear()
+    in_process = []
+    for argv in REUSE_ARGV:
+        code = run_exit(*argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 0, 0, 0, 0]
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for argv, got in zip(REUSE_ARGV, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "qelliptic", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == got, argv
+
+
+# ---------------------------------------------------------------------------
+# one pair scan per distinct node window
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,route,size", [
+    ("estirling", "oracle", ("--n", "6")),
+    ("lah", "oracle", ("--n", "6")),
+    ("erwhitneyeulerian", "explicit", ("--n", "6")),
+    ("eshifted", "explicit", ("--n", "6")),
+])
+def test_guard_scans_each_node_window_once_per_table(capsys, monkeypatch,
+                                                     family, route, size):
+    monkeypatch.setattr(newton, "_ACCEPTED_WINDOWS", {})
+    scanned, guarded = [], []
+    scan, guard = newton._numeric_pair_scan, newton.pairwise_distinct_guard
+
+    def counting_scan(values, rel):
+        scanned.append((rel, *values))
+        scan(values, rel)
+
+    def counting_guard(values, *args, **kwargs):
+        guarded.append(tuple(values))
+        guard(values, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "_numeric_pair_scan", counting_scan)
+    monkeypatch.setattr(newton, "pairwise_distinct_guard", counting_guard)
+    monkeypatch.setattr(importlib.import_module("qelliptic.eulerian"),
+                        "pairwise_distinct_guard", counting_guard)
+    argv = ["table", "--family", family, "--route", route, *size, "--seed", "1"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(scanned) == len(set(scanned)) == len(set(guarded))
+    # the routes guard per entry, so the memo is what keeps this small
+    assert len(guarded) > len(scanned)
+
+
+def test_guard_refusal_repeats_its_message():
+    field = complex_field()
+    nodes = [0.5 + 0j, 0.7 + 0j, 0.5 + 1e-12j]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateSequence) as exc:
+            newton.pairwise_distinct_guard(nodes, field)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("nodes at positions 0 and 2 are within")
+    newton.pairwise_distinct_guard(nodes[:2], field)
+    with pytest.raises(DegenerateSequence):
+        newton.pairwise_distinct_guard(nodes[:2], field, rel=0.5)
+
+
+# ---------------------------------------------------------------------------
+# fuzz over the table flag grammar
+# ---------------------------------------------------------------------------
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+COMPLEX_TEXT = st.sampled_from([
+    "0", "1", "-1", "0.5", "0.7", "-0.6", "0.3,-0.2", "0.1,0.4", "2,1",
+    "1e-9", "0.9,0", "-0.0,0.8", "3", "1e30",
+])
+NOME_TEXT = st.sampled_from(
+    ["0", "0.05", "0.2", "0.3,0.2", "-0.4", "0.9", "0.99", "1.5"])
+
+
+FLAG_TEXT = {
+    "m": st.integers(-1, 3).map(str),
+    "r": st.integers(-1, 3).map(str),
+    "board": st.sampled_from(["1", "0,0", "1,2,2", "0,1,3", "2,1", "x"]),
+    "p": NOME_TEXT,
+    **dict.fromkeys(("a", "b", "q", "s", "t"), COMPLEX_TEXT),
+}
+
+
+@st.composite
+def table_argv(draw):
+    """A table argv: each of the family's own flags given or omitted, at
+    most one flag it does not take, and an unknown route now and then."""
+    family = draw(st.sampled_from(sorted(_FAMILIES)))
+    record = _FAMILIES[family]
+    argv = ["table", "--family", family,
+            "--seed", str(draw(st.integers(0, 50)))]
+    route = draw(st.one_of(st.none(), st.sampled_from(record.routes + ("bogus",))))
+    if route is not None:
+        argv += ["--route", route]
+    n = draw(st.one_of(st.none(), st.integers(-1, 6)))
+    if n is not None:
+        argv += ["--n", str(n)]
+    foreign = [flag for flag in FLAG_TEXT if flag not in record.flags]
+    extra = draw(st.sampled_from([None, None, None] + foreign))
+    for flag in FLAG_TEXT:
+        if flag == extra or (flag in record.flags and draw(st.booleans())):
+            argv.append(f"--{flag}={draw(FLAG_TEXT[flag])}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=table_argv())
+def test_table_flag_grammar_fuzz(capsys, argv):
+    start = time.perf_counter()
+    code = run_exit(*argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3), argv
+    assert elapsed < 5, (argv, elapsed)
+    if code == 0:
+        doc = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(doc, SCHEMA)
+    else:
+        assert out == ""

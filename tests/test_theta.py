@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -646,3 +647,20 @@ def test_elliptic_numbers_and_weights_against_mpmath():
                 assert err <= 1e-13, (kind, z, s, params, float(err))
                 compared += 1
     assert compared > 40
+
+
+# -- denominators past double range --------------------------------------------
+
+@pytest.mark.parametrize("value,label", [
+    # the Lah recurrence multiplier at n = 16: a finite numerator (4e306)
+    # over an infinite denominator used to give an exact 0
+    (lambda P: elliptic_number_shifted(30, (-30, -15), P), "[30]"),
+    # the denominator product is not finite, and the weight used to come
+    # out as nan
+    (lambda P: elliptic_weight(18, P), "W(18)"),
+])
+def test_denominator_past_double_range_is_degenerate(value, label):
+    P = fixed_params(15)
+    with pytest.raises(DegenerateParameters,
+                       match=rf"denominator of {re.escape(label)} is .*outside double range"):
+        value(P)
