@@ -446,20 +446,42 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
     return dev <= tol and oracle_ok
 
 
+# family: (runner, classical triangle, default N, default tol)
 _DEGENERATE = {
     "stirling": (partial(_degenerate_q, "stirling", elliptic_stirling2_rows,
-                         q_stirling2, stirling2), 7, 1e-9),
+                         q_stirling2, stirling2), stirling2, 7, 1e-9),
     "eulerian": (partial(_degenerate_q, "eulerian", elliptic_eulerian_rows,
-                         q_eulerian, eulerian), 6, 1e-8),
-    "lah": (_degenerate_lah, 6, 1e-8),
+                         q_eulerian, eulerian), eulerian, 6, 1e-8),
+    "lah": (_degenerate_lah, lah, 6, 1e-8),
 }
 
 
+@cache
+def _degenerate_limit(classical) -> int:
+    """The largest N whose classical rows 0..N hold only entries below 2^53.
+
+    Up to it every entry is a double exactly, so the absolute deviation
+    against the float chain measures the chain; past it the comparison
+    meets integers that no double holds.
+    """
+    N = 0
+    while all(classical(N + 1, k) < 2**53 for k in range(N + 2)):
+        N += 1
+    return N
+
+
 def cmd_degenerate(args) -> int:
-    runner, default_n, default_tol = _DEGENERATE[args.family]
+    runner, classical, default_n, default_tol = _DEGENERATE[args.family]
     N = default_n if args.n is None else args.n
     if N < 0:
         raise DomainError("--n must be >= 0")
+    limit = _degenerate_limit(classical)
+    if N > limit:
+        raise DomainError(
+            f"--n {N} is past {limit} for {args.family}: the classical "
+            "triangle holds entries of 2^53 or more, which a double cannot "
+            "compare exactly"
+        )
     tol = default_tol if args.tol is None else args.tol
     if not tol > 0:
         raise DomainError("tol must be positive")

@@ -178,31 +178,60 @@ def general_eulerian_scaled(n: int, k: int, seq: ValueSequence):
     return total, largest * amp
 
 
-def worpitzky_check(n: int, seq: ValueSequence, z, row=None):
-    """Both sides of the power expansion at one point z, plus the summands.
+def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
+    """Both sides of the power expansion at each point z, plus the summands.
 
-    Returns (lhs, rhs, terms) where lhs = z^n and rhs = sum(terms); exact
-    callers assert lhs == rhs, numeric ones weigh |lhs - rhs| against the
-    term magnitudes.  Pass a precomputed triangle row to amortize table
-    construction over many sample points.
+    Returns one (lhs, rhs, terms) per point, where lhs = z^n and rhs =
+    sum(terms); exact callers assert lhs == rhs, numeric ones weigh
+    |lhs - rhs| against the term magnitudes.  Pass a precomputed triangle
+    row to amortize table construction over several calls.
+
+    The node gaps a_{n-k+1} - a_{i-k} do not depend on z and are formed
+    once.  Over an exact field the coefficient A(n, k) / prod_i gap is
+    formed once too, so a point costs the products prod_i (z - a_{i-k}),
+    and none where a factor is 0; results are canonical, so they equal
+    the point-by-point quotients.  A float summand keeps the order
+    A(n, k) prod_i ((z - a_{i-k}) / gap) of a point-by-point evaluation,
+    bit for bit.
     """
     if n < 0:
         raise DomainError("need n >= 0")
     field = seq.field
     if row is None:
         row = general_eulerian_rows(seq, n)[n]
-    terms = []
-    for k in range(n + 1):
-        factor = row[k]
-        for i in range(1, n + 1):
-            factor = factor * field.div(
-                z - seq[i - k], seq[n - k + 1] - seq[i - k]
-            )
-        terms.append(factor)
-    rhs = field.zero
-    for t in terms:
-        rhs = rhs + t
-    return z ** n, rhs, terms
+    gaps = [[seq[n - k + 1] - seq[i - k] for i in range(1, n + 1)]
+            for k in range(n + 1)]
+    if field.exact:
+        coefficients = []
+        for k in range(n + 1):
+            den = field.one
+            for gap in gaps[k]:
+                den = den * gap
+            coefficients.append(field.div(row[k], den))
+    results = []
+    for z in points:
+        # z - a_j for j in [1 - n, n], at index j + n - 1
+        diffs = [z - seq[j] for j in range(1 - n, n + 1)]
+        terms = []
+        for k in range(n + 1):
+            lo = n - k  # diffs index of a_{1-k}
+            if field.exact:
+                window = diffs[lo:lo + n]
+                factor = field.zero
+                if not any(map(field.is_zero, window)):
+                    factor = coefficients[k]
+                    for d in window:
+                        factor = factor * d
+            else:
+                factor = row[k]
+                for i, gap in enumerate(gaps[k]):
+                    factor = factor * field.div(diffs[lo + i], gap)
+            terms.append(factor)
+        rhs = field.zero
+        for t in terms:
+            rhs = rhs + t
+        results.append((z ** n, rhs, terms))
+    return results
 
 
 def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,

@@ -12,7 +12,8 @@ through closed forms, never as numeric limits, so the same entry points
 cover the elliptic, q-analogue and classical ends of the lattice.
 
 ``theta`` evaluates in three steps (Gasper & Rahman, *Basic
-Hypergeometric Series*, 2nd ed., section 1.6 and chapter 11):
+Hypergeometric Series*, 2nd ed., section 1.6 and chapter 11), all in one
+method of the nome's cached constants:
 
 - Reduce.  x = p^k y with |p|^(1/2) <= |y| <= |p|^(-1/2), k from
   log|x| / log|p| rounded to the nearest integer.  The annulus is one
@@ -53,13 +54,19 @@ value is evaluated twice for one set; the key carries the signs of both
 zero parts, so 0.3+0j and 0.3-0j (equal under ==) never share an entry,
 and every miss calls ``theta``.  The sampler's window check
 (``EllipticParams.window_ok``) puts only the guarded denominator factors
-in this memo, about 4 per index; it range-checks the numerator arguments
-without evaluating them, and caches no number or weight.  ``theta``
-reads the constants of its nome from a bounded cache keyed the same
-way: the series coefficients, 1 / (p; p)_inf, and the powers p^j, each
-rounded once from exact integer arithmetic and grown on demand.  Every
-entry is a fixed function of p's bits, so results do not depend on
-cache state, and concurrent readers are safe.
+in this memo: theta(q) and theta(a q) once, then theta(b q^k),
+theta(a q^k / b), theta(b q^(k+1)) and theta(a q^(k+1) / b) per index k,
+each looked up and guarded once.  It refuses an index whose number or
+weight denominator product is not finite, range-checks the numerator
+arguments without evaluating them, and caches no number or weight.
+``theta`` reads the constants of its nome from a bounded cache keyed the
+same way: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
+each rounded once from exact integer arithmetic and grown on demand.  In
+front of that cache sits the last (p, policy) pair resolved, matched by
+identity, so the calls of one parameter set, which pass the same two
+objects, skip the checks on p and the cache key.  Every entry is a fixed
+function of p's bits, so results do not depend on cache state, and
+concurrent readers are safe.
 
 Truncation orders above MAX_TRUNCATION_ORDER (|p| above about 0.991 at
 the default target_eps) and non-finite parameters raise DomainError, so
@@ -172,24 +179,7 @@ def theta(x: complex, p: complex, policy: ThetaPolicy | None = None) -> complex:
     and undoes the reduction; see the module docstring.
     """
     nome = _nome_for(x, p, policy)
-    if nome is None:
-        return 1 - x
-    k, y = nome.reduce(x)
-    if nome.terms is None:
-        value = nome.product(y)
-    else:
-        # (1 - y) sum_m b_m y^m over all integers m, with b_(-m) = b_m: the
-        # factor (1 - y) carries the zero at y = 1 exactly, so theta(1) == 0
-        # and the relative error stays bounded near it
-        s = 0j
-        for b in nome.terms:
-            s = s * y + b
-        t = 0j
-        inv = 1 / y
-        for b in nome.inv_terms:
-            t = (t + b) * inv
-        value = (1 - y) * (s + t) * nome.inv_euler
-    return nome.undo(value, x, k) if k else value
+    return 1 - x if nome is None else nome.evaluate(x, nome.terms is None)
 
 
 def theta_product(x: complex, p: complex, policy: ThetaPolicy | None = None) -> complex:
@@ -199,27 +189,34 @@ def theta_product(x: complex, p: complex, policy: ThetaPolicy | None = None) -> 
     ``theta`` and none of the series.
     """
     nome = _nome_for(x, p, policy)
-    if nome is None:
-        return 1 - x
-    k, y = nome.reduce(x)
-    value = nome.product(y)
-    return nome.undo(value, x, k) if k else value
+    return 1 - x if nome is None else nome.evaluate(x, True)
+
+
+# (p, policy, constants) of the last nome resolved: a parameter set passes
+# the same p and policy objects on every call, so one identity check
+# replaces the checks on p and the cache lookup; one tuple, so a
+# concurrent reader sees a consistent entry
+_last_nome: tuple = (None, None, None)
 
 
 def _nome_for(x: complex, p: complex, policy: ThetaPolicy | None):
     """The cached constants of p, or None for p = 0; checks x and p."""
+    global _last_nome
     if x == 0:
         raise DomainError("theta argument must be nonzero")
-    if abs(p) >= 1:
-        raise DomainError("theta nome needs |p| < 1")
+    last_p, last_policy, nome = _last_nome
+    if p is not last_p or policy is not last_policy:
+        if abs(p) >= 1:
+            raise DomainError("theta nome needs |p| < 1")
+        nome = None
+        if p != 0:
+            resolved = ThetaPolicy.for_nome(p) if policy is None else policy
+            nome = _nome(p, resolved.truncation_order, resolved.target_eps,
+                         math.copysign(1, p.real), math.copysign(1, p.imag))
+        _last_nome = (p, policy, nome)
     if not cmath.isfinite(x):
         raise DegenerateParameters(f"theta argument {x} is not finite")
-    if p == 0:
-        return None
-    if policy is None:
-        policy = ThetaPolicy.for_nome(p)
-    return _nome(p, policy.truncation_order, policy.target_eps,
-                 math.copysign(1, p.real), math.copysign(1, p.imag))
+    return nome
 
 
 @functools.lru_cache(maxsize=16)
@@ -304,42 +301,45 @@ class _Nome:
         self._table = (table, re, im, shift)
         return table
 
-    def reduce(self, x: complex) -> tuple[int, complex]:
-        """(k, y) with x = p^k y and |p|^(1/2) <= |y| <= |p|^(-1/2).
-
-        k is log|x| / log|p| rounded to the nearest integer.  This annulus
-        holds one period of theta, centred on |y| = 1, so its only zero is
-        y = 1 and arguments near the unit circle take no step.
-        """
+    def evaluate(self, x: complex, product: bool) -> complex:
+        """theta(x) by the three steps of the module docstring: reduce x to
+        y, evaluate theta(y) by the series or, with ``product``, by the
+        truncated product, and undo the reduction."""
         k = math.floor(cmath.log(x).real / self.log_modulus + 0.5)
-        if k == 0:
-            return 0, x
-        table = self._table[0]
-        if len(table) <= abs(k):
-            table = self.powers(abs(k))
-        y = x / table[k] if k > 0 else x * table[-k]
-        if not cmath.isfinite(y):
-            raise DegenerateParameters(f"theta argument {x} reduces to {y}")
-        return k, y
-
-    def product(self, y: complex) -> complex:
-        """theta(y) as the product over j < order of (1 - p^j y)(1 - p^(j+1) / y)."""
-        table = self.powers(self.order)
+        y = x
+        if k:
+            table = self._table[0]
+            if len(table) <= abs(k):
+                table = self.powers(abs(k))
+            y = x / table[k] if k > 0 else x * table[-k]
+            if not cmath.isfinite(y):
+                raise DegenerateParameters(f"theta argument {x} reduces to {y}")
         inv = 1 / y
-        acc = 1 + 0j
-        for j in range(self.order):
-            acc *= (1 - table[j] * y) * (1 - table[j + 1] * inv)
-        return acc
-
-    def undo(self, value: complex, x: complex, k: int) -> complex:
-        """theta(x) from value = theta(y): theta(p x) = -theta(x) / x once
-        per power, with the factor p^i / (-x) for k > 0 and -x p^i for
-        k < 0.  Each factor is finite, and all but the first (i = k) have
-        modulus at least 1, so the running value never overshoots its final
-        size; once it is not finite, the remaining steps are skipped."""
-        if value == 0:
+        if product:
+            # prod_{j < order} (1 - p^j y)(1 - p^(j+1) / y)
+            table = self.powers(self.order)
+            value = 1 + 0j
+            for j in range(self.order):
+                value *= (1 - table[j] * y) * (1 - table[j + 1] * inv)
+        else:
+            # (1 - y) sum_m b_m y^m over all integers m, with b_(-m) = b_m:
+            # the factor (1 - y) carries the zero at y = 1 exactly, so
+            # theta(1) == 0 and the relative error stays bounded near it
+            s = 0j
+            for b in self.terms:
+                s = s * y + b
+            t = 0j
+            for b in self.inv_terms:
+                t = (t + b) * inv
+            value = (1 - y) * (s + t) * self.inv_euler
+        if not k or value == 0:
             return value
-        table = self._table[0]  # reduce grew it to |k|
+        # theta(p x) = -theta(x) / x once per power, with the factor
+        # p^i / (-x) for k > 0 and -x p^i for k < 0.  Each factor is finite,
+        # and all but the first (i = k) have modulus at least 1, so the
+        # running value never overshoots its final size; once it is not
+        # finite, the remaining steps are skipped
+        table = self._table[0]  # grown to |k| above
         minus_x = -x
         if k > 0:
             for i in range(k, 0, -1):
@@ -435,24 +435,42 @@ class EllipticParams:
         """True when numbers and weights over [lo, hi] clear the guards.
 
         Only the guarded denominator factors of [z] and W(z) are evaluated,
-        through the theta memo, and their product is thrown away.  Each
-        numerator argument is range-checked instead of evaluated: one that
-        is 0 or not finite fails the window, as its theta would raise.  No
-        number or weight is formed, so their caches stay empty.
+        through the theta memo, each distinct one once and in the order in
+        which ``_number_den`` and ``_weight_den`` first ask for it.  Their
+        products, formed in the same order, must be finite, as
+        ``_finite_den`` demands of them later.  Each numerator argument is
+        range-checked instead of evaluated: one that is 0 or not finite
+        fails the window, as its theta would raise.  No number or weight
+        is formed, so their caches stay empty.
         """
         if self.q == 1:
             return True  # the classical end: [z] = z and W(k) = 1, no guard
         a, b, q = self.a, self.b, self.q
         try:
+            if self.p == 0:
+                for z in range(lo, hi + 1):
+                    u = qpow(q, z)
+                    _finite_den(_number_den(u, a, b, self), f"[{z}]")
+                    _finite_den(_weight_den(u, a, b, self), f"W({z})")
+                return True
+            min_den, memo = self.min_denominator, self._theta
+
+            def factor(x):
+                return _guard(memo(x), "theta", min_den)
+
             # the numerator arguments of _number_raw and _weight_raw
-            if self.p != 0:
-                _check_arguments(b * q, a * q / b, b, a / b)
+            _check_arguments(b * q, a * q / b, b, a / b)
             for z in range(lo, hi + 1):
                 u = qpow(q, z)
-                if self.p != 0:
-                    _check_arguments(u, a * u, a * q * u * u)
-                _number_den(u, a, b, self)
-                _weight_den(u, a, b, self)
+                _check_arguments(u, a * u, a * q * u * u)
+                if z == lo:
+                    th_q, th_aq = factor(q), factor(a * q)
+                th_bu, th_aub = factor(b * u), factor(a * u / b)
+                if not cmath.isfinite(th_q * th_aq * th_bu * th_aub):
+                    return False
+                th_bqu, th_aqub = factor(b * q * u), factor(a * q * u / b)
+                if not cmath.isfinite(th_aq * th_bu * th_bqu * th_aub * th_aqub):
+                    return False
         except DegenerateParameters:
             return False
         return True
@@ -665,11 +683,12 @@ def sample_elliptic_params(
 ) -> EllipticParams:
     """Draw generic parameters: |p| in [0.05, 0.5], moduli of q, a, b in
     [0.4, 0.9] with random phase.  Resamples (at most `retries` times) until
-    every guarded denominator over the index window clears min_denominator
-    and every numerator theta argument there is nonzero and finite
-    (``EllipticParams.window_ok``).  The window evaluates only those
-    denominator factors, about 4 theta values per index, and leaves the
-    returned parameters with no number or weight cached.
+    every guarded denominator over the index window clears min_denominator,
+    every denominator product there is finite, and every numerator theta
+    argument there is nonzero and finite (``EllipticParams.window_ok``).
+    The window evaluates only the distinct denominator factors, 4 theta
+    values per index and 2 more, and leaves the returned parameters with
+    no number or weight cached.
     """
     for _ in range(retries):
         p = rng.uniform(0.05, 0.5)

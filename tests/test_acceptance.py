@@ -179,8 +179,9 @@ def _exact_engine_check(seq, failures, tag):
         for k in range(n + 1):
             if rows[n][k] != general_eulerian_scaled(n, k, seq)[0]:
                 failures.append((tag, "explicit", n, k))
-        for zi in range(-1, n + 3):
-            lhs, rhs, _ = worpitzky_check(n, seq, seq[zi], row=rows[n])
+        zis = range(-1, n + 3)
+        sides = worpitzky_check(n, seq, [seq[zi] for zi in zis], row=rows[n])
+        for zi, (lhs, rhs, _) in zip(zis, sides):
             if lhs != rhs:
                 failures.append((tag, "worpitzky", n, zi))
 
@@ -195,9 +196,10 @@ def _numeric_engine_check(seq, rng, failures, tag):
             worst = max(worst, dev)
             if dev > 1e-7:
                 failures.append((tag, "routes", n, k, dev))
-        for _ in range(20):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            lhs, rhs, terms = worpitzky_check(n, seq, z, row=rows[n])
+        points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                  for _ in range(20)]
+        sides = worpitzky_check(n, seq, points, row=rows[n])
+        for z, (lhs, rhs, terms) in zip(points, sides):
             dev = residual(lhs, rhs, *terms)
             worst = max(worst, dev)
             if dev > 1e-7:

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from qelliptic import intpoly
-from qelliptic.cli import _FAMILIES, main
+from qelliptic.cli import _DEGENERATE, _FAMILIES, _degenerate_limit, main
 from qelliptic.errors import DomainError
 from qelliptic.eulerian import (
     elliptic_eulerian,
@@ -230,6 +230,27 @@ def test_degenerate_eulerian_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("family", sorted(_DEGENERATE))
+def test_degenerate_n_stops_where_classical_entries_leave_exact_doubles(capsys, family):
+    # past the limit the absolute deviation met integers of 2^53 and more:
+    # FAIL from n = 23 (stirling) and 19 (eulerian), an OverflowError
+    # traceback for lah at n = 170, and minutes of work at n = 200
+    classical = _DEGENERATE[family][1]
+    limit = _degenerate_limit(classical)
+    assert all(classical(n, k) < 2**53 for n in range(limit + 1) for k in range(n + 1))
+    assert max(classical(limit + 1, k) for k in range(limit + 2)) >= 2**53
+    code, out, _ = run_cli(capsys, "degenerate", "--family", family,
+                           "--seed", "1", "--n", str(limit))
+    assert code == 0 and "result PASS" in out
+    for n in (limit + 1, 170, 200):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "degenerate", "--family", family,
+                                 "--seed", "1", "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --n {n} is past {limit} for {family}")
+
+
 def test_suite_reports_structure():
     rep = run_suite("rook", trials=5, seed=2)
     assert rep.suite == "rook"
@@ -293,6 +314,21 @@ def test_parameters_outside_double_range_exit_3(capsys, flag):
     assert code == 3
     assert out == ""
     assert err.startswith("degenerate:")
+
+
+# every factor clears the guard, but the denominator product of [0] is not
+# finite: the window used to accept the draw, and [0] then exited 3 naming
+# that product
+@pytest.mark.parametrize("args", [
+    ("--n", "3", "--b=1e-300"),
+    ("--route", "h", "--n", "0", "--b=1e30"),
+])
+def test_non_finite_denominator_product_leaves_no_generic_completion(capsys, args):
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--seed", "1", *args,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate: no generic completion")
 
 
 # with q far from the unit circle the weight's theta argument a q^(2k+1)

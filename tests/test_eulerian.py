@@ -3,6 +3,7 @@ interpolation identity they are defined by."""
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -221,15 +222,12 @@ def test_worpitzky_exact(factory):
     field = seq.field
     for n in range(7):
         row = general_eulerian_rows(seq, n)[n]
-        for zi in range(-2, n + 4):
-            z = seq[zi]
-            lhs, rhs, _ = worpitzky_check(n, seq, z, row=row)
-            assert lhs == rhs
+        points = [seq[zi] for zi in range(-2, n + 4)]
         # points off the node set, in case node values hide a factor
         if field is RATIONAL:
-            for z in (Fraction(1, 2), Fraction(-7, 3)):
-                lhs, rhs, _ = worpitzky_check(n, seq, z, row=row)
-                assert lhs == rhs
+            points += [Fraction(1, 2), Fraction(-7, 3)]
+        for lhs, rhs, _ in worpitzky_check(n, seq, points, row=row):
+            assert lhs == rhs
 
 
 def test_worpitzky_elliptic():
@@ -239,11 +237,60 @@ def test_worpitzky_elliptic():
     worst = 0.0
     for n in range(7):
         row = general_eulerian_rows(seq, n)[n]
-        for _ in range(20):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            lhs, rhs, terms = worpitzky_check(n, seq, z, row=row)
+        points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                  for _ in range(20)]
+        for lhs, rhs, terms in worpitzky_check(n, seq, points, row=row):
             worst = max(worst, residual(lhs, rhs, *terms))
     assert worst <= 1e-9
+
+
+def _worpitzky_point(n, seq, z, row):
+    """Both sides at one point, every quotient (z - a_{i-k}) / gap formed
+    at the point: the reference loop for worpitzky_check."""
+    field = seq.field
+    terms = []
+    for k in range(n + 1):
+        factor = row[k]
+        for i in range(1, n + 1):
+            factor = factor * field.div(
+                z - seq[i - k], seq[n - k + 1] - seq[i - k]
+            )
+        terms.append(factor)
+    rhs = field.zero
+    for t in terms:
+        rhs = rhs + t
+    return z ** n, rhs, terms
+
+
+@pytest.mark.parametrize("factory", EXACT_SEQS)
+def test_worpitzky_check_equals_the_per_point_loop_exact(factory):
+    seq = factory()
+    off_nodes = ([Fraction(1, 2), Fraction(-7, 3)] if seq.field is RATIONAL
+                 else [q_number(5) / q_number(3)])
+    for n in range(9):
+        row = general_eulerian_rows(seq, n)[n]
+        points = [seq[zi] for zi in range(-2, n + 4)] + off_nodes
+        got = worpitzky_check(n, seq, points, row=row)
+        assert len(got) == len(points)
+        for z, sides in zip(points, got):
+            assert sides == _worpitzky_point(n, seq, z, row), (n, z)
+
+
+def _bits(values):
+    return [struct.pack("<dd", complex(v).real, complex(v).imag) for v in values]
+
+
+def test_worpitzky_check_is_bit_identical_to_the_per_point_loop_elliptic():
+    rng = random.Random(31)
+    for _ in range(4):
+        seq = EllipticSequence(sample_elliptic_params(rng))
+        for n in range(7):
+            row = general_eulerian_rows(seq, n)[n]
+            points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                      for _ in range(5)] + [seq[2], seq[-n]]
+            for z, (lhs, rhs, terms) in zip(points, worpitzky_check(n, seq, points)):
+                want_lhs, want_rhs, want_terms = _worpitzky_point(n, seq, z, row)
+                assert _bits([lhs, rhs, *terms]) == _bits([want_lhs, want_rhs, *want_terms])
 
 
 def test_lagrange_delta_exact():

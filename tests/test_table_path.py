@@ -1,6 +1,6 @@
 """The `table` path without per-command overhead: the JSON writer, the
-once-built parser, the once-per-window node guard, and a fuzz over the
-`table` flag grammar."""
+once-built parser, the once-per-window node guard, and fuzzes over the
+`table`, `check` and `degenerate` flag grammars."""
 
 import importlib
 import json
@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qelliptic import cli, newton
-from qelliptic.cli import _ELLIPTIC, _FAMILIES, main
+from qelliptic.cli import _DEGENERATE, _ELLIPTIC, _FAMILIES, _degenerate_limit, main
 from qelliptic.errors import DegenerateSequence
 from qelliptic.scalars import complex_field
+from qelliptic.suites import SUITE_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "table_document.schema.json").read_text())
@@ -234,3 +235,57 @@ def test_table_flag_grammar_fuzz(capsys, argv):
         jsonschema.validate(doc, SCHEMA)
     else:
         assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzz over the check and degenerate flag grammars
+# ---------------------------------------------------------------------------
+
+TOL_TEXT = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "1e-9", "0.5", "1e300", "x"])
+
+
+@st.composite
+def check_argv(draw):
+    """A check or degenerate argv: each of the command's own flags given or
+    omitted, now and then a flag of the other command, an unknown suite
+    or family, and --n up to 5 past the family's limit."""
+    if draw(st.booleans()):
+        argv = ["check", "--suite",
+                draw(st.sampled_from(sorted(SUITE_NAMES) + ["all", "bogus"]))]
+        own, foreign = "trials", "n"
+        n_top = 30
+    else:
+        family = draw(st.sampled_from(sorted(_DEGENERATE) + ["bogus"]))
+        argv = ["degenerate", "--family", family]
+        own, foreign = "n", "trials"
+        n_top = _degenerate_limit(_DEGENERATE[family][1]) + 5 if family in _DEGENERATE else 30
+    text = {
+        "trials": st.integers(0, 3).map(str),
+        "n": st.integers(-1, n_top).map(str),
+        "seed": st.integers(0, 2**31).map(str),
+        "tol": TOL_TEXT,
+    }
+    extra = draw(st.sampled_from([None, None, None, foreign]))
+    for flag in (own, "seed", "tol", foreign):
+        if flag == extra or (flag != foreign and draw(st.booleans())):
+            argv.append(f"--{flag}={draw(text[flag])}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=check_argv())
+def test_check_and_degenerate_grammar_fuzz(capsys, argv):
+    start = time.perf_counter()
+    code = run_exit(*argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    assert elapsed < 5, (argv, elapsed)
+    assert "Traceback" not in captured.err, argv
+    if code in (0, 1):
+        verdict = captured.out.splitlines()[-1].split()[1]
+        assert verdict == ("PASS" if code == 0 else "FAIL"), argv
+    else:
+        assert captured.out == "" and captured.err, argv

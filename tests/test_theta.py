@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import random
 import re
@@ -9,12 +11,16 @@ import struct
 
 import pytest
 
-from qelliptic.errors import DegenerateParameters, DomainError
+from qelliptic.errors import DegenerateParameters, DomainError, QEllipticError
 from qelliptic.scalars import q_number, q_number_numeric
 from qelliptic.theta import (
     MAX_TRUNCATION_ORDER,
     SERIES_MAX_NOME,
+    _check_arguments,
+    _finite_den,
     _nome,
+    _number_den,
+    _weight_den,
     EllipticParams,
     ThetaPolicy,
     elliptic_number,
@@ -437,6 +443,61 @@ def test_nome_cache_is_bit_identical_to_a_fresh_build():
         assert all(_same_bits(s, t) for s, t in zip(fresh.powers(60), table))
 
 
+def _pinned_arguments():
+    rng = random.Random(41)
+    xs = [sample_route_argument(rng) for _ in range(30)]
+    xs += [complex(x.real, -0.0) for x in xs[:4]]
+    xs += [complex(-0.0, x.imag) for x in xs[4:8]]
+    xs += [complex(0.7, -0.0), complex(-0.0, -1.3), complex(-2.5, 0.0),
+           1.0, complex(1.0, -0.0)]
+    return xs
+
+
+# sha256 prefixes of the struct bytes of theta and theta_product over
+# _pinned_arguments, recorded from the evaluator with separate reduce,
+# series or product, and undo steps; four nomes above SERIES_MAX_NOME
+@pytest.mark.parametrize("p,digest", [
+    (complex(0.3, -0.0), "6cf055a8a5867651"),
+    (complex(-0.45, 0.0), "93d5480781f70234"),
+    (complex(-0.0, 0.5), "27b46aa51c4ae2c0"),
+    (0.05, "77170001d1315fc2"),
+    (complex(0.21, -0.37), "36c0b84ff52c0307"),
+    (complex(0.8, -0.0), "2d29eec1d3a62d41"),
+    (-0.95, "64d73483718273c7"),
+    (complex(-0.0, -0.7), "6ac918410cd0ca23"),
+    (complex(0.5, 0.55), "e541e09c6122f69b"),
+])
+def test_theta_bits_are_pinned(p, digest):
+    sha = hashlib.sha256()
+    for x in _pinned_arguments():
+        for evaluate in (theta, theta_product):
+            value = evaluate(x, p)
+            sha.update(struct.pack("<dd", value.real, value.imag))
+    assert sha.hexdigest()[:16] == digest
+
+
+def test_nome_resolution_follows_the_objects_passed():
+    # the last (p, policy) resolved is reused only for the same objects:
+    # an equal p with the other zero sign, another policy, or p = 0 in
+    # between each give the values of a fresh resolution
+    plus, minus = complex(-0.3, 0.0), complex(-0.3, -0.0)
+    coarse = ThetaPolicy(30, 1e-8)
+    xs = _pinned_arguments()[:12]
+    cases = [(plus, None), (minus, None), (plus, coarse), (0, None)]
+    want = []
+    for p, policy in cases:
+        _nome.cache_clear()
+        want.append([theta(x, p, policy) for x in xs])
+    for i, x in enumerate(xs):
+        for c in (2, 3, 1, 0):
+            p, policy = cases[c]
+            assert _same_bits(theta(x, p, policy), want[c][i]), (x, p, policy)
+    with pytest.raises(DomainError):
+        theta(0.5, complex(1.5, 0.0))
+    with pytest.raises(DegenerateParameters):
+        theta(complex(math.inf, 0.0), minus)
+
+
 def test_caches_keep_signed_zeros_apart():
     # -0.3+0j == -0.3-0j: one nome entry each, and a value comes out with
     # the same bits whichever of the two built its entry
@@ -546,6 +607,132 @@ def test_window_matches_full_evaluation_on_the_p0_chain():
             assert ok == _full_window(params), case
             outcomes.add(ok)
     assert outcomes == {True, False}
+
+
+def _per_call_window(params, lo=-8, hi=10):
+    """window_ok as one _number_den and one _weight_den call per index,
+    each product refused once it is not finite: the order in which the
+    window must first ask for each factor, and the verdict it must give."""
+    if params.q == 1:
+        return True
+    a, b, q = params.a, params.b, params.q
+    try:
+        if params.p != 0:
+            _check_arguments(b * q, a * q / b, b, a / b)
+        for z in range(lo, hi + 1):
+            u = qpow(q, z)
+            if params.p != 0:
+                _check_arguments(u, a * u, a * q * u * u)
+            _finite_den(_number_den(u, a, b, params), f"[{z}]")
+            _finite_den(_weight_den(u, a, b, params), f"W({z})")
+    except DegenerateParameters:
+        return False
+    return True
+
+
+def _window_run(window, params):
+    """The verdict or the escaping exception, and the theta memo in
+    insertion order with struct-packed values, of one window on a copy
+    with empty caches."""
+    params = params.with_ab()
+    try:
+        verdict = window(params, -8, 10)
+    except (QEllipticError, ArithmeticError) as exc:
+        verdict = (type(exc).__name__, str(exc))
+    memo = [(key, struct.pack("<dd", v.real, v.imag))
+            for key, v in params._theta_cache.items()]
+    return verdict, memo
+
+
+def _edge_packs():
+    """Parameter sets the CLI builds from one or two extreme flags and the
+    sampler's draws for the rest: a q, b u or a u / b that leaves double
+    range, so which factor the window asks for first decides between a
+    refusal and an escaping DomainError."""
+    rng = random.Random(23)
+    extremes = [1e-320, 1e-300, 1e-30, 1e-3, 1e3, 1e30, 1e300]
+    for flags in (("a",), ("b",), ("q",), ("a", "b"), ("a", "q"), ("b", "q")):
+        for values in itertools.product(extremes, repeat=len(flags)):
+            for _ in range(2):
+                draw = dict(a=sample_annulus(rng, 0.4, 0.9),
+                            b=sample_annulus(rng, 0.4, 0.9),
+                            q=sample_annulus(rng, 0.4, 0.9),
+                            p=complex(rng.uniform(0.05, 0.5)))
+                draw.update(zip(flags, map(complex, values)))
+                yield EllipticParams(**draw)
+
+
+def test_window_asks_for_each_factor_in_per_call_order():
+    # verdicts, escaping exceptions and memo contents (keys, value bits and
+    # insertion order) equal those of one _number_den and one _weight_den
+    # call per index, on the sampler's draws, draws moved next to a zero,
+    # and the CLI edge packs.  A verdict equals the full evaluation's where
+    # that has one: on some edge packs a numerator argument is 0, which the
+    # window refuses and whose theta raises DomainError
+    rng = random.Random(21)
+    cases = []
+    for i in range(300):
+        p = rng.uniform(0.05, 0.5)
+        q, a, b = (sample_annulus(rng, 0.4, 0.9) for _ in range(3))
+        if i % 2:
+            a, b, q = _near_zero(rng, a, b, q, p ** rng.randint(-1, 1))
+        cases.append(EllipticParams(a=a, b=b, q=q, p=p))
+    cases += list(_edge_packs())
+    outcomes = set()
+    for params in cases:
+        got = _window_run(EllipticParams.window_ok, params)
+        assert got == _window_run(_per_call_window, params), params
+        verdict = got[0]
+        if isinstance(verdict, bool):
+            try:
+                full = _full_window(params)
+            except DomainError:
+                full = verdict  # a numerator theta of 0: no verdict to compare
+            assert verdict == full, params
+        outcomes.add(verdict if isinstance(verdict, bool) else verdict[0])
+    # the edge packs reach all three outcomes
+    assert outcomes == {True, False, "DomainError"}
+
+
+def test_window_decides_finiteness_in_denominator_product_order():
+    # theta values planted in the memo: moduli from 1e-5 to 1e3, and at
+    # one index z0 each u-dependent factor near 1e150 half of the time, so
+    # that a product leaves double range at one partial product and not at
+    # another.  The window must multiply in the order of _number_den and
+    # _weight_den to refuse exactly what they refuse
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(300):
+        params = sample_elliptic_params(rng)
+        a, b, q = params.a, params.b, params.q
+        z0 = rng.randint(-8, 10)
+        planted = {}
+        for z in range(-8, 11):
+            u = qpow(q, z)
+            for x in (q, a * q, b * u, a * u / b, b * q * u, a * q * u / b):
+                big = z == z0 and x not in (q, a * q) and rng.random() < 0.5
+                size = 10 ** (rng.uniform(145, 160) if big else rng.uniform(-5, 3))
+                key = (x, math.copysign(1, x.real), math.copysign(1, x.imag))
+                planted.setdefault(key, sample_annulus(rng, size, size))
+        verdicts = []
+        for window in (EllipticParams.window_ok, _per_call_window):
+            fresh = params.with_ab()
+            fresh._theta_cache.update(planted)
+            verdicts.append(window(fresh, -8, 10))
+        assert verdicts[0] == verdicts[1], params
+        outcomes.add(verdicts[0])
+    assert outcomes == {True, False}
+
+
+def test_window_refuses_a_denominator_product_past_double_range():
+    # b = 1e-300: every factor clears the guard, but theta(b q^z) is so
+    # large that the product of [z]'s denominator is not finite, which
+    # every later use of [z] refuses
+    params = EllipticParams(a=0.5 + 0.3j, b=1e-300, q=0.6 - 0.4j, p=0.2)
+    assert not params.window_ok(-8, 10)
+    assert not _full_window(params)
+    with pytest.raises(DegenerateParameters, match="outside double range"):
+        elliptic_number(0, params)
 
 
 def test_window_evaluates_only_the_guarded_factors():
