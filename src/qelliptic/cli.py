@@ -54,6 +54,7 @@ from .families import (
     st_shifted_stirling,
     stirling2,
     whitney_qr,
+    whitney_qr_rows,
 )
 from .newton import (
     ClassicalSequence,
@@ -108,7 +109,8 @@ _FAMILIES = {
         {"recurrence": lambda args: elliptic_stirling2_rows(args.n, args.params)}),
     "whitney": _Family(
         _MR, ("recurrence", "explicit"),
-        lambda args, n, k: whitney_qr(n, k, args.m, args.r, args.route)),
+        lambda args, n, k: whitney_qr(n, k, args.m, args.r, args.route),
+        {"explicit": lambda args: whitney_qr_rows(args.n, args.m, args.r)}),
     "stshifted": _Family(
         _MR + _ST, ("recurrence", "explicit"),
         lambda args, n, k: st_shifted_stirling(
@@ -211,10 +213,12 @@ def _resolve_params(args, rng: random.Random) -> tuple[EllipticParams, bool]:
         q = given.get("q", sample_annulus(rng, 0.4, 0.9))
         p = given.get("p", complex(rng.uniform(0.05, 0.5)))
         params = EllipticParams(a=a, b=b, q=q, p=p)
-        if params.window_ok(-8, 10):
+        refusal = params.window_refusal(-8, 10)
+        if refusal is None:
             return params, True
     raise DegenerateParameters(
-        "no generic completion of the given parameters found in 100 attempts"
+        "no generic completion of the given parameters found in 100 "
+        f"attempts; the last one was refused: {refusal}"
     )
 
 

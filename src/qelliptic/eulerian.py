@@ -96,20 +96,45 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
 
     a product that collapses to 1 for affine nodes and to a power of q
     for q-numbers but must be carried in full beyond that.
+
+    With c = n-k+1 and W(c, L) = prod_{t=1}^{L} (a_c - a_{c-t}) the
+    product is the quotient W(c+1, n+1) / W(c, n+1).  Over an exact field
+    each W(c, .) is grown on demand from row to row, one node gap per
+    step, and P(n, k) is that one quotient: a table costs O(N^2) ring
+    products and divisions instead of O(N^3) normalized quotients, and
+    the canonical result is the same.  A float P(n, k) keeps the
+    per-factor quotients in their order, bit for bit.
     """
     if N < 0:
         raise DomainError("need N >= 0")
     field = seq.field
     _guard_window(seq, N)
 
-    def right(n, k, x):
-        p = field.one
-        for i in range(1, n + 2):
-            p = p * field.div(
-                seq[n - k + 2] - seq[i - k],
-                seq[n - k + 1] - seq[i - 1 - k],
-            )
-        return (-seq[-k]) * p * x
+    if field.exact:
+        # c -> (L, W(c, L)) for the last L asked; rows grow in order, so
+        # the L asked for any c never falls
+        products: dict[int, tuple] = {}
+
+        def gap_product(c, L):
+            t, w = products.get(c, (0, field.one))
+            for t in range(t + 1, L + 1):
+                w = w * (seq[c] - seq[c - t])
+            products[c] = L, w
+            return w
+
+        def right(n, k, x):
+            c = n - k + 1
+            p = field.div(gap_product(c + 1, n + 1), gap_product(c, n + 1))
+            return (-seq[-k]) * p * x
+    else:
+        def right(n, k, x):
+            p = field.one
+            for i in range(1, n + 2):
+                p = p * field.div(
+                    seq[n - k + 2] - seq[i - k],
+                    seq[n - k + 1] - seq[i - 1 - k],
+                )
+            return (-seq[-k]) * p * x
 
     return _grow_rows(N, field.one, field.zero,
                       lambda n, k, x: seq[n - k + 2] * x, right)

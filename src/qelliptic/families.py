@@ -31,6 +31,7 @@ from .newton import (
     EllipticSequence,
     STSequence,
     connection_explicit_scaled,
+    h_explicit_degrees,
     h_explicit_scaled,
     h_recurrence,
     newton_oracle_scaled,
@@ -57,6 +58,7 @@ __all__ = [
     "elliptic_stirling2_rows",
     "elliptic_stirling2_scaled",
     "whitney_qr",
+    "whitney_qr_rows",
     "st_shifted_stirling",
     "elliptic_shifted_stirling",
     "weight_product",
@@ -306,6 +308,24 @@ def whitney_qr(n: int, k: int, m: int, r: int, route: str = "recurrence",
     if normalized:
         value = value * ExactScalar.q_power(k * r + m * math.comb(k, 2))
     return value
+
+
+def whitney_qr_rows(N: int, m: int, r: int) -> list[list[ExactScalar]]:
+    """Rows 0..N of the raw r-Whitney triangle by the explicit route.
+
+    Column k is h_{n-k} over the nodes [r]_q .. [km+r]_q for n = k..N, so
+    one Lagrange sum over those nodes serves the whole column.
+    """
+    _check_entry(N)
+    if m < 0 or r < 0:
+        raise DomainError("whitney parameters need m >= 0 and r >= 0")
+    rows = [[EXACT_Q.zero] * (n + 1) for n in range(N + 1)]
+    for k in range(N + 1):
+        nodes = [q_number(m * i + r) for i in range(k + 1)]
+        column = h_explicit_degrees(range(N - k + 1), nodes, EXACT_Q)
+        for n, (value, _) in enumerate(column, k):
+            rows[n][k] = value
+    return rows
 
 
 def st_shifted_stirling(n: int, k: int, m: int, r: int, s: complex, t: complex,

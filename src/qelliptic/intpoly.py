@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import struct
 
-__all__ = ["content", "primitive", "mul", "mul_schoolbook", "gcd_heu", "gcd_prs", "divexact"]
+__all__ = ["content", "primitive", "mul", "mul_schoolbook", "gcd_heu", "gcd_prs",
+           "gcd_cofactors", "divexact"]
 
 # The schoolbook loop is faster up to this many coefficient pairs, or with
 # an operand this short, than packing.  Measured with CPython 3.11 on an
@@ -185,6 +186,16 @@ def gcd_prs(f: list[int], g: list[int]) -> list[int]:
     if a and a[-1] < 0:
         a = [-x for x in a]
     return a or [1]
+
+
+def gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) with g = gcd(a, b) up to sign, for primitive a and
+    b with nonzero constant terms: GCDHEU, and the PRS where it gives up."""
+    reduced = gcd_heu(a, b)
+    if reduced is None:
+        g = gcd_prs(a, b)
+        reduced = g, divexact(a, g), divexact(b, g)
+    return reduced
 
 
 def divexact(f: list[int], g: list[int]) -> list[int]:

@@ -24,6 +24,7 @@ from .scalars import (
     RATIONAL,
     ScalarField,
     Tolerance,
+    _checked_power,
     complex_field,
     q_number,
     q_number_numeric,
@@ -48,6 +49,7 @@ __all__ = [
     "h_recurrence",
     "h_explicit",
     "h_explicit_scaled",
+    "h_explicit_degrees",
     "a_binomial",
     "a_binomial_recurrence",
     "connection_recurrence",
@@ -347,27 +349,63 @@ def h_explicit_scaled(n: int, values: Sequence, field: ScalarField):
     error; against the value alone the sum looks far less accurate than it
     is.  Exact fields report scale 1.0.
     """
-    if n < 0:
+    return h_explicit_degrees([n], values, field)[0]
+
+
+def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
+                       field: ScalarField) -> list[tuple]:
+    """h_explicit_scaled at each degree n of the list: one (h_n(values),
+    scale) per degree, in order.
+
+    The gap products prod_{i != j} (a_j - a_i) do not depend on n and are
+    formed once for all degrees.  Over an exact field their reciprocals
+    are written over one common denominator L, the lcm of the products
+    (``ScalarField.reciprocals``), as c_j / L; a degree then costs the
+    ring sum sum_j a_j^(n+k) c_j and one division by L.  Exact results are
+    canonical, so they equal the term-by-term quotients.  A float degree
+    keeps the order a_j^(n+k) / prod_j of a single-degree sum, bit for bit.
+    """
+    if any(n < 0 for n in degrees):
         raise DomainError("h needs n >= 0")
     k = len(values) - 1
     if k < 0:
-        return (field.one if n == 0 else field.zero), 1.0
+        return [((field.one if n == 0 else field.zero), 1.0) for n in degrees]
     if k == 0:
-        v = values[0] ** n
-        return v, (1.0 if field.exact else max(1.0, abs(v)))
+        powers = [_checked_power(values[0], n) for n in degrees]
+        return [(v, 1.0 if field.exact else max(1.0, abs(v))) for v in powers]
     pairwise_distinct_guard(values, field)
-    total = field.zero
-    scale = 1.0
+    products = []
     for j, aj in enumerate(values):
         denom = field.one
         for i, ai in enumerate(values):
             if i != j:
                 denom = denom * (aj - ai)
-        term = _div_gap_product(field, aj ** (n + k), denom)
-        if not field.exact:
-            scale = max(scale, abs(term))
-        total = total + term
-    return total, scale
+        products.append(denom)
+    if field.exact:
+        coefficients, common = field.reciprocals(products)
+        # a_j^reached for every j, raised from degree to degree
+        powers, reached = [field.one] * (k + 1), 0
+    results = []
+    for n in degrees:
+        total = field.zero
+        scale = 1.0
+        if field.exact:
+            if n + k < reached:
+                powers, reached = [field.one] * (k + 1), 0
+            step, reached = n + k - reached, n + k
+        for j, aj in enumerate(values):
+            if field.exact:
+                powers[j] = powers[j] * _checked_power(aj, step)
+                term = powers[j] * coefficients[j]
+            else:
+                term = _div_gap_product(
+                    field, _checked_power(aj, n + k), products[j])
+                scale = max(scale, abs(term))
+            total = total + term
+        if field.exact:
+            total = _div_gap_product(field, total, common)
+        results.append((total, scale))
+    return results
 
 
 def a_binomial(n: int, k: int, seq: ValueSequence):

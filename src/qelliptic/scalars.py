@@ -435,8 +435,9 @@ class ExactScalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- substitution and evaluation ----------------------------------------
@@ -487,12 +488,8 @@ def _normalized(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Lauren
     # a monomial shares no polynomial factor with a polynomial whose
     # constant term is nonzero, so only the integer content cancels there
     if len(nd) > 1 and len(dd) > 1:
-        pn, pd = intpoly.primitive(nd), intpoly.primitive(dd)
-        reduced = intpoly.gcd_heu(pn, pd)
-        if reduced is None:
-            g = intpoly.gcd_prs(pn, pd)
-            reduced = g, intpoly.divexact(pn, g), intpoly.divexact(pd, g)
-        _, pn, pd = reduced
+        _, pn, pd = intpoly.gcd_cofactors(intpoly.primitive(nd),
+                                          intpoly.primitive(dd))
         un, ud = cn // c, cd // c
         nd = [un * x for x in pn] if un > 1 else pn
         dd = [ud * x for x in pd] if ud > 1 else pd
@@ -547,7 +544,12 @@ class ScalarField:
     Arithmetic itself goes through the scalars' own operators; the field
     carries the realization-specific pieces: constants, integer embedding,
     the zero test, and equality.  `exact` selects the structural versus the
-    tolerance-based flavor of the distinctness guards.
+    tolerance-based flavor of the distinctness guards.  An exact field also
+    carries `reciprocals`: for nonzero xs it returns (cs, common) with
+    1 / xs[j] == cs[j] / common, where common is the lcm of the xs'
+    numerators and it and every cs[j] have denominator 1, so sums of
+    multiples of the 1 / xs[j] need no normalization until one division
+    by common.
     """
 
     name: str
@@ -557,11 +559,62 @@ class ScalarField:
     is_zero: Callable[[object], bool]
     eq: Callable[[object, object], bool]
     exact: bool
+    reciprocals: Callable[[list], tuple[list, object]] | None = None
 
     def div(self, x, y):
         if self.is_zero(y):
             raise ZeroDivisionError(f"division by zero-tested scalar in {self.name}")
         return x / y
+
+
+def _exact_reciprocals(xs: list) -> tuple[list, ExactScalar]:
+    """ScalarField.reciprocals for ExactScalar.
+
+    1 / (q^o P / D) = D q^(-o) / P.  Each P is split into a signed integer
+    content and a primitive part with positive constant term; the common
+    denominator is the lcm of the contents times the lcm of the primitive
+    parts, built one gcd at a time, and each numerator takes the cofactor
+    of its own P in it.
+    """
+    parts = []
+    for x in xs:
+        num = x._num
+        if num.is_zero:
+            raise ZeroDivisionError("division by exact zero")
+        co = num._co
+        c = intpoly.content(co)
+        if co[0] < 0:
+            c = -c
+        parts.append((x, c, [v // c for v in co] if c != 1 else co))
+    common = parts[0][2]
+    for _, _, prim in parts[1:]:
+        if len(prim) > 1:
+            _, _, cofactor = intpoly.gcd_cofactors(common, prim)
+            common = intpoly.mul(common, cofactor)
+    if common[0] < 0:
+        common = [-v for v in common]
+    scale = math.lcm(*(c for _, c, _ in parts))
+    cs = []
+    for x, c, prim in parts:
+        cofactor = intpoly.divexact(common, prim) if len(prim) > 1 else common
+        u = scale // c
+        cs.append(ExactScalar._raw(
+            _poly(-x._num._off,
+                  intpoly.mul(x._den._co, [u * v for v in cofactor])),
+            _POLY_ONE))
+    if scale > 1:
+        common = [scale * v for v in common]
+    return cs, ExactScalar._raw(_poly(0, common), _POLY_ONE)
+
+
+def _fraction_reciprocals(xs: list) -> tuple[list, Fraction]:
+    """ScalarField.reciprocals for Fraction: 1 / (a / b) = b / a over the
+    lcm of the a's."""
+    if any(x == 0 for x in xs):
+        raise ZeroDivisionError("division by exact zero")
+    common = math.lcm(*(x.numerator for x in xs))
+    return [Fraction(x.denominator * (common // x.numerator)) for x in xs], \
+        Fraction(common)
 
 
 EXACT_Q = ScalarField(
@@ -572,6 +625,7 @@ EXACT_Q = ScalarField(
     is_zero=lambda x: x.is_zero,
     eq=lambda x, y: x == y,
     exact=True,
+    reciprocals=_exact_reciprocals,
 )
 
 RATIONAL = ScalarField(
@@ -582,6 +636,7 @@ RATIONAL = ScalarField(
     is_zero=lambda x: x == 0,
     eq=lambda x, y: x == y,
     exact=True,
+    reciprocals=_fraction_reciprocals,
 )
 
 
@@ -659,8 +714,21 @@ def q_number_numeric(z: complex, q: complex) -> complex:
     return (1 - qz) / (1 - q)
 
 
+def _checked_power(base, e: int):
+    """base ** e for an integer e.
+
+    A float power that leaves double range (Python raises OverflowError)
+    or a negative power of zero is a degeneracy of the parameters that
+    formed the base, so it raises DegenerateParameters.
+    """
+    try:
+        return base ** e
+    except (ZeroDivisionError, OverflowError):
+        raise DegenerateParameters(f"{base}^{e} is outside double range") from None
+
+
 def st_number(i: int, s: complex, t: complex, min_gap: float = 1e-12) -> complex:
     """The (s,t)-analogue (s^i - t^i) / (s - t) of an integer i."""
     if abs(s - t) <= min_gap * max(1.0, abs(s), abs(t)):
         raise DegenerateParameters(f"st_number bases too close: s={s}, t={t}")
-    return (s ** i - t ** i) / (s - t)
+    return (_checked_power(s, i) - _checked_power(t, i)) / (s - t)

@@ -82,6 +82,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DegenerateParameters, DomainError
+from .scalars import _checked_power
 
 __all__ = [
     "ThetaPolicy",
@@ -126,11 +127,7 @@ def qpow(base: complex, z) -> complex:
     if isinstance(z, float) and z.is_integer():
         z = int(z)
     if isinstance(z, int):
-        try:
-            return base ** z
-        except (ZeroDivisionError, OverflowError):
-            raise DegenerateParameters(
-                f"{base}^{z} is outside double range") from None
+        return _checked_power(base, z)
     return cmath.exp(z * cmath.log(base))
 
 
@@ -432,7 +429,13 @@ class EllipticParams:
         )
 
     def window_ok(self, lo: int, hi: int) -> bool:
-        """True when numbers and weights over [lo, hi] clear the guards.
+        """True when numbers and weights over [lo, hi] clear the guards
+        (``window_refusal`` finds nothing to refuse)."""
+        return self.window_refusal(lo, hi) is None
+
+    def window_refusal(self, lo: int, hi: int) -> str | None:
+        """None when numbers and weights over [lo, hi] clear the guards,
+        else the reason for the first refusal.
 
         Only the guarded denominator factors of [z] and W(z) are evaluated,
         through the theta memo, each distinct one once and in the order in
@@ -440,11 +443,12 @@ class EllipticParams:
         products, formed in the same order, must be finite, as
         ``_finite_den`` demands of them later.  Each numerator argument is
         range-checked instead of evaluated: one that is 0 or not finite
-        fails the window, as its theta would raise.  No number or weight
-        is formed, so their caches stay empty.
+        fails the window, as its theta would raise.  A denominator argument
+        that underflows to 0 fails it too, named.  No number or weight is
+        formed, so their caches stay empty.
         """
         if self.q == 1:
-            return True  # the classical end: [z] = z and W(k) = 1, no guard
+            return None  # the classical end: [z] = z and W(k) = 1, no guard
         a, b, q = self.a, self.b, self.q
         try:
             if self.p == 0:
@@ -452,7 +456,7 @@ class EllipticParams:
                     u = qpow(q, z)
                     _finite_den(_number_den(u, a, b, self), f"[{z}]")
                     _finite_den(_weight_den(u, a, b, self), f"W({z})")
-                return True
+                return None
             min_den, memo = self.min_denominator, self._theta
 
             def factor(x):
@@ -466,14 +470,21 @@ class EllipticParams:
                 if z == lo:
                     th_q, th_aq = factor(q), factor(a * q)
                 th_bu, th_aub = factor(b * u), factor(a * u / b)
-                if not cmath.isfinite(th_q * th_aq * th_bu * th_aub):
-                    return False
+                den = th_q * th_aq * th_bu * th_aub
+                if not cmath.isfinite(den):
+                    return f"denominator of [{z}] is {den}, outside double range"
                 th_bqu, th_aqub = factor(b * q * u), factor(a * q * u / b)
-                if not cmath.isfinite(th_aq * th_bu * th_bqu * th_aub * th_aqub):
-                    return False
-        except DegenerateParameters:
-            return False
-        return True
+                den = th_aq * th_bu * th_bqu * th_aub * th_aqub
+                if not cmath.isfinite(den):
+                    return f"denominator of W({z}) is {den}, outside double range"
+        except DegenerateParameters as exc:
+            return str(exc)
+        except DomainError:
+            refusal = _zero_argument(z, a, b, q)
+            if refusal is None:
+                raise
+            return refusal
+        return None
 
     def _theta(self, x: complex) -> complex:
         """theta(x; p), memoized per argument; see the module docstring."""
@@ -504,6 +515,33 @@ def _check_arguments(*xs) -> None:
     for x in xs:
         if x == 0 or not cmath.isfinite(x):
             raise DegenerateParameters(f"theta argument {x} is outside double range")
+
+
+def _zero_argument(z, a, b, q) -> str | None:
+    """The refusal naming the first theta argument of [z] or W(z) that
+    underflows to 0, or None.  Only asked after theta raised DomainError,
+    so no evaluation pays for the check."""
+    u = qpow(q, z)
+    for name, x in (("q^z", u), ("a q^z", a * u), ("b q", b * q),
+                    ("a q / b", a * q / b), ("q", q), ("a q", a * q),
+                    ("b q^z", b * u), ("a q^z / b", a * u / b),
+                    ("a q^(2z+1)", a * q * u * u), ("b", b), ("a / b", a / b),
+                    ("b q^(z+1)", b * q * u), ("a q^(z+1) / b", a * q * u / b)):
+        if x == 0:
+            return (f"theta argument {name} at z = {z} underflows to 0, "
+                    "outside double range")
+    return None
+
+
+def _refuse_zero_argument(z, shift, a, b, q) -> None:
+    """Raise DegenerateParameters naming the theta argument of [z] or W(z)
+    at base shift ``shift`` (a and b already shifted) that underflowed to
+    0, if one did."""
+    refusal = _zero_argument(z, a, b, q)
+    if refusal is not None:
+        if shift != (0, 0):
+            refusal += f" (base shift {shift})"
+        raise DegenerateParameters(refusal) from None
 
 
 def _number_den(u, a, b, params: EllipticParams) -> complex:
@@ -621,7 +659,11 @@ def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -
     q = params.q
     a = params.a * qpow(q, alpha) if alpha else params.a
     b = params.b * qpow(q, beta) if beta else params.b
-    value = _number_raw(z, a, b, params)
+    try:
+        value = _number_raw(z, a, b, params)
+    except DomainError:
+        _refuse_zero_argument(z, shift, a, b, q)
+        raise
     params._num_cache[key] = value
     return value
 
@@ -641,7 +683,11 @@ def elliptic_weight_shifted(k, shift: tuple[int, int], params: EllipticParams) -
     q = params.q
     a = params.a * qpow(q, alpha) if alpha else params.a
     b = params.b * qpow(q, beta) if beta else params.b
-    value = _weight_raw(k, a, b, params)
+    try:
+        value = _weight_raw(k, a, b, params)
+    except DomainError:
+        _refuse_zero_argument(k, shift, a, b, q)
+        raise
     params._wt_cache[key] = value
     return value
 

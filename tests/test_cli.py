@@ -331,6 +331,31 @@ def test_non_finite_denominator_product_leaves_no_generic_completion(capsys, arg
     assert err.startswith("degenerate: no generic completion")
 
 
+# a theta argument that underflows to 0 from nonzero parameters leaves
+# double range like one that overflows: exit 3 naming the argument, where
+# theta's "argument must be nonzero" used to exit 2
+def test_denominator_theta_argument_underflow_exits_3(capsys):
+    # a q^(-8) / b is 0 for every sampled a, so no completion is found
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--n", "3", "--seed", "1",
+        "--b=1e300", "--q=1000",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate: no generic completion")
+    assert "theta argument a q^z / b at z = -8 underflows to 0" in err
+
+
+def test_numerator_theta_argument_underflow_exits_3(capsys):
+    # fully given, so no window runs: theta(a q / b) of [0] is asked for
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "estirling", "--n", "3", "--seed", "1",
+        "--a=1e-320", "--b=1e30", "--q=0.5", "--p=0.2",
+    )
+    assert code == 3 and out == ""
+    assert err == ("degenerate: theta argument a q / b at z = 0 underflows "
+                   "to 0, outside double range\n")
+
+
 # with q far from the unit circle the weight's theta argument a q^(2k+1)
 # leaves double range inside the sampler's window: at k = -8 it is 0 for
 # q = 1e30 and not finite for q = 1e-30, so every completion is refused

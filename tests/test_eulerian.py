@@ -28,6 +28,7 @@ from qelliptic.newton import (
     AffineWhitneySequence,
     ClassicalSequence,
     EllipticSequence,
+    ExplicitSequence,
     QNumberSequence,
     QWhitneySequence,
 )
@@ -71,6 +72,63 @@ def test_eulerian_engine_matches():
         for k in range(n + 1):
             assert rows[n][k] == Fraction(eulerian(n, k))
             assert general_eulerian(n, k, seq, "explicit") == eulerian(n, k)
+
+
+def _rows_per_factor(seq, N):
+    """general_eulerian_rows as it was before the hoisted gap products: the
+    correction product P(n, k) as n + 1 quotients, one per factor."""
+    field = seq.field
+    rows = [[field.one]]
+    for n in range(N):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 2):
+            acc = field.zero
+            if k >= 1:
+                acc = acc + seq[n - k + 2] * prev[k - 1]
+            if k <= n:
+                p = field.one
+                for i in range(1, n + 2):
+                    p = p * field.div(seq[n - k + 2] - seq[i - k],
+                                      seq[n - k + 1] - seq[i - 1 - k])
+                acc = acc + (-seq[-k]) * p * prev[k]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _rational_nodes():
+    # distinct rationals on [-10, 12]: P(n, k) does not collapse here
+    rng = random.Random(41)
+    values = rng.sample([Fraction(p, q) for p in range(-60, 61) for q in (1, 2, 3, 7)
+                         if math.gcd(p, q) == 1], 23)
+    return ExplicitSequence(values, offset=-10, field=RATIONAL)
+
+
+def _q_polynomial_nodes():
+    # [i]_q^2 + q^i on [-10, 12], distinct, and no product of gaps collapses
+    return ExplicitSequence(
+        [q_number(i) * q_number(i) + ExactScalar.q_power(i) for i in range(-10, 13)],
+        offset=-10, field=EXACT_Q)
+
+
+@pytest.mark.parametrize("make", [
+    ClassicalSequence,
+    QNumberSequence,
+    lambda: AffineWhitneySequence(2, 1),
+    lambda: AffineWhitneySequence(3, 2),
+    lambda: QWhitneySequence(1, 0),
+    lambda: QWhitneySequence(2, 1),
+    lambda: QWhitneySequence(3, 2),
+    _rational_nodes,
+    _q_polynomial_nodes,
+], ids=["classical", "q", "affine-2-1", "affine-3-2", "qwhitney-1-0",
+        "qwhitney-2-1", "qwhitney-3-2", "rational", "q-polynomial"])
+def test_exact_engine_rows_equal_the_per_factor_loop(make):
+    # on the named node families P(n, k) collapses to 1 or a power of q,
+    # which a misindexed gap product can reproduce; the last two do not
+    for N in range(11):
+        assert general_eulerian_rows(make(), N) == _rows_per_factor(make(), N), N
 
 
 # ---------------------------------------------------------------------------

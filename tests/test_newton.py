@@ -10,6 +10,7 @@ exact and to tight residuals where it is numeric.
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,8 @@ from qelliptic.newton import (
     falling_factorial,
     gen_factorial,
     h_explicit,
+    h_explicit_degrees,
+    h_explicit_scaled,
     h_recurrence,
     newton_oracle,
     pairwise_distinct_guard,
@@ -49,6 +52,7 @@ from qelliptic.scalars import (
     q_number,
     residual,
 )
+from qelliptic.families import whitney_qr_rows
 from qelliptic.theta import sample_elliptic_params
 
 
@@ -203,6 +207,107 @@ def test_h_routes_agree_elliptic():
             b = h_explicit(n, vals, field)
             worst = max(worst, residual(a, b))
     assert worst <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# degree lists: one set of gap products for many degrees
+# ---------------------------------------------------------------------------
+
+def lagrange_per_entry(n, values, field):
+    """h_explicit_scaled for one degree as it was before degree lists:
+    every term its own quotient a_j^(n+k) / prod_{i != j} (a_j - a_i)."""
+    k = len(values) - 1
+    if k < 0:
+        return (field.one if n == 0 else field.zero), 1.0
+    if k == 0:
+        v = values[0] ** n
+        return v, (1.0 if field.exact else max(1.0, abs(v)))
+    total = field.zero
+    scale = 1.0
+    for j, aj in enumerate(values):
+        denom = field.one
+        for i, ai in enumerate(values):
+            if i != j:
+                denom = denom * (aj - ai)
+        term = field.div(aj ** (n + k), denom)
+        if not field.exact:
+            scale = max(scale, abs(term))
+        total = total + term
+    return total, scale
+
+
+def _bits(pairs):
+    return [(struct.pack("<dd", v.real, v.imag), s) for v, s in pairs]
+
+
+# ascending, with a gap, then a step back and a repeat: the exact path
+# raises its powers from degree to degree and starts over on a step back
+DEGREE_LISTS = [list(range(9)), [0, 3, 4, 9, 2, 2, 7]]
+
+
+@pytest.mark.parametrize("degrees", DEGREE_LISTS)
+@pytest.mark.parametrize("m,r", [(1, 0), (1, 1), (2, 1), (3, 2)])
+def test_h_explicit_degree_list_equals_one_call_per_degree_exact_q(degrees, m, r):
+    for k in range(6):
+        nodes = [q_number(m * i + r) for i in range(k + 1)]
+        got = h_explicit_degrees(degrees, nodes, EXACT_Q)
+        assert got == [h_explicit_scaled(n, nodes, EXACT_Q) for n in degrees]
+        assert got == [(h_recurrence(n, nodes, EXACT_Q), 1.0) for n in degrees]
+
+
+@pytest.mark.parametrize("degrees", DEGREE_LISTS)
+def test_h_explicit_degree_list_equals_one_call_per_degree_rational(degrees):
+    # non-integer nodes, so the reciprocals of the gap products have
+    # numerators and denominators other than 1 on both sides
+    rng = random.Random(5)
+    for _ in range(20):
+        k = rng.randint(0, 5)
+        nums = rng.sample(range(-40, 40), k + 1)
+        nodes = [Fraction(v, rng.choice([1, 2, 3, 4, 6, 9])) for v in nums]
+        try:
+            pairwise_distinct_guard(nodes, RATIONAL)
+        except DegenerateSequence:
+            continue
+        got = h_explicit_degrees(degrees, nodes, RATIONAL)
+        assert got == [h_explicit_scaled(n, nodes, RATIONAL) for n in degrees]
+        assert got == [lagrange_per_entry(n, nodes, RATIONAL) for n in degrees]
+        assert got == [(h_recurrence(n, nodes, RATIONAL), 1.0) for n in degrees]
+
+
+@pytest.mark.parametrize("degrees", DEGREE_LISTS)
+def test_h_explicit_degree_list_is_bit_identical_numeric(degrees):
+    # float degrees keep the per-entry order of operations, value and scale
+    for seed in range(4):
+        rng = random.Random(seed)
+        st = STSequence(2, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        ell = elliptic_sequence(seed, scale=2, offset=1)
+        for seq in (st, ell):
+            for k in range(6):
+                nodes = seq.window(0, k)
+                got = h_explicit_degrees(degrees, nodes, seq.field)
+                assert _bits(got) == _bits(
+                    [h_explicit_scaled(n, nodes, seq.field) for n in degrees])
+                assert _bits(got) == _bits(
+                    [lagrange_per_entry(n, nodes, seq.field) for n in degrees])
+
+
+@pytest.mark.parametrize("m,r", [(1, 0), (1, 1), (2, 1), (3, 2)])
+def test_whitney_explicit_rows_equal_the_per_entry_lagrange_loop(m, r):
+    N = 12
+    rows = whitney_qr_rows(N, m, r)
+    for n in range(N + 1):
+        assert len(rows[n]) == n + 1
+        for k in range(n + 1):
+            nodes = [q_number(m * i + r) for i in range(k + 1)]
+            assert rows[n][k] == lagrange_per_entry(n - k, nodes, EXACT_Q)[0], (n, k)
+
+
+def test_h_explicit_degrees_checks_every_degree():
+    nodes = [q_number(1), q_number(2)]
+    assert h_explicit_degrees([], nodes, EXACT_Q) == []
+    with pytest.raises(DomainError):
+        h_explicit_degrees([2, -1], nodes, EXACT_Q)
 
 
 def test_h_explicit_guard_trips():

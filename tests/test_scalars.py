@@ -232,6 +232,78 @@ def test_prs_fallback_gives_the_same_canonical_form(monkeypatch):
     assert len(fallbacks) > 40
 
 
+def _lcm_by_prs(polys: list[list[int]]) -> list[int]:
+    """The lcm of dense polynomials with nonzero constant terms: the lcm of
+    their contents times the lcm of their primitive parts, each step
+    through the pseudo-remainder gcd; positive constant term."""
+    lcm = [1]
+    for p in polys:
+        prim = intpoly.primitive(p)
+        lcm = intpoly.divexact(intpoly.mul(lcm, prim), intpoly.gcd_prs(lcm, prim))
+    if lcm[0] < 0:
+        lcm = [-x for x in lcm]
+    content = math.lcm(*(intpoly.content(p) for p in polys))
+    return [content * x for x in lcm]
+
+
+def reciprocal_cases(rng: random.Random) -> list[list[ExactScalar]]:
+    """Lists of canonical quotients whose numerators share a factor and
+    integer content, with signs, offsets and denominators of their own."""
+    cases = []
+    for _ in range(60):
+        shared = _dense(rng, rng.randint(1, 5), rng.choice([1, 3]))
+        content = rng.choice([1, 2, 6, 12])
+        xs = []
+        for _ in range(rng.randint(1, 6)):
+            num = intpoly.mul(_dense(rng, rng.randint(1, 6), rng.choice([1, 3, 10])),
+                              shared if rng.random() < 0.7 else [1])
+            num = [content * rng.choice([1, -1, 2, 3]) * x for x in num]
+            den = _dense(rng, rng.randint(1, 4), 3)
+            xs.append(ExactScalar(LaurentPoly.from_dense(rng.randint(-5, 5), num),
+                                  LaurentPoly.from_dense(0, den)))
+        cases.append(xs)
+    return cases
+
+
+def test_exact_reciprocals_share_the_lcm_of_the_numerators():
+    rng = random.Random(12)
+    for xs in reciprocal_cases(rng):
+        cs, common = EXACT_Q.reciprocals(xs)
+        want = _lcm_by_prs([x.numerator.as_dense()[1] for x in xs])
+        assert common == ExactScalar.from_poly(LaurentPoly.from_dense(0, want))
+        assert len(cs) == len(xs)
+        for x, c in zip(xs, cs):
+            assert c.is_polynomial
+            assert c / common == 1 / x
+
+
+def test_exact_reciprocals_through_the_prs_fallback(monkeypatch):
+    rng = random.Random(13)
+    cases = reciprocal_cases(rng)
+    heuristic = [EXACT_Q.reciprocals(xs) for xs in cases]
+    monkeypatch.setattr(intpoly, "gcd_heu", lambda a, b: None)
+    assert [EXACT_Q.reciprocals(xs) for xs in cases] == heuristic
+
+
+def test_rational_reciprocals_share_the_lcm_of_the_numerators():
+    rng = random.Random(14)
+    for _ in range(200):
+        xs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 40))
+              for _ in range(rng.randint(1, 6))]
+        cs, common = RATIONAL.reciprocals(xs)
+        assert common == math.lcm(*(abs(x.numerator) for x in xs))
+        for x, c in zip(xs, cs):
+            assert c.denominator == 1
+            assert c / common == 1 / x
+
+
+def test_reciprocals_refuse_zero():
+    with pytest.raises(ZeroDivisionError):
+        EXACT_Q.reciprocals([q_number(2), EXACT_Q.zero])
+    with pytest.raises(ZeroDivisionError):
+        RATIONAL.reciprocals([Fraction(1, 2), Fraction(0)])
+
+
 def test_normalization_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
@@ -379,6 +451,11 @@ def test_st_number():
         assert abs(st_number(i, s, 1) - q_number(i).evaluate(s)) < 1e-12
     with pytest.raises(DegenerateParameters):
         st_number(4, 0.5 + 0.1j, 0.5 + 0.1j)
+    # a power past double range is a degeneracy, not an OverflowError
+    with pytest.raises(DegenerateParameters, match="outside double range"):
+        st_number(4, 0, 1e100 + 0j)
+    with pytest.raises(DegenerateParameters, match="outside double range"):
+        st_number(-1, 0j, 0.5)
 
 
 def test_tolerance_policy():

@@ -12,7 +12,7 @@ import time
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qelliptic import cli, newton
@@ -223,6 +223,10 @@ def table_argv(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=table_argv())
+# a power of the (s, t) nodes past double range used to end in an
+# OverflowError traceback
+@example(argv=["table", "--family", "stshifted", "--seed", "0", "--route",
+               "explicit", "--n", "4", "--s=0", "--t=1e30"])
 def test_table_flag_grammar_fuzz(capsys, argv):
     start = time.perf_counter()
     code = run_exit(*argv)
@@ -235,6 +239,35 @@ def test_table_flag_grammar_fuzz(capsys, argv):
         jsonschema.validate(doc, SCHEMA)
     else:
         assert out == ""
+
+
+# (s, t) flags far from the unit circle: the node [m i + r]_{s,t} or its
+# power in the explicit sum leaves double range at some n, which must end
+# in exit 3 and a message, never in an OverflowError
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("value", ["1e30", "1e100", "1e200"])
+@pytest.mark.parametrize("flag", ["s", "t"])
+@pytest.mark.parametrize("route", ["explicit", "recurrence"])
+def test_extreme_st_flags_exit_cleanly(capsys, route, flag, value, n):
+    code = run_exit("table", "--family", "stshifted", "--seed", "1",
+                    "--route", route, "--n", str(n), f"--{flag}={value}")
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        json.loads(captured.out, parse_constant=_reject_constant)
+    else:
+        assert captured.out == "" and captured.err
+
+
+@pytest.mark.parametrize("route", ["explicit", "recurrence"])
+def test_st_power_past_double_range_exits_3(capsys, route):
+    code = run_exit("table", "--family", "stshifted", "--seed", "0",
+                    "--route", route, "--n", "4", "--s=0", "--t=1e100")
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("degenerate: ")
+    assert "outside double range" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,12 @@ def _per_call_window(params, lo=-8, hi=10):
             _finite_den(_weight_den(u, a, b, params), f"W({z})")
     except DegenerateParameters:
         return False
+    except DomainError:
+        # theta refuses a denominator argument that underflowed to 0, and
+        # the window refuses the index with it
+        if all(x != 0 for x in (q, a * q, b * u, a * u / b, b * q * u, a * q * u / b)):
+            raise
+        return False
     return True
 
 
@@ -666,9 +672,8 @@ def test_window_asks_for_each_factor_in_per_call_order():
     # verdicts, escaping exceptions and memo contents (keys, value bits and
     # insertion order) equal those of one _number_den and one _weight_den
     # call per index, on the sampler's draws, draws moved next to a zero,
-    # and the CLI edge packs.  A verdict equals the full evaluation's where
-    # that has one: on some edge packs a numerator argument is 0, which the
-    # window refuses and whose theta raises DomainError
+    # and the CLI edge packs.  A verdict equals the full evaluation's.  On
+    # some edge packs a theta argument underflows to 0, which both refuse
     rng = random.Random(21)
     cases = []
     for i in range(300):
@@ -683,15 +688,9 @@ def test_window_asks_for_each_factor_in_per_call_order():
         got = _window_run(EllipticParams.window_ok, params)
         assert got == _window_run(_per_call_window, params), params
         verdict = got[0]
-        if isinstance(verdict, bool):
-            try:
-                full = _full_window(params)
-            except DomainError:
-                full = verdict  # a numerator theta of 0: no verdict to compare
-            assert verdict == full, params
-        outcomes.add(verdict if isinstance(verdict, bool) else verdict[0])
-    # the edge packs reach all three outcomes
-    assert outcomes == {True, False, "DomainError"}
+        assert verdict == _full_window(params), params
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
 
 
 def test_window_decides_finiteness_in_denominator_product_order():
@@ -733,6 +732,26 @@ def test_window_refuses_a_denominator_product_past_double_range():
     assert not _full_window(params)
     with pytest.raises(DegenerateParameters, match="outside double range"):
         elliptic_number(0, params)
+
+
+def test_theta_argument_underflow_is_a_named_degeneracy():
+    # a q^2 = 1e-320 at base shift (2, 0), so theta(a q / b) of [0] is asked
+    # for at 0, which theta refuses as a domain error of its own
+    params = EllipticParams(a=1e-300, b=0.5, q=1e-10, p=0.2)
+    message = (r"theta argument a q / b at z = 0 underflows to 0, outside "
+               r"double range \(base shift \(2, 0\)\)")
+    with pytest.raises(DegenerateParameters, match=message):
+        elliptic_number_shifted(0, (2, 0), params)
+    with pytest.raises(DegenerateParameters, match=message):
+        elliptic_weight_shifted(0, (2, 0), params)
+    with pytest.raises(DomainError):
+        theta(0, 0.2)
+    # the window names a denominator argument that underflows
+    window = EllipticParams(a=0.5, b=1e300, q=1000, p=0.2)
+    assert not window.window_ok(-8, 10)
+    assert window.window_refusal(-8, 10) == (
+        "theta argument a q^z / b at z = -8 underflows to 0, outside double range")
+    assert EllipticParams(a=0.5, b=0.6, q=0.7, p=0.2).window_refusal(-8, 10) is None
 
 
 def test_window_evaluates_only_the_guarded_factors():
