@@ -40,33 +40,27 @@ from .newton import (
     ClassicalSequence,
     EllipticSequence,
     ExplicitSequence,
-    QNumberNumericSequence,
     QNumberSequence,
     QWhitneySequence,
     STSequence,
     ValueSequence,
-    a_binomial,
-    connection_explicit,
+    connection_explicit_scaled,
     connection_recurrence,
-    difference_operator,
     falling_factorial,
-    gen_factorial,
-    h_explicit,
+    h_explicit_scaled,
     h_recurrence,
-    newton_oracle,
+    newton_oracle_scaled,
 )
 from .scalars import (
+    COMPLEX,
     EXACT_Q,
     RATIONAL,
     ExactScalar,
     LaurentPoly,
     ScalarField,
-    Tolerance,
-    complex_field,
     q_binomial,
     q_factorial,
     q_number,
-    q_number_numeric,
     residual,
     st_number,
 )

@@ -51,8 +51,10 @@ from .families import (
     elliptic_stirling2_rows,
     lah,
     q_stirling2,
+    q_stirling2_rows,
     st_shifted_stirling,
     stirling2,
+    stirling2_rows,
     whitney_qr,
     whitney_qr_rows,
 )
@@ -99,10 +101,12 @@ _FLAGS = _MR + _ST + _ELLIPTIC + ("board",)
 _FAMILIES = {
     "stirling": _Family(
         (), ("recurrence", "explicit"),
-        lambda args, n, k: stirling2(n, k, args.route)),
+        lambda args, n, k: stirling2(n, k, args.route),
+        {"recurrence": lambda args: stirling2_rows(args.n)}),
     "qstirling": _Family(
         (), ("recurrence", "explicit", "h"),
-        lambda args, n, k: q_stirling2(n, k, args.route)),
+        lambda args, n, k: q_stirling2(n, k, args.route),
+        {"recurrence": lambda args: q_stirling2_rows(args.n)}),
     "estirling": _Family(
         _ELLIPTIC, ("recurrence", "h", "explicit", "oracle"),
         lambda args, n, k: elliptic_stirling2(n, k, args.params, args.route),
@@ -128,11 +132,13 @@ _FAMILIES = {
         {"recurrence": lambda args: elliptic_lah_rows(args.n, args.params)}),
     "eulerian": _Family(
         (), ("recurrence", "explicit"),
-        lambda args, n, k: eulerian(n, k, args.route)),
+        lambda args, n, k: eulerian(n, k, args.route),
+        {"recurrence": lambda args: r_whitney_eulerian_rows(args.n, 1, 0, "direct")}),
     "qeulerian": _Family(
         (), ("recurrence", "explicit", "engine"),
         lambda args, n, k: q_eulerian(n, k, args.route),
-        {"engine": lambda args: general_eulerian_rows(QNumberSequence(), args.n)}),
+        {"recurrence": lambda args: q_r_whitney_eulerian_rows(args.n, 1, 0, "recurrence"),
+         "engine": lambda args: general_eulerian_rows(QNumberSequence(), args.n)}),
     "rwhitneyeulerian": _Family(
         _MR, ("direct", "engine"),
         lambda args, n, k: r_whitney_eulerian(n, k, args.m, args.r, args.route),
@@ -409,19 +415,20 @@ def cmd_check(args) -> int:
     return EXIT_OK if failing == 0 else EXIT_CHECK_FAILED
 
 
-def _degenerate_q(family, elliptic_rows, q_entry, classical, N, tol, rng, out) -> bool:
+def _degenerate_q(family, elliptic_rows, q_rows, classical, N, tol, rng, out) -> bool:
     """Elliptic at p = a = b = 0 against the exact q triangle, then q = 1
     against the classical one."""
     qv = sample_annulus(rng, 0.4, 0.9)
     rows = elliptic_rows(N, EllipticParams(a=0, b=0, q=qv, p=0))
+    exact = q_rows(N)
     dev_q = 0.0
     dev_classical = 0.0
     for n in range(N + 1):
         for k in range(n + 1):
-            dev_q = max(dev_q, residual(rows[n][k], q_entry(n, k).evaluate(qv)))
+            dev_q = max(dev_q, residual(rows[n][k], exact[n][k].evaluate(qv)))
             dev_classical = max(
                 dev_classical,
-                abs(q_entry(n, k).evaluate(1.0) - classical(n, k)),
+                abs(exact[n][k].evaluate(1.0) - classical(n, k)),
             )
     out.write(f"family {family}  N={N}  q={_fmt_numeric(qv)}\n")
     out.write(f"  elliptic -> exact q analogue  max rel dev {dev_q:.3e}\n")
@@ -453,9 +460,10 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
 # family: (runner, classical triangle, default N, default tol)
 _DEGENERATE = {
     "stirling": (partial(_degenerate_q, "stirling", elliptic_stirling2_rows,
-                         q_stirling2, stirling2), stirling2, 7, 1e-9),
+                         q_stirling2_rows, stirling2), stirling2, 7, 1e-9),
     "eulerian": (partial(_degenerate_q, "eulerian", elliptic_eulerian_rows,
-                         q_eulerian, eulerian), eulerian, 6, 1e-8),
+                         lambda N: q_r_whitney_eulerian_rows(N, 1, 0, "recurrence"),
+                         eulerian), eulerian, 6, 1e-8),
     "lah": (_degenerate_lah, lah, 6, 1e-8),
 }
 

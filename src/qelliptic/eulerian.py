@@ -31,7 +31,6 @@ from functools import lru_cache
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .families import _bad_route, _check_entry, _grow_rows
 from .newton import (
-    DISTINCTNESS_REL,
     AffineWhitneySequence,
     EllipticSequence,
     QNumberSequence,
@@ -78,12 +77,11 @@ __all__ = [
 # the generic engine
 # ---------------------------------------------------------------------------
 
-def _guard_window(seq: ValueSequence, n: int,
-                  rel: float = DISTINCTNESS_REL) -> None:
+def _guard_window(seq: ValueSequence, n: int) -> None:
     # the recurrence and the explicit sum subtract nodes across [-n, n+2];
     # refuse the whole window if any two of them (nearly) coincide
     if not seq.field.exact:
-        pairwise_distinct_guard(seq.window(-n, n + 2), seq.field, rel=rel)
+        pairwise_distinct_guard(seq.window(-n, n + 2), seq.field)
 
 
 def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
@@ -260,7 +258,6 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
 
 
 def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,
-                   rel: float = DISTINCTNESS_REL,
                    max_scale: float | None = None):
     """The orthogonality sum behind the explicit formula.
 
@@ -273,13 +270,12 @@ def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,
     working precision times the largest summand.  Numeric callers that
     hold the result to an absolute tolerance should pass ``max_scale``
     (largest summand magnitude they can absorb, e.g. 1e5 for 1e-9) and
-    resample their parameters on DegenerateSequence.  ``rel`` is
-    forwarded to the node distinctness guard.
+    resample their parameters on DegenerateSequence.
     """
     if not 0 <= l <= k <= n:
         raise DomainError("need 0 <= l <= k <= n")
     field = seq.field
-    _guard_window(seq, n, rel=rel)
+    _guard_window(seq, n)
     total = field.zero
     for j in range(l, k + 1):
         ratio = field.one
@@ -309,29 +305,14 @@ def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,
 # classical and q
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _eulerian_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _eulerian_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        v = 0
-        if k >= 1:
-            v += (n - k + 1) * prev[k - 1]
-        if k <= n - 1:
-            v += k * prev[k]
-        row.append(v)
-    return tuple(row)
-
-
 def eulerian(n: int, k: int, route: str = "recurrence") -> int:
-    """Descent counts A(n, k); row 3 reads 0, 1, 4, 1."""
+    """Descent counts A(n, k); row 3 reads 0, 1, 4, 1.  The recurrence is
+    the r-Whitney triangle at m = 1, r = 0."""
     _check_entry(n, k)
     if k > n:
         return 0
     if route == "recurrence":
-        return _eulerian_row(n)[k]
+        return r_whitney_eulerian_rows(n, 1, 0, "direct")[n][k]
     if route == "explicit":
         return sum(
             (-1) ** j * math.comb(n + 1, j) * (k - j) ** n for j in range(k + 1)
@@ -339,28 +320,12 @@ def eulerian(n: int, k: int, route: str = "recurrence") -> int:
     raise _bad_route(route, ("recurrence", "explicit"))
 
 
-@lru_cache(maxsize=None)
-def _q_eulerian_row(n: int) -> tuple[ExactScalar, ...]:
-    if n == 0:
-        return (ExactScalar.from_int(1),)
-    prev = _q_eulerian_row(n - 1)
-    m = n - 1
-    row = []
-    for k in range(n + 1):
-        v = EXACT_Q.zero
-        if k >= 1:
-            v = v + q_number(m - k + 2) * prev[k - 1]
-        if k <= m:
-            v = v + ExactScalar.q_power(m - k + 1) * q_number(k) * prev[k]
-        row.append(v)
-    return tuple(row)
-
-
 def q_eulerian(n: int, k: int, route: str = "recurrence") -> ExactScalar:
     """q-Eulerian numbers, exact in q.
 
-    The recurrence uses the multipliers [n-k+2]_q and q^(n-k+1) [k]_q;
-    the explicit route is the alternating sum with Gaussian binomials;
+    The recurrence uses the multipliers [n-k+2]_q and q^(n-k+1) [k]_q: it
+    is the q-deformed r-Whitney triangle at m = 1, r = 0.  The explicit
+    route is the alternating sum with Gaussian binomials;
     "engine" runs the generic machinery over the nodes [i]_q, exercising
     the same gap quotients the elliptic level needs.  Row n sums to
     [n]_q! whichever way it is computed.
@@ -369,7 +334,7 @@ def q_eulerian(n: int, k: int, route: str = "recurrence") -> ExactScalar:
     if k > n:
         return EXACT_Q.zero
     if route == "recurrence":
-        return _q_eulerian_row(n)[k]
+        return q_r_whitney_eulerian_rows(n, 1, 0, "recurrence")[n][k]
     if route == "explicit":
         total = EXACT_Q.zero
         for j in range(k + 1):
@@ -398,10 +363,11 @@ def _check_whitney(m: int, r: int) -> None:
         raise DomainError("need m >= 1 and r >= 0")
 
 
+@lru_cache(maxsize=None)
 def r_whitney_eulerian_rows(N: int, m: int, r: int,
                             route: str = "direct") -> list[list[int]]:
     """Rows 0..N over the affine nodes m i - r, by the direct triangle or
-    the generic engine."""
+    the generic engine; cached, so callers must not mutate the rows."""
     _check_entry(N)
     _check_whitney(m, r)
     if route == "direct":
@@ -424,10 +390,12 @@ def r_whitney_eulerian(n: int, k: int, m: int, r: int,
     return r_whitney_eulerian_rows(n, m, r, route)[n][k]
 
 
+@lru_cache(maxsize=None)
 def q_r_whitney_eulerian_rows(N: int, m: int, r: int,
                               route: str = "recurrence") -> list[list[ExactScalar]]:
     """Rows 0..N of the q-deformed r-Whitney Eulerian triangle, by the
-    direct triangle or the generic engine over the nodes [m i - r]_q."""
+    direct triangle or the generic engine over the nodes [m i - r]_q;
+    cached, so callers must not mutate the rows."""
     _check_entry(N)
     _check_whitney(m, r)
     if route == "recurrence":

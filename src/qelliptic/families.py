@@ -39,7 +39,7 @@ from .newton import (
 from .scalars import (
     EXACT_Q,
     ExactScalar,
-    Tolerance,
+    q_binomial,
     q_factorial,
     q_int_power,
     q_number,
@@ -53,7 +53,9 @@ from .theta import (
 
 __all__ = [
     "stirling2",
+    "stirling2_rows",
     "q_stirling2",
+    "q_stirling2_rows",
     "elliptic_stirling2",
     "elliptic_stirling2_rows",
     "elliptic_stirling2_scaled",
@@ -116,19 +118,11 @@ def _grow_rows(N: int, one, zero, left, right) -> list[list]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        v = 0
-        if k >= 1:
-            v += prev[k - 1]
-        if k <= n - 1:
-            v += k * prev[k]
-        row.append(v)
-    return tuple(row)
+def stirling2_rows(N: int) -> list[list[int]]:
+    """Rows 0..N of the set-partition triangle, S(n+1, k) = S(n, k-1) +
+    k S(n, k); cached per N, so callers must not mutate the rows."""
+    _check_entry(N)
+    return _grow_rows(N, 1, 0, lambda n, k, x: x, lambda n, k, x: k * x)
 
 
 def stirling2(n: int, k: int, route: str = "recurrence") -> int:
@@ -137,7 +131,7 @@ def stirling2(n: int, k: int, route: str = "recurrence") -> int:
     if k > n:
         return 0
     if route == "recurrence":
-        return _stirling2_row(n)[k]
+        return stirling2_rows(n)[n][k]
     if route == "explicit":
         total = sum(
             (-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)
@@ -149,19 +143,12 @@ def stirling2(n: int, k: int, route: str = "recurrence") -> int:
 
 
 @lru_cache(maxsize=None)
-def _q_stirling2_row(n: int) -> tuple[ExactScalar, ...]:
-    if n == 0:
-        return (ExactScalar.from_int(1),)
-    prev = _q_stirling2_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        v = EXACT_Q.zero
-        if k >= 1:
-            v = v + prev[k - 1]
-        if k <= n - 1:
-            v = v + q_number(k) * prev[k]
-        row.append(v)
-    return tuple(row)
+def q_stirling2_rows(N: int) -> list[list[ExactScalar]]:
+    """Rows 0..N of the q-Stirling triangle, with multiplier [k]_q; cached
+    per N, so callers must not mutate the rows."""
+    _check_entry(N)
+    return _grow_rows(N, EXACT_Q.one, EXACT_Q.zero, lambda n, k, x: x,
+                      lambda n, k, x: q_number(k) * x)
 
 
 def q_stirling2(n: int, k: int, route: str = "recurrence") -> ExactScalar:
@@ -183,10 +170,8 @@ def q_stirling2(n: int, k: int, route: str = "recurrence") -> ExactScalar:
     if k > n:
         return EXACT_Q.zero
     if route == "recurrence":
-        return _q_stirling2_row(n)[k]
+        return q_stirling2_rows(n)[n][k]
     if route == "explicit":
-        from .scalars import q_binomial
-
         total = EXACT_Q.zero
         for j in range(k + 1):
             term = (
@@ -329,13 +314,12 @@ def whitney_qr_rows(N: int, m: int, r: int) -> list[list[ExactScalar]]:
 
 
 def st_shifted_stirling(n: int, k: int, m: int, r: int, s: complex, t: complex,
-                        route: str = "recurrence",
-                        tol: Tolerance = Tolerance()) -> complex:
+                        route: str = "recurrence") -> complex:
     """Stirling-type triangle over the two-parameter nodes [m i + r]_{s,t}."""
     _check_entry(n, k)
     if k > n:
         return complex(0.0)
-    seq = STSequence(m, r, s, t, tol=tol)
+    seq = STSequence(m, r, s, t)
     nodes = seq.window(0, k)
     if route == "recurrence":
         return h_recurrence(n - k, nodes, seq.field)

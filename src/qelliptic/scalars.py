@@ -3,9 +3,9 @@
 This module is the number system for every q-analogue in the library:
 integer Laurent polynomials, canonical quotients of them, and the elementary
 q-objects (q-numbers, q-factorials, q-binomials) built on top.  Numeric work
-uses plain complex numbers paired with a Tolerance policy; ScalarField
-bundles the handful of operations the generic engines need so they can run
-over either realization without caring which one they got.
+uses plain complex numbers with a fixed zero floor; ScalarField bundles the
+handful of operations the generic engines need so they can run over either
+realization without caring which one they got.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ from .errors import DegenerateParameters, DomainError
 __all__ = [
     "LaurentPoly",
     "ExactScalar",
-    "Tolerance",
     "ScalarField",
     "EXACT_Q",
     "RATIONAL",
-    "complex_field",
+    "COMPLEX",
     "q_number",
     "q_factorial",
     "q_binomial",
     "q_int_power",
-    "q_number_numeric",
     "st_number",
 ]
 
@@ -112,18 +110,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._co
-
-    @property
-    def min_exp(self) -> int:
-        if not self._co:
-            raise ValueError("zero polynomial has no exponents")
-        return self._off
-
-    @property
-    def max_exp(self) -> int:
-        if not self._co:
-            raise ValueError("zero polynomial has no exponents")
-        return self._off + len(self._co) - 1
 
     def items(self) -> list[tuple[int, int]]:
         off = self._off
@@ -338,10 +324,6 @@ class ExactScalar:
         return self._num.is_zero
 
     @property
-    def is_one(self) -> bool:
-        return self._num == _POLY_ONE and self._den == _POLY_ONE
-
-    @property
     def is_polynomial(self) -> bool:
         return self._den == _POLY_ONE
 
@@ -503,22 +485,8 @@ def _normalized(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Lauren
 
 
 # ---------------------------------------------------------------------------
-# numeric policy
+# numeric residuals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison policy for numeric scalars.
-
-    Two values are close when |x - y| <= max(abs_tol, rel_tol * max(|x|, |y|)).
-    """
-
-    rel: float = 1e-10
-    abs: float = 1e-12
-
-    def close(self, x: complex, y: complex) -> bool:
-        return abs(x - y) <= max(self.abs, self.rel * max(abs(x), abs(y)))
-
 
 def residual(x: complex, y: complex, *terms: complex) -> float:
     """|x - y| relative to the scale of the comparison.
@@ -542,8 +510,8 @@ class ScalarField:
     """The operations a generic engine needs, over one scalar realization.
 
     Arithmetic itself goes through the scalars' own operators; the field
-    carries the realization-specific pieces: constants, integer embedding,
-    the zero test, and equality.  `exact` selects the structural versus the
+    carries the realization-specific pieces: constants, integer embedding
+    and the zero test.  `exact` selects the structural versus the
     tolerance-based flavor of the distinctness guards.  An exact field also
     carries `reciprocals`: for nonzero xs it returns (cs, common) with
     1 / xs[j] == cs[j] / common, where common is the lcm of the xs'
@@ -557,7 +525,6 @@ class ScalarField:
     one: object
     from_int: Callable[[int], object]
     is_zero: Callable[[object], bool]
-    eq: Callable[[object, object], bool]
     exact: bool
     reciprocals: Callable[[list], tuple[list, object]] | None = None
 
@@ -623,7 +590,6 @@ EXACT_Q = ScalarField(
     one=ExactScalar.from_int(1),
     from_int=ExactScalar.from_int,
     is_zero=lambda x: x.is_zero,
-    eq=lambda x, y: x == y,
     exact=True,
     reciprocals=_exact_reciprocals,
 )
@@ -634,22 +600,22 @@ RATIONAL = ScalarField(
     one=Fraction(1),
     from_int=Fraction,
     is_zero=lambda x: x == 0,
-    eq=lambda x, y: x == y,
     exact=True,
     reciprocals=_fraction_reciprocals,
 )
 
 
-def complex_field(tol: Tolerance = Tolerance()) -> ScalarField:
-    return ScalarField(
-        name="complex",
-        zero=0j,
-        one=1 + 0j,
-        from_int=lambda n: complex(n),
-        is_zero=lambda x: abs(x) <= tol.abs,
-        eq=tol.close,
-        exact=False,
-    )
+# a numeric divisor at or below this modulus is treated as zero
+_ZERO_FLOOR = 1e-12
+
+COMPLEX = ScalarField(
+    name="complex",
+    zero=0j,
+    one=1 + 0j,
+    from_int=complex,
+    is_zero=lambda x: abs(x) <= _ZERO_FLOOR,
+    exact=False,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -697,23 +663,6 @@ def q_int_power(m: int, n: int) -> ExactScalar:
     return q_number(m) ** n
 
 
-def q_number_numeric(z: complex, q: complex) -> complex:
-    """(1 - q^z) / (1 - q) at a numeric q; the q -> 1 limit returns z itself."""
-    if q == 1:
-        return complex(z)
-    if isinstance(z, complex) and z.imag == 0:
-        z = z.real
-    if isinstance(z, float) and z.is_integer():
-        z = int(z)
-    if isinstance(z, int):
-        qz = q ** z
-    else:
-        import cmath
-
-        qz = cmath.exp(z * cmath.log(q))
-    return (1 - qz) / (1 - q)
-
-
 def _checked_power(base, e: int):
     """base ** e for an integer e.
 
@@ -727,8 +676,9 @@ def _checked_power(base, e: int):
         raise DegenerateParameters(f"{base}^{e} is outside double range") from None
 
 
-def st_number(i: int, s: complex, t: complex, min_gap: float = 1e-12) -> complex:
-    """The (s,t)-analogue (s^i - t^i) / (s - t) of an integer i."""
-    if abs(s - t) <= min_gap * max(1.0, abs(s), abs(t)):
+def st_number(i: int, s: complex, t: complex) -> complex:
+    """The (s,t)-analogue (s^i - t^i) / (s - t) of an integer i; bases within
+    1e-12 of each other, relative to max(1, |s|, |t|), are refused."""
+    if abs(s - t) <= 1e-12 * max(1.0, abs(s), abs(t)):
         raise DegenerateParameters(f"st_number bases too close: s={s}, t={t}")
     return (_checked_power(s, i) - _checked_power(t, i)) / (s - t)

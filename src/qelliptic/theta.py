@@ -44,7 +44,7 @@ is the second route of the ``theta`` suite.
 
 A non-finite argument raises DegenerateParameters.  Every theta factor
 that lands in a denominator is guarded: a modulus below
-``min_denominator`` raises DegenerateParameters naming the factor.
+DEFAULT_MIN_DENOMINATOR raises DegenerateParameters naming the factor.
 Values are memoized per parameter set, keyed by the integer (alpha, beta)
 exponent pair of the shift a -> a q^alpha, b -> b q^beta.
 
@@ -375,7 +375,6 @@ class EllipticParams:
     b: complex
     q: complex
     p: complex
-    min_denominator: float = DEFAULT_MIN_DENOMINATOR
     policy: ThetaPolicy | None = None
     _num_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
@@ -416,7 +415,6 @@ class EllipticParams:
             b=self.b if b is None else b,
             q=self.q,
             p=self.p,
-            min_denominator=self.min_denominator,
             policy=self.policy,
         )
 
@@ -444,8 +442,9 @@ class EllipticParams:
         ``_finite_den`` demands of them later.  Each numerator argument is
         range-checked instead of evaluated: one that is 0 or not finite
         fails the window, as its theta would raise.  A denominator argument
-        that underflows to 0 fails it too, named.  No number or weight is
-        formed, so their caches stay empty.
+        that underflows to 0 fails it too.  Every refusal names its argument
+        or factor and the index z.  No number or weight is formed, so their
+        caches stay empty.
         """
         if self.q == 1:
             return None  # the classical end: [z] = z and W(k) = 1, no guard
@@ -457,30 +456,33 @@ class EllipticParams:
                     _finite_den(_number_den(u, a, b, self), f"[{z}]")
                     _finite_den(_weight_den(u, a, b, self), f"W({z})")
                 return None
-            min_den, memo = self.min_denominator, self._theta
+            memo = self._theta
 
-            def factor(x):
-                return _guard(memo(x), "theta", min_den)
+            def factor(x, label):
+                return _guard(memo(x), label, z)
 
             # the numerator arguments of _number_raw and _weight_raw
-            _check_arguments(b * q, a * q / b, b, a / b)
+            _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
             for z in range(lo, hi + 1):
                 u = qpow(q, z)
-                _check_arguments(u, a * u, a * q * u * u)
+                _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
                 if z == lo:
-                    th_q, th_aq = factor(q), factor(a * q)
-                th_bu, th_aub = factor(b * u), factor(a * u / b)
+                    th_q = factor(q, "theta(q)")
+                    th_aq = factor(a * q, "theta(a q)")
+                th_bu = factor(b * u, "theta(b q^z)")
+                th_aub = factor(a * u / b, "theta(a q^z / b)")
                 den = th_q * th_aq * th_bu * th_aub
                 if not cmath.isfinite(den):
                     return f"denominator of [{z}] is {den}, outside double range"
-                th_bqu, th_aqub = factor(b * q * u), factor(a * q * u / b)
+                th_bqu = factor(b * q * u, "theta(b q^(z+1))")
+                th_aqub = factor(a * q * u / b, "theta(a q^(z+1) / b)")
                 den = th_aq * th_bu * th_bqu * th_aub * th_aqub
                 if not cmath.isfinite(den):
                     return f"denominator of W({z}) is {den}, outside double range"
         except DegenerateParameters as exc:
             return str(exc)
         except DomainError:
-            refusal = _zero_argument(z, a, b, q)
+            refusal = _refused_argument(z, a, b, q)
             if refusal is None:
                 raise
             return refusal
@@ -495,32 +497,37 @@ class EllipticParams:
         return value
 
 
-def _guard(value: complex, label: str, min_den: float) -> complex:
+def _guard(value: complex, label: str, z=None) -> complex:
+    """value, unless its modulus is below DEFAULT_MIN_DENOMINATOR: then the
+    refusal names the factor ``label``, at index ``z`` when one is given."""
     try:
         modulus = abs(value)
     except OverflowError:
         # finite parts whose modulus is past double range: far from small,
         # like an infinite factor; _finite_den refuses the product
         return value
-    if modulus < min_den:
+    if modulus < DEFAULT_MIN_DENOMINATOR:
+        at = "" if z is None else f" at z = {z}"
         raise DegenerateParameters(
-            f"denominator factor {label} has modulus {modulus:.3e} < {min_den:.1e}"
+            f"denominator factor {label}{at} has modulus {modulus:.3e} "
+            f"< {DEFAULT_MIN_DENOMINATOR:.1e}"
         )
     return value
 
 
-def _check_arguments(*xs) -> None:
-    """Raise DegenerateParameters unless every theta argument is nonzero and
-    finite, the arguments theta accepts without an error."""
+def _check_arguments(z, a, b, q, *xs) -> None:
+    """Raise DegenerateParameters unless every x, a theta argument of [z] or
+    W(z), is nonzero and finite, the arguments theta accepts without an
+    error; the refusal names the argument."""
     for x in xs:
         if x == 0 or not cmath.isfinite(x):
-            raise DegenerateParameters(f"theta argument {x} is outside double range")
+            raise DegenerateParameters(_refused_argument(z, a, b, q))
 
 
-def _zero_argument(z, a, b, q) -> str | None:
-    """The refusal naming the first theta argument of [z] or W(z) that
-    underflows to 0, or None.  Only asked after theta raised DomainError,
-    so no evaluation pays for the check."""
+def _refused_argument(z, a, b, q) -> str | None:
+    """The refusal naming the first theta argument of [z] or W(z) that is 0
+    or not finite, or None.  Only asked after a check failed or theta
+    raised DomainError, so no evaluation pays for the scan."""
     u = qpow(q, z)
     for name, x in (("q^z", u), ("a q^z", a * u), ("b q", b * q),
                     ("a q / b", a * q / b), ("q", q), ("a q", a * q),
@@ -530,14 +537,16 @@ def _zero_argument(z, a, b, q) -> str | None:
         if x == 0:
             return (f"theta argument {name} at z = {z} underflows to 0, "
                     "outside double range")
+        if not cmath.isfinite(x):
+            return f"theta argument {name} at z = {z} is {x}, outside double range"
     return None
 
 
-def _refuse_zero_argument(z, shift, a, b, q) -> None:
+def _refuse_bad_argument(z, shift, a, b, q) -> None:
     """Raise DegenerateParameters naming the theta argument of [z] or W(z)
-    at base shift ``shift`` (a and b already shifted) that underflowed to
-    0, if one did."""
-    refusal = _zero_argument(z, a, b, q)
+    at base shift ``shift`` (a and b already shifted) that is 0 or not
+    finite, if one is."""
+    refusal = _refused_argument(z, a, b, q)
     if refusal is not None:
         if shift != (0, 0):
             refusal += f" (base shift {shift})"
@@ -546,53 +555,50 @@ def _refuse_zero_argument(z, shift, a, b, q) -> None:
 
 def _number_den(u, a, b, params: EllipticParams) -> complex:
     """The guarded denominator of [z] at u = q^z (off the classical end)."""
-    q, min_den = params.q, params.min_denominator
+    q = params.q
     if params.p == 0:
         if a == 0 and b == 0:
-            return _guard(1 - q, "(1 - q)", min_den)
+            return _guard(1 - q, "(1 - q)")
         if a == 0:
-            return _guard(1 - q, "(1 - q)", min_den) * _guard(
-                1 - b * u, "(1 - b q^z)", min_den
-            )
+            return _guard(1 - q, "(1 - q)") * _guard(1 - b * u, "(1 - b q^z)")
         return (
-            _guard(1 - q, "(1 - q)", min_den)
-            * _guard(1 - a * q, "(1 - a q)", min_den)
-            * _guard(1 - b * u, "(1 - b q^z)", min_den)
-            * _guard(1 - a * u / b, "(1 - a q^z / b)", min_den)
+            _guard(1 - q, "(1 - q)")
+            * _guard(1 - a * q, "(1 - a q)")
+            * _guard(1 - b * u, "(1 - b q^z)")
+            * _guard(1 - a * u / b, "(1 - a q^z / b)")
         )
     th = params._theta
     return (
-        _guard(th(q), "theta(q)", min_den)
-        * _guard(th(a * q), "theta(a q)", min_den)
-        * _guard(th(b * u), "theta(b q^z)", min_den)
-        * _guard(th(a * u / b), "theta(a q^z / b)", min_den)
+        _guard(th(q), "theta(q)")
+        * _guard(th(a * q), "theta(a q)")
+        * _guard(th(b * u), "theta(b q^z)")
+        * _guard(th(a * u / b), "theta(a q^z / b)")
     )
 
 
 def _weight_den(u, a, b, params: EllipticParams) -> complex:
     """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k."""
-    q, min_den = params.q, params.min_denominator
+    q = params.q
     if params.p == 0:
         if a == 0 and b == 0:
             return 1 + 0j
         if a == 0:
-            return _guard(1 - b * u, "(1 - b q^k)", min_den) * _guard(
-                1 - b * q * u, "(1 - b q^(k+1))", min_den
-            )
+            return (_guard(1 - b * u, "(1 - b q^k)")
+                    * _guard(1 - b * q * u, "(1 - b q^(k+1))"))
         return (
-            _guard(1 - a * q, "(1 - a q)", min_den)
-            * _guard(1 - b * u, "(1 - b q^k)", min_den)
-            * _guard(1 - b * q * u, "(1 - b q^(k+1))", min_den)
-            * _guard(1 - a * u / b, "(1 - a q^k / b)", min_den)
-            * _guard(1 - a * q * u / b, "(1 - a q^(k+1) / b)", min_den)
+            _guard(1 - a * q, "(1 - a q)")
+            * _guard(1 - b * u, "(1 - b q^k)")
+            * _guard(1 - b * q * u, "(1 - b q^(k+1))")
+            * _guard(1 - a * u / b, "(1 - a q^k / b)")
+            * _guard(1 - a * q * u / b, "(1 - a q^(k+1) / b)")
         )
     th = params._theta
     return (
-        _guard(th(a * q), "theta(a q)", min_den)
-        * _guard(th(b * u), "theta(b q^k)", min_den)
-        * _guard(th(b * q * u), "theta(b q^(k+1))", min_den)
-        * _guard(th(a * u / b), "theta(a q^k / b)", min_den)
-        * _guard(th(a * q * u / b), "theta(a q^(k+1) / b)", min_den)
+        _guard(th(a * q), "theta(a q)")
+        * _guard(th(b * u), "theta(b q^k)")
+        * _guard(th(b * q * u), "theta(b q^(k+1))")
+        * _guard(th(a * u / b), "theta(a q^k / b)")
+        * _guard(th(a * q * u / b), "theta(a q^(k+1) / b)")
     )
 
 
@@ -662,7 +668,7 @@ def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -
     try:
         value = _number_raw(z, a, b, params)
     except DomainError:
-        _refuse_zero_argument(z, shift, a, b, q)
+        _refuse_bad_argument(z, shift, a, b, q)
         raise
     params._num_cache[key] = value
     return value
@@ -686,7 +692,7 @@ def elliptic_weight_shifted(k, shift: tuple[int, int], params: EllipticParams) -
     try:
         value = _weight_raw(k, a, b, params)
     except DomainError:
-        _refuse_zero_argument(k, shift, a, b, q)
+        _refuse_bad_argument(k, shift, a, b, q)
         raise
     params._wt_cache[key] = value
     return value
@@ -725,11 +731,11 @@ def sample_elliptic_params(
     rng: random.Random,
     window: tuple[int, int] = (-8, 10),
     retries: int = 100,
-    min_denominator: float = DEFAULT_MIN_DENOMINATOR,
 ) -> EllipticParams:
     """Draw generic parameters: |p| in [0.05, 0.5], moduli of q, a, b in
     [0.4, 0.9] with random phase.  Resamples (at most `retries` times) until
-    every guarded denominator over the index window clears min_denominator,
+    every guarded denominator over the index window clears
+    DEFAULT_MIN_DENOMINATOR,
     every denominator product there is finite, and every numerator theta
     argument there is nonzero and finite (``EllipticParams.window_ok``).
     The window evaluates only the distinct denominator factors, 4 theta
@@ -741,7 +747,7 @@ def sample_elliptic_params(
         q = sample_annulus(rng, 0.4, 0.9)
         a = sample_annulus(rng, 0.4, 0.9)
         b = sample_annulus(rng, 0.4, 0.9)
-        params = EllipticParams(a=a, b=b, q=q, p=p, min_denominator=min_denominator)
+        params = EllipticParams(a=a, b=b, q=q, p=p)
         if params.window_ok(*window):
             return params
     raise DegenerateParameters(

@@ -35,8 +35,10 @@ from qelliptic.families import (
     elliptic_stirling2,
     elliptic_stirling2_rows,
     q_stirling2,
+    q_stirling2_rows,
     st_shifted_stirling,
     stirling2,
+    stirling2_rows,
     whitney_qr,
 )
 from qelliptic.scalars import ExactScalar
@@ -358,7 +360,8 @@ def test_numerator_theta_argument_underflow_exits_3(capsys):
 
 # with q far from the unit circle the weight's theta argument a q^(2k+1)
 # leaves double range inside the sampler's window: at k = -8 it is 0 for
-# q = 1e30 and not finite for q = 1e-30, so every completion is refused
+# q = 1e30 and not finite for q = 1e-30, so every completion is refused,
+# and the refusal names the argument
 @pytest.mark.parametrize("flag", ["--q=1e30", "--q=1e-30"])
 @pytest.mark.parametrize("seed", ["1", "4"])
 @pytest.mark.parametrize("family,size", [
@@ -376,6 +379,18 @@ def test_far_q_leaves_no_generic_completion_exit_3(capsys, family, size, seed, f
     assert code == 3
     assert out == ""
     assert err.startswith("degenerate: no generic completion")
+    assert "refused: theta argument a q^(2z+1) at z = -8 " in err
+
+
+def test_window_refusal_names_the_small_factor(capsys):
+    # at p = 0.9 theta(b q^(z+1)) falls below the denominator guard in
+    # the window of every completion drawn
+    code, out, err = run_cli_exit(
+        capsys, "table", "--family", "lah", "--n", "3", "--seed", "1", "--p=0.9",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate: no generic completion")
+    assert "refused: denominator factor theta(b q^(z+1)) at z = -5 has modulus " in err
 
 
 # every table entry recomputed by the public entry function, on the
@@ -458,6 +473,13 @@ def _ell(seed):
 
 
 @pytest.mark.parametrize("rows,entry", [
+    # the exact recurrences against their family's explicit route
+    (stirling2_rows, lambda n, k: stirling2(n, k, "explicit")),
+    (q_stirling2_rows, lambda n, k: q_stirling2(n, k, "explicit")),
+    (lambda N: r_whitney_eulerian_rows(N, 1, 0),
+     lambda n, k: eulerian(n, k, "explicit")),
+    (lambda N: q_r_whitney_eulerian_rows(N, 1, 0),
+     lambda n, k: q_eulerian(n, k, "explicit")),
     (lambda N: r_whitney_eulerian_rows(N, 2, 1, "direct"),
      lambda n, k: r_whitney_eulerian(n, k, 2, 1, "direct")),
     (lambda N: r_whitney_eulerian_rows(N, 3, 2, "engine"),

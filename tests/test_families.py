@@ -25,7 +25,7 @@ from qelliptic.families import (
     weight_product,
     whitney_qr,
 )
-from qelliptic.newton import ClassicalSequence, connection_recurrence
+from qelliptic.newton import AffineWhitneySequence, connection_recurrence
 from qelliptic.scalars import ExactScalar, q_number, residual
 from qelliptic.theta import EllipticParams, sample_elliptic_params
 
@@ -167,10 +167,9 @@ def test_whitney_normalized_m1_r1_limit():
 def test_whitney_matches_connection_engine_at_q1():
     # W_{1,1}(n, k) at q = 1 equals the coefficient expanding z^n over the
     # nodes 1, 2, 3, ...
-    seq = ClassicalSequence()
-    shifted = seq.shift(1)
+    nodes = AffineWhitneySequence(1, -1)
     for n in range(7):
-        rows = connection_recurrence(Fraction(1), [Fraction(0)] * n, shifted)
+        rows = connection_recurrence(Fraction(1), [Fraction(0)] * n, nodes)
         for k in range(n + 1):
             v = whitney_qr(n, k, 1, 1).evaluate_fraction(Fraction(1))
             assert v == rows[n][k]

@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 from qelliptic import intpoly
 from qelliptic.errors import DegenerateParameters, DomainError
 from qelliptic.scalars import (
+    COMPLEX,
     EXACT_Q,
     RATIONAL,
     ExactScalar,
     LaurentPoly,
-    Tolerance,
-    complex_field,
     q_binomial,
     q_factorial,
     q_number,
-    q_number_numeric,
     st_number,
 )
 
@@ -169,20 +167,18 @@ def test_division_by_zero_rejected():
         one / zero
     with pytest.raises(ZeroDivisionError):
         EXACT_Q.div(EXACT_Q.one, EXACT_Q.zero)
-    f = complex_field()
     with pytest.raises(ZeroDivisionError):
-        f.div(1 + 0j, 0j)
+        COMPLEX.div(1 + 0j, 0j)
 
 
 def test_numeric_field_axioms():
     rng = random.Random(11)
-    f = complex_field()
     for _ in range(40):
         a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert f.eq(a * (b + c), a * b + a * c)
-        assert f.eq((a + b) + c, a + (b + c))
+        for x, y in ((a * (b + c), a * b + a * c), ((a + b) + c, a + (b + c))):
+            assert abs(x - y) <= max(1e-12, 1e-10 * max(abs(x), abs(y)))
 
 
 def _dense(rng: random.Random, length: int, bits: int) -> list[int]:
@@ -427,14 +423,6 @@ def test_exact_matches_numeric_evaluation():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_q_number_numeric_limit():
-    q = 0.7 + 0.2j
-    for z in range(-4, 6):
-        exact = q_number(z).evaluate(q)
-        assert abs(exact - q_number_numeric(z, q)) < 1e-13
-    assert q_number_numeric(5, 1) == 5
-
-
 def test_stretch_substitutes_power():
     q = 0.6 + 0.1j
     x = q_binomial(5, 2)
@@ -456,19 +444,6 @@ def test_st_number():
         st_number(4, 0, 1e100 + 0j)
     with pytest.raises(DegenerateParameters, match="outside double range"):
         st_number(-1, 0j, 0.5)
-
-
-def test_tolerance_policy():
-    tol = Tolerance(rel=1e-9, abs=1e-12)
-    assert tol.close(1.0, 1.0 + 5e-10)
-    assert not tol.close(1.0, 1.0 + 5e-8)
-    # symmetry
-    rng = random.Random(2)
-    for _ in range(50):
-        x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        y = x + complex(rng.uniform(-1e-9, 1e-9), 0)
-        assert tol.close(x, y) == tol.close(y, x)
-    assert Tolerance().close(0.0, 1e-13)
 
 
 def test_rational_field():

@@ -12,8 +12,9 @@ import struct
 import pytest
 
 from qelliptic.errors import DegenerateParameters, DomainError, QEllipticError
-from qelliptic.scalars import q_number, q_number_numeric
+from qelliptic.scalars import q_number
 from qelliptic.theta import (
+    DEFAULT_MIN_DENOMINATOR,
     MAX_TRUNCATION_ORDER,
     SERIES_MAX_NOME,
     _check_arguments,
@@ -357,7 +358,7 @@ def test_non_finite_parameters_rejected(bad):
 def _reference(kind, z, shift, params):
     """[z] or W(z), every theta factor from a fresh theta() call, in the
     same order as the memoized evaluation."""
-    q, p, pol, min_den = params.q, params.p, params.policy, params.min_denominator
+    q, p, pol = params.q, params.p, params.policy
     alpha, beta = shift
     a = params.a * qpow(q, alpha) if alpha else params.a
     b = params.b * qpow(q, beta) if beta else params.b
@@ -374,7 +375,7 @@ def _reference(kind, z, shift, params):
     den = None
     for x in den_args:
         value = theta(x, p, pol)
-        if abs(value) < min_den:
+        if abs(value) < DEFAULT_MIN_DENOMINATOR:
             raise DegenerateParameters(f"theta({x}) near zero")
         den = value if den is None else den * value
     return num / den if kind == "number" else num / den * u
@@ -618,11 +619,11 @@ def _per_call_window(params, lo=-8, hi=10):
     a, b, q = params.a, params.b, params.q
     try:
         if params.p != 0:
-            _check_arguments(b * q, a * q / b, b, a / b)
+            _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
         for z in range(lo, hi + 1):
             u = qpow(q, z)
             if params.p != 0:
-                _check_arguments(u, a * u, a * q * u * u)
+                _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
             _finite_den(_number_den(u, a, b, params), f"[{z}]")
             _finite_den(_weight_den(u, a, b, params), f"W({z})")
     except DegenerateParameters:
