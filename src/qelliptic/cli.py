@@ -24,45 +24,40 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .eulerian import (
-    elliptic_eulerian,
     elliptic_eulerian_rows,
-    elliptic_r_whitney_eulerian,
     elliptic_r_whitney_eulerian_rows,
     eulerian,
     general_eulerian_rows,
     q_eulerian,
     q_r_whitney_eulerian,
     q_r_whitney_eulerian_rows,
-    r_whitney_eulerian,
     r_whitney_eulerian_rows,
 )
 from .families import (
     FerrersBoard,
-    elliptic_lah,
+    _entry_rows,
     elliptic_lah_rows,
-    elliptic_rook,
-    elliptic_shifted_stirling,
-    elliptic_stirling2,
+    elliptic_rook_row,
+    elliptic_shifted_stirling_rows,
     elliptic_stirling2_rows,
     lah,
     q_stirling2,
     q_stirling2_rows,
-    st_shifted_stirling,
+    st_shifted_stirling_rows,
     stirling2,
     stirling2_rows,
-    whitney_qr,
     whitney_qr_rows,
 )
 from .newton import (
     ClassicalSequence,
-    EllipticSequence,
     QNumberSequence,
     connection_recurrence,
+    h_recurrence_rows,
 )
 from .scalars import ExactScalar, residual
 from .suites import SUITE_NAMES, run_suites
@@ -79,14 +74,21 @@ EXIT_DEGENERATE = 3
 
 
 class _Family(NamedTuple):
-    """One table family: its flags, its routes (the first is the default),
-    the entry (args, n, k) -> value, and for each route that grows a whole
-    triangle the builder args -> rows 0..args.n."""
+    """One table family: its flags, and for each route (the first is the
+    default) the builder args -> rows 0..args.n of its triangle."""
 
     flags: tuple[str, ...]
-    routes: tuple[str, ...]
-    entry: Callable
-    rows: dict = {}
+    rows: dict[str, Callable]
+
+    @property
+    def routes(self) -> tuple[str, ...]:
+        return tuple(self.rows)
+
+
+def _each_entry(entry: Callable) -> Callable:
+    """The builder of an exact route whose entries share no work: rows of
+    entry(args, n, k)."""
+    return lambda args: _entry_rows(args.n, lambda n, k: entry(args, n, k))
 
 
 _MR = ("m", "r")
@@ -97,70 +99,61 @@ _ELLIPTIC = ("a", "b", "q", "p")
 _FLAGS = _MR + _ST + _ELLIPTIC + ("board",)
 
 # any flag a family does not list is an invalid combination and must be
-# rejected before computing
+# rejected before computing.  Builders name library functions inside their
+# lambdas, so a rebinding of those names (a tracer) sees every call.
 _FAMILIES = {
-    "stirling": _Family(
-        (), ("recurrence", "explicit"),
-        lambda args, n, k: stirling2(n, k, args.route),
-        {"recurrence": lambda args: stirling2_rows(args.n)}),
-    "qstirling": _Family(
-        (), ("recurrence", "explicit", "h"),
-        lambda args, n, k: q_stirling2(n, k, args.route),
-        {"recurrence": lambda args: q_stirling2_rows(args.n)}),
-    "estirling": _Family(
-        _ELLIPTIC, ("recurrence", "h", "explicit", "oracle"),
-        lambda args, n, k: elliptic_stirling2(n, k, args.params, args.route),
-        {"recurrence": lambda args: elliptic_stirling2_rows(args.n, args.params)}),
-    "whitney": _Family(
-        _MR, ("recurrence", "explicit"),
-        lambda args, n, k: whitney_qr(n, k, args.m, args.r, args.route),
-        {"explicit": lambda args: whitney_qr_rows(args.n, args.m, args.r)}),
-    "stshifted": _Family(
-        _MR + _ST, ("recurrence", "explicit"),
-        lambda args, n, k: st_shifted_stirling(
-            n, k, args.m, args.r, args.s, args.t, args.route)),
-    "eshifted": _Family(
-        _MR + _ELLIPTIC, ("recurrence", "explicit"),
-        lambda args, n, k: elliptic_shifted_stirling(
-            n, k, args.m, args.r, args.params, args.route)),
-    "rook": _Family(
-        ("board",) + _ELLIPTIC, ("explicit", "oracle"),
-        lambda args, n, k: elliptic_rook(args.board, k, args.params, args.route)),
-    "lah": _Family(
-        _ELLIPTIC, ("recurrence", "explicit", "oracle"),
-        lambda args, n, k: elliptic_lah(n, k, args.params, args.route),
-        {"recurrence": lambda args: elliptic_lah_rows(args.n, args.params)}),
-    "eulerian": _Family(
-        (), ("recurrence", "explicit"),
-        lambda args, n, k: eulerian(n, k, args.route),
-        {"recurrence": lambda args: r_whitney_eulerian_rows(args.n, 1, 0, "direct")}),
-    "qeulerian": _Family(
-        (), ("recurrence", "explicit", "engine"),
-        lambda args, n, k: q_eulerian(n, k, args.route),
-        {"recurrence": lambda args: q_r_whitney_eulerian_rows(args.n, 1, 0, "recurrence"),
-         "engine": lambda args: general_eulerian_rows(QNumberSequence(), args.n)}),
-    "rwhitneyeulerian": _Family(
-        _MR, ("direct", "engine"),
-        lambda args, n, k: r_whitney_eulerian(n, k, args.m, args.r, args.route),
-        dict.fromkeys(("direct", "engine"), lambda args: r_whitney_eulerian_rows(
-            args.n, args.m, args.r, args.route))),
-    "qrwhitneyeulerian": _Family(
-        _MR, ("recurrence", "explicit", "engine"),
-        lambda args, n, k: q_r_whitney_eulerian(n, k, args.m, args.r, args.route),
-        dict.fromkeys(("recurrence", "engine"), lambda args: q_r_whitney_eulerian_rows(
-            args.n, args.m, args.r, args.route))),
-    "eeulerian": _Family(
-        _ELLIPTIC, ("recurrence", "explicit", "engine"),
-        lambda args, n, k: elliptic_eulerian(n, k, args.params, args.route),
-        {"recurrence": lambda args: elliptic_eulerian_rows(args.n, args.params),
-         "engine": lambda args: general_eulerian_rows(
-             EllipticSequence(args.params), args.n)}),
-    "erwhitneyeulerian": _Family(
-        _MR + _ELLIPTIC, ("recurrence", "explicit"),
-        lambda args, n, k: elliptic_r_whitney_eulerian(
-            n, k, args.m, args.r, args.params, args.route),
-        {"recurrence": lambda args: elliptic_r_whitney_eulerian_rows(
-            args.n, args.m, args.r, args.params)}),
+    "stirling": _Family((), {
+        "recurrence": lambda args: stirling2_rows(args.n),
+        "explicit": _each_entry(lambda args, n, k: stirling2(n, k, "explicit"))}),
+    "qstirling": _Family((), {
+        "recurrence": lambda args: q_stirling2_rows(args.n),
+        "explicit": _each_entry(lambda args, n, k: q_stirling2(n, k, "explicit")),
+        "h": lambda args: h_recurrence_rows(args.n, QNumberSequence())}),
+    "estirling": _Family(_ELLIPTIC, dict.fromkeys(
+        ("recurrence", "h", "explicit", "oracle"),
+        lambda args: elliptic_stirling2_rows(args.n, args.params, args.route))),
+    "whitney": _Family(_MR, dict.fromkeys(
+        ("recurrence", "explicit"),
+        lambda args: whitney_qr_rows(args.n, args.m, args.r, args.route))),
+    "stshifted": _Family(_MR + _ST, dict.fromkeys(
+        ("recurrence", "explicit"),
+        lambda args: st_shifted_stirling_rows(
+            args.n, args.m, args.r, args.s, args.t, args.route))),
+    "eshifted": _Family(_MR + _ELLIPTIC, dict.fromkeys(
+        ("recurrence", "explicit"),
+        lambda args: elliptic_shifted_stirling_rows(
+            args.n, args.m, args.r, args.params, args.route))),
+    # a rook table is the single row n = columns
+    "rook": _Family(("board",) + _ELLIPTIC, dict.fromkeys(
+        ("explicit", "oracle"),
+        lambda args: [elliptic_rook_row(args.board, args.params, args.route)])),
+    "lah": _Family(_ELLIPTIC, dict.fromkeys(
+        ("recurrence", "explicit", "oracle"),
+        lambda args: elliptic_lah_rows(args.n, args.params, args.route))),
+    "eulerian": _Family((), {
+        "recurrence": lambda args: r_whitney_eulerian_rows(args.n, 1, 0, "direct"),
+        "explicit": _each_entry(lambda args, n, k: eulerian(n, k, "explicit"))}),
+    "qeulerian": _Family((), {
+        "recurrence": lambda args: q_r_whitney_eulerian_rows(args.n, 1, 0, "recurrence"),
+        "explicit": _each_entry(lambda args, n, k: q_eulerian(n, k, "explicit")),
+        "engine": lambda args: general_eulerian_rows(QNumberSequence(), args.n)}),
+    "rwhitneyeulerian": _Family(_MR, dict.fromkeys(
+        ("direct", "engine"),
+        lambda args: r_whitney_eulerian_rows(args.n, args.m, args.r, args.route))),
+    "qrwhitneyeulerian": _Family(_MR, {
+        "recurrence": lambda args: q_r_whitney_eulerian_rows(
+            args.n, args.m, args.r, "recurrence"),
+        "explicit": _each_entry(lambda args, n, k: q_r_whitney_eulerian(
+            n, k, args.m, args.r, "explicit")),
+        "engine": lambda args: q_r_whitney_eulerian_rows(
+            args.n, args.m, args.r, "engine")}),
+    "eeulerian": _Family(_ELLIPTIC, dict.fromkeys(
+        ("recurrence", "explicit", "engine"),
+        lambda args: elliptic_eulerian_rows(args.n, args.params, args.route))),
+    "erwhitneyeulerian": _Family(_MR + _ELLIPTIC, dict.fromkeys(
+        ("recurrence", "explicit"),
+        lambda args: elliptic_r_whitney_eulerian_rows(
+            args.n, args.m, args.r, args.params, args.route))),
 }
 
 
@@ -240,13 +233,11 @@ def _document(args) -> dict:
         elif isinstance(value, complex):
             value = _pair(value)
         echo[flag] = value
-    build = family.rows.get(args.route)
-    triangle = build(args) if build else None
+    triangle = family.rows[args.route](args)
     rows = []
-    # rook tables hold the single row n = columns
-    for n in range(args.n if "board" in family.flags else 0, args.n + 1):
-        for k in range(n + 1):
-            value = triangle[n][k] if build else family.entry(args, n, k)
+    # the triangle holds rows args.n + 1 - len(triangle) .. args.n
+    for n, row in enumerate(triangle, args.n + 1 - len(triangle)):
+        for k, value in enumerate(row):
             if isinstance(value, ExactScalar):
                 value = str(value)
             elif isinstance(value, complex):
@@ -348,7 +339,9 @@ def _render_table(doc: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args) -> int:
+def _resolve_table(args) -> bool:
+    """Check the table flags, fill in defaults and sampled parameters, and
+    say whether anything was sampled."""
     family = _FAMILIES[args.family]
     if args.route is None:
         args.route = family.routes[0]
@@ -388,6 +381,11 @@ def cmd_table(args) -> int:
         if name in family.flags and getattr(args, name) is None:
             setattr(args, name, sample_annulus(rng, 0.4, 0.9))
             sampled = True
+    return sampled
+
+
+def cmd_table(args) -> int:
+    sampled = _resolve_table(args)
     doc = _document(args)
     if sampled:
         doc["params"]["seed"] = args.seed
@@ -457,14 +455,17 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
     return dev <= tol and oracle_ok
 
 
-# family: (runner, classical triangle, default N, default tol)
+# family: (runner, classical triangle, default N, default tol); the
+# lambdas look the library functions up when called, as _FAMILIES does
 _DEGENERATE = {
-    "stirling": (partial(_degenerate_q, "stirling", elliptic_stirling2_rows,
-                         q_stirling2_rows, stirling2), stirling2, 7, 1e-9),
-    "eulerian": (partial(_degenerate_q, "eulerian", elliptic_eulerian_rows,
-                         lambda N: q_r_whitney_eulerian_rows(N, 1, 0, "recurrence"),
-                         eulerian), eulerian, 6, 1e-8),
-    "lah": (_degenerate_lah, lah, 6, 1e-8),
+    "stirling": (lambda *run: _degenerate_q(
+        "stirling", elliptic_stirling2_rows, q_stirling2_rows, stirling2, *run),
+        lambda n, k: stirling2(n, k), 7, 1e-9),
+    "eulerian": (lambda *run: _degenerate_q(
+        "eulerian", elliptic_eulerian_rows,
+        lambda N: q_r_whitney_eulerian_rows(N, 1, 0, "recurrence"), eulerian, *run),
+        lambda n, k: eulerian(n, k), 6, 1e-8),
+    "lah": (_degenerate_lah, lambda n, k: lah(n, k), 6, 1e-8),
 }
 
 

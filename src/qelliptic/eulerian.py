@@ -26,10 +26,10 @@ behind it (lagrange_delta) are exported as executable checks.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
-from .families import _bad_route, _check_entry, _grow_rows
+from .families import _bad_route, _check_entry, _entry_rows, _grow_rows
 from .newton import (
     AffineWhitneySequence,
     EllipticSequence,
@@ -145,25 +145,32 @@ def _gap_amplification(u, v) -> float:
     return max(1.0, abs(u), abs(v)) / d if d > 0.0 else float("inf")
 
 
-def _general_explicit_terms(n: int, k: int, seq: ValueSequence):
+def _general_explicit_value(n: int, k: int, seq: ValueSequence):
+    """The explicit-route entry (n, k) and its summands; the caller guards
+    the node window first."""
     field = seq.field
     terms = []
-    amp = 1.0
     for j in range(k + 1):
         ratio = field.one
         for i in range(n + 1):
             if i != k - j:
                 num = seq[n - k + 1] - seq[i - k]
                 den = seq[-j] - seq[i - k]
-                if not field.exact:
-                    amp = max(
-                        amp,
-                        _gap_amplification(seq[n - k + 1], seq[i - k]),
-                        _gap_amplification(seq[-j], seq[i - k]),
-                    )
                 ratio = ratio * field.div(num, den)
         terms.append(ratio * seq[-j] ** n)
-    return terms, amp
+    total = field.zero
+    for t in terms:
+        total = total + t
+    return total, terms
+
+
+def _general_explicit_rows(seq: ValueSequence, N: int) -> list[list]:
+    """Rows 0..N of the explicit route, the node window guarded once per row."""
+    rows = []
+    for n in range(N + 1):
+        _guard_window(seq, n)
+        rows.append([_general_explicit_value(n, k, seq)[0] for k in range(n + 1)])
+    return rows
 
 
 def general_eulerian(n: int, k: int, seq: ValueSequence,
@@ -191,14 +198,16 @@ def general_eulerian_scaled(n: int, k: int, seq: ValueSequence):
     if k > n:
         return field.zero, 1.0
     _guard_window(seq, n)
-    terms, amp = _general_explicit_terms(n, k, seq)
-    total = field.zero
-    largest = 1.0
-    for t in terms:
-        if not field.exact:
-            largest = max(largest, abs(t))
-        total = total + t
-    return total, largest * amp
+    total, terms = _general_explicit_value(n, k, seq)
+    if field.exact:
+        return total, 1.0
+    amp = 1.0
+    for j in range(k + 1):
+        for i in range(n + 1):
+            if i != k - j:
+                amp = max(amp, _gap_amplification(seq[n - k + 1], seq[i - k]),
+                          _gap_amplification(seq[-j], seq[i - k]))
+    return total, max(1.0, *(abs(t) for t in terms)) * amp
 
 
 def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
@@ -458,10 +467,21 @@ def _shifted_divisor(z: int, shift: tuple[int, int], params: EllipticParams) -> 
     return value
 
 
-def elliptic_eulerian_rows(N: int, params: EllipticParams) -> list[list[complex]]:
-    """Rows 0..N of the elliptic Eulerian triangle, the correction product
-    kept in its weight form."""
+def elliptic_eulerian_rows(N: int, params: EllipticParams,
+                           route: str = "recurrence") -> list[list[complex]]:
+    """Rows 0..N of the elliptic Eulerian triangle by one route of
+    elliptic_eulerian: "recurrence" keeps the correction product in its
+    weight form, "explicit" forms each power [-j]^n once per row, and
+    "engine" is the generic triangle over the nodes [i]."""
     _check_entry(N)
+    if route == "explicit":
+        power = cache(lambda j, n: elliptic_number(-j, params) ** n)
+        return _entry_rows(N, lambda n, k: sum(
+            _elliptic_explicit_terms(n, k, params, power), complex(0.0)))
+    if route == "engine":
+        return general_eulerian_rows(EllipticSequence(params), N)
+    if route != "recurrence":
+        raise _bad_route(route, ("recurrence", "explicit", "engine"))
 
     def right(n, k, x):
         # the gap-quotient product, with every weight telescoped into a
@@ -477,8 +497,9 @@ def elliptic_eulerian_rows(N: int, params: EllipticParams) -> list[list[complex]
                       lambda n, k, x: elliptic_number(n - k + 2, params) * x, right)
 
 
-def _elliptic_explicit_terms(n: int, k: int,
-                             params: EllipticParams) -> list[complex]:
+def _elliptic_explicit_terms(n: int, k: int, params: EllipticParams,
+                             power) -> list[complex]:
+    # power(j, n) = [-j]^n
     terms = []
     for j in range(k + 1):
         ratio = complex(1.0)
@@ -487,7 +508,7 @@ def _elliptic_explicit_terms(n: int, k: int,
                 u = i - k
                 ratio *= elliptic_number_shifted(n - i + 1, (2 * u, u), params)
                 ratio /= _shifted_divisor(k - j - i, (2 * u, u), params)
-        terms.append(ratio * elliptic_number(-j, params) ** n)
+        terms.append(ratio * power(j, n))
     return terms
 
 
@@ -519,15 +540,24 @@ def elliptic_eulerian_scaled(n: int, k: int,
     _check_entry(n, k)
     if k > n:
         return complex(0.0), 1.0
-    terms = _elliptic_explicit_terms(n, k, params)
+    terms = _elliptic_explicit_terms(
+        n, k, params, lambda j, e: elliptic_number(-j, params) ** e)
     return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
 
 
-def elliptic_r_whitney_eulerian_rows(N: int, m: int, r: int,
-                                     params: EllipticParams) -> list[list[complex]]:
-    """Rows 0..N over the elliptic nodes [m i - r], by the engine."""
+def elliptic_r_whitney_eulerian_rows(
+        N: int, m: int, r: int, params: EllipticParams,
+        route: str = "recurrence") -> list[list[complex]]:
+    """Rows 0..N over the elliptic nodes [m i - r], by the engine
+    ("recurrence") or its explicit sum on one node sequence."""
     _check_whitney(m, r)
-    return general_eulerian_rows(EllipticSequence(params, scale=m, offset=-r), N)
+    seq = EllipticSequence(params, scale=m, offset=-r)
+    if route == "recurrence":
+        return general_eulerian_rows(seq, N)
+    if route == "explicit":
+        _check_entry(N)
+        return _general_explicit_rows(seq, N)
+    raise _bad_route(route, ("recurrence", "explicit"))
 
 
 def elliptic_r_whitney_eulerian(n: int, k: int, m: int, r: int,

@@ -24,16 +24,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 from .errors import DegenerateParameters, DomainError
 from .newton import (
     EllipticSequence,
+    QWhitneySequence,
     STSequence,
+    ValueSequence,
+    _connection_factors,
+    _connection_sum,
+    _divided_differences,
     connection_explicit_scaled,
-    h_explicit_degrees,
+    h_explicit_rows,
     h_explicit_scaled,
     h_recurrence,
+    h_recurrence_rows,
     newton_oracle_scaled,
 )
 from .scalars import (
@@ -62,10 +68,13 @@ __all__ = [
     "whitney_qr",
     "whitney_qr_rows",
     "st_shifted_stirling",
+    "st_shifted_stirling_rows",
     "elliptic_shifted_stirling",
+    "elliptic_shifted_stirling_rows",
     "weight_product",
     "FerrersBoard",
     "elliptic_rook",
+    "elliptic_rook_row",
     "elliptic_rook_scaled",
     "lah",
     "elliptic_lah",
@@ -111,6 +120,13 @@ def _grow_rows(N: int, one, zero, left, right) -> list[list]:
             row.append(acc)
         rows.append(row)
     return rows
+
+
+def _entry_rows(N: int, entry) -> list[list]:
+    """Rows 0..N of entry(n, k), formed in (n, k) order: a route whose
+    entries share cached pieces meets its first refusal where the
+    per-entry route does."""
+    return [[entry(n, k) for k in range(n + 1)] for n in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +208,48 @@ def q_stirling2(n: int, k: int, route: str = "recurrence") -> ExactScalar:
 # elliptic Stirling numbers
 # ---------------------------------------------------------------------------
 
-def elliptic_stirling2_rows(N: int, params: EllipticParams) -> list[list[complex]]:
-    """Rows 0..N of the elliptic Stirling triangle, with multiplier [k]."""
+def elliptic_stirling2_rows(N: int, params: EllipticParams,
+                            route: str = "recurrence") -> list[list[complex]]:
+    """Rows 0..N of the elliptic Stirling triangle by one route of
+    elliptic_stirling2: "recurrence" with multiplier [k], "h" by one
+    prefix recurrence, "explicit" with each denominator formed once per
+    (k, j), and "oracle" with one divided-difference table per row."""
     _check_entry(N)
-    return _grow_rows(N, complex(1.0), complex(0.0), lambda n, k, x: x,
-                      lambda n, k, x: elliptic_number(k, params) * x)
+    if route == "recurrence":
+        return _grow_rows(N, complex(1.0), complex(0.0), lambda n, k, x: x,
+                          lambda n, k, x: elliptic_number(k, params) * x)
+    if route == "h":
+        return h_recurrence_rows(N, EllipticSequence(params))
+    if route == "explicit":
+        denominator = cache(partial(_elliptic_stirling2_denominator, params))
+        return _entry_rows(N, lambda n, k: sum(
+            _elliptic_stirling2_terms(n, k, params, denominator), complex(0.0)))
+    if route == "oracle":
+        seq = EllipticSequence(params)
+        return [[table[0] for table in _divided_differences(
+            [seq[m] ** n for m in range(n + 1)], seq, n)] for n in range(N + 1)]
+    raise _bad_route(route, ("recurrence", "h", "explicit", "oracle"))
 
 
-def _elliptic_stirling2_terms(n: int, k: int,
-                              params: EllipticParams) -> list[complex]:
-    # sum over j of [k-j]^n divided by the product, over i != k-j, of
-    # W(i) [k-j-i] taken at base shift (2i, i); the denominator factors
-    # are exactly the node gaps [k-j] - [i] split by the addition rule
+def _elliptic_stirling2_denominator(params: EllipticParams, k: int,
+                                    j: int) -> complex:
+    # the product, over i != k-j, of W(i) [k-j-i] taken at base shift
+    # (2i, i): exactly the node gaps [k-j] - [i] split by the addition rule
+    den = complex(1.0)
+    for i in range(k + 1):
+        if i != k - j:
+            den *= elliptic_weight(i, params) * elliptic_number_shifted(
+                k - j - i, (2 * i, i), params
+            )
+    return den
+
+
+def _elliptic_stirling2_terms(n: int, k: int, params: EllipticParams,
+                              denominator) -> list[complex]:
+    # sum over j of [k-j]^n divided by denominator(k, j)
     terms = []
     for j in range(k + 1):
-        den = complex(1.0)
-        for i in range(k + 1):
-            if i != k - j:
-                den *= elliptic_weight(i, params) * elliptic_number_shifted(
-                    k - j - i, (2 * i, i), params
-                )
+        den = denominator(k, j)
         terms.append(elliptic_number(k - j, params) ** n
                      / _nonzero(den, f"explicit term j = {j} of ({n}, {k})"))
     return terms
@@ -255,7 +293,8 @@ def elliptic_stirling2_scaled(n: int, k: int, params: EllipticParams,
     if k > n:
         return complex(0.0), 1.0
     if route == "explicit":
-        terms = _elliptic_stirling2_terms(n, k, params)
+        terms = _elliptic_stirling2_terms(
+            n, k, params, partial(_elliptic_stirling2_denominator, params))
         return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
     if route == "oracle":
         seq = EllipticSequence(params)
@@ -295,22 +334,28 @@ def whitney_qr(n: int, k: int, m: int, r: int, route: str = "recurrence",
     return value
 
 
-def whitney_qr_rows(N: int, m: int, r: int) -> list[list[ExactScalar]]:
-    """Rows 0..N of the raw r-Whitney triangle by the explicit route.
+def whitney_qr_rows(N: int, m: int, r: int,
+                    route: str = "recurrence") -> list[list[ExactScalar]]:
+    """Rows 0..N of the raw r-Whitney triangle by one route of whitney_qr.
 
-    Column k is h_{n-k} over the nodes [r]_q .. [km+r]_q for n = k..N, so
-    one Lagrange sum over those nodes serves the whole column.
+    Column k is h_{n-k} over the nodes [r]_q .. [km+r]_q for n = k..N:
+    "recurrence" is one prefix recurrence over [r]_q .. [Nm+r]_q, and
+    "explicit" one Lagrange sum per column.
     """
     _check_entry(N)
     if m < 0 or r < 0:
         raise DomainError("whitney parameters need m >= 0 and r >= 0")
-    rows = [[EXACT_Q.zero] * (n + 1) for n in range(N + 1)]
-    for k in range(N + 1):
-        nodes = [q_number(m * i + r) for i in range(k + 1)]
-        column = h_explicit_degrees(range(N - k + 1), nodes, EXACT_Q)
-        for n, (value, _) in enumerate(column, k):
-            rows[n][k] = value
-    return rows
+    # QWhitneySequence holds [m i - r]_q
+    return _h_rows(N, QWhitneySequence(m, -r), route)
+
+
+def _h_rows(N: int, seq: ValueSequence, route: str) -> list[list]:
+    """Rows 0..N of h_{n-k}(a_0..a_k) by the h route of that name."""
+    if route == "recurrence":
+        return h_recurrence_rows(N, seq)
+    if route == "explicit":
+        return h_explicit_rows(N, seq)
+    raise _bad_route(route, ("recurrence", "explicit"))
 
 
 def st_shifted_stirling(n: int, k: int, m: int, r: int, s: complex, t: complex,
@@ -328,6 +373,13 @@ def st_shifted_stirling(n: int, k: int, m: int, r: int, s: complex, t: complex,
     raise _bad_route(route, ("recurrence", "explicit"))
 
 
+def st_shifted_stirling_rows(N: int, m: int, r: int, s: complex, t: complex,
+                             route: str = "recurrence") -> list[list[complex]]:
+    """Rows 0..N of st_shifted_stirling by one route."""
+    _check_entry(N)
+    return _h_rows(N, STSequence(m, r, s, t), route)
+
+
 def elliptic_shifted_stirling(n: int, k: int, m: int, r: int,
                               params: EllipticParams,
                               route: str = "recurrence") -> complex:
@@ -342,6 +394,14 @@ def elliptic_shifted_stirling(n: int, k: int, m: int, r: int,
     if route == "explicit":
         return h_explicit_scaled(n - k, nodes, seq.field)[0]
     raise _bad_route(route, ("recurrence", "explicit"))
+
+
+def elliptic_shifted_stirling_rows(N: int, m: int, r: int,
+                                   params: EllipticParams,
+                                   route: str = "recurrence") -> list[list[complex]]:
+    """Rows 0..N of elliptic_shifted_stirling by one route."""
+    _check_entry(N)
+    return _h_rows(N, EllipticSequence(params, scale=m, offset=r), route)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +446,21 @@ class FerrersBoard:
         return len(self.heights)
 
 
-def _rook_terms(board: FerrersBoard, j: int,
-                params: EllipticParams) -> list[complex]:
-    n = board.columns
-    k = n - j
+def _rook_numerator(board: FerrersBoard, params: EllipticParams,
+                    t: int) -> complex:
+    # a column of height b contributes a number at base shift (2u, u),
+    # u = i - 1 - b
+    num = complex(1.0)
+    for i in range(1, board.columns + 1):
+        b = board.heights[i - 1]
+        u = i - 1 - b
+        num *= elliptic_number_shifted(t - i + b + 1, (2 * u, u), params)
+    return num
+
+
+def _rook_terms(board: FerrersBoard, j: int, params: EllipticParams,
+                numerator) -> list[complex]:
+    k = board.columns - j
     terms = []
     for t in range(k + 1):
         # complex z/z rounds to 1 + (1 ulp)j, so divisions that cancel
@@ -399,11 +470,7 @@ def _rook_terms(board: FerrersBoard, j: int,
             coef = complex(1.0)
         else:
             coef = elliptic_weight(t, params) / elliptic_weight(k, params)
-        num = complex(1.0)
-        for i in range(1, n + 1):
-            b = board.heights[i - 1]
-            u = i - 1 - b
-            num *= elliptic_number_shifted(t - i + b + 1, (2 * u, u), params)
+        num = numerator(t)
         den = complex(1.0)
         for i in range(k + 1):
             if i != t:
@@ -432,28 +499,54 @@ def elliptic_rook(board: FerrersBoard, j: int, params: EllipticParams,
     return elliptic_rook_scaled(board, j, params, route)[0]
 
 
+def _rook_oracle_nodes(board: FerrersBoard, params: EllipticParams):
+    # the board product's leading coefficient and interior nodes
+    n = board.columns
+    c0 = complex(1.0)
+    for i in range(1, n + 1):
+        c0 /= elliptic_weight(i - 1 - board.heights[i - 1], params)
+    cs = [
+        elliptic_number(i - 1 - board.heights[i - 1], params)
+        for i in range(1, n + 1)
+    ]
+    return c0, cs
+
+
 def elliptic_rook_scaled(board: FerrersBoard, j: int, params: EllipticParams,
                          route: str = "explicit") -> tuple[complex, float]:
     """Rook number plus the conditioning scale of the chosen route."""
     if not 0 <= j <= board.columns:
         raise DomainError("rook count j must lie in 0..columns")
     if route == "explicit":
-        terms = _rook_terms(board, j, params)
+        terms = _rook_terms(board, j, params,
+                            partial(_rook_numerator, board, params))
         return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
     if route == "oracle":
         n = board.columns
         k = n - j
-        seq = EllipticSequence(params)
-        c0 = complex(1.0)
-        for i in range(1, n + 1):
-            c0 /= elliptic_weight(i - 1 - board.heights[i - 1], params)
-        cs = [
-            elliptic_number(i - 1 - board.heights[i - 1], params)
-            for i in range(1, n + 1)
-        ]
-        coeff, scale = connection_explicit_scaled(c0, cs, seq, n, k)
+        c0, cs = _rook_oracle_nodes(board, params)
+        coeff, scale = connection_explicit_scaled(
+            c0, cs, EllipticSequence(params), n, k)
         wp = weight_product(k, params)
         return coeff * wp, max(1.0, scale * abs(wp))
+    raise _bad_route(route, ("explicit", "oracle"))
+
+
+def elliptic_rook_row(board: FerrersBoard, params: EllipticParams,
+                      route: str = "explicit") -> list[complex]:
+    """r_0 .. r_n of the board by one route, each numerator of the
+    explicit sum and of the oracle's connection sum formed once."""
+    n = board.columns
+    if route == "explicit":
+        numerator = cache(partial(_rook_numerator, board, params))
+        return [sum(_rook_terms(board, j, params, numerator), complex(0.0))
+                for j in range(n + 1)]
+    if route == "oracle":
+        seq = EllipticSequence(params)
+        c0, cs = _rook_oracle_nodes(board, params)
+        numerator, denominator = map(cache, _connection_factors(seq, cs))
+        return [_connection_sum(c0, seq, n, n - j, numerator, denominator)[0]
+                * weight_product(n - j, params) for j in range(n + 1)]
     raise _bad_route(route, ("explicit", "oracle"))
 
 
@@ -471,30 +564,62 @@ def lah(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
 
 
-def elliptic_lah_rows(N: int, params: EllipticParams) -> list[list[complex]]:
-    """Rows 0..N of the elliptic Lah triangle, with multiplier W(-n) [n+k]."""
+def elliptic_lah_rows(N: int, params: EllipticParams,
+                      route: str = "recurrence") -> list[list[complex]]:
+    """Rows 0..N of the elliptic Lah triangle by one route of elliptic_lah:
+    "recurrence" with multiplier W(-n) [n+k]; "explicit" and "oracle"
+    with each numerator formed once per (n, j) and each gap product once
+    per (k, j)."""
     _check_entry(N)
-    # [k] - [-n] split by the addition rule, so the triangle weight is
-    # W(-n) [n+k] at base shift (-2n, -n)
-    return _grow_rows(
-        N, complex(1.0), complex(0.0), lambda n, k, x: x,
-        lambda n, k, x: (elliptic_weight(-n, params)
-                         * elliptic_number_shifted(n + k, (-2 * n, -n), params)
-                         * x))
+    if route == "recurrence":
+        # [k] - [-n] split by the addition rule, so the triangle weight is
+        # W(-n) [n+k] at base shift (-2n, -n)
+        return _grow_rows(
+            N, complex(1.0), complex(0.0), lambda n, k, x: x,
+            lambda n, k, x: (elliptic_weight(-n, params)
+                             * elliptic_number_shifted(n + k, (-2 * n, -n), params)
+                             * x))
+    if route == "explicit":
+        numerator = cache(partial(_elliptic_lah_numerator, params))
+        denominator = cache(partial(_elliptic_lah_denominator, params))
+        return _entry_rows(N, lambda n, k: sum(
+            _elliptic_lah_terms(n, k, numerator, denominator), complex(0.0)))
+    if route == "oracle":
+        seq = EllipticSequence(params)
+        cs = EllipticSequence(params, scale=-1)  # [0], [-1], [-2], ...
+        numerator, denominator = map(cache, _connection_factors(seq, cs))
+        rows = []
+        for n in range(N + 1):
+            cs.window(0, n - 1)  # each entry of row n forms these first
+            rows.append([_connection_sum(complex(1.0), seq, n, k,
+                                         numerator, denominator)[0]
+                         for k in range(n + 1)])
+        return rows
+    raise _bad_route(route, ("recurrence", "explicit", "oracle"))
 
 
-def _elliptic_lah_terms(n: int, k: int,
-                        params: EllipticParams) -> list[complex]:
+def _elliptic_lah_numerator(params: EllipticParams, n: int, j: int) -> complex:
+    aj = elliptic_number(j, params)
+    num = complex(1.0)
+    for i in range(1, n + 1):
+        num *= aj - elliptic_number(-n + i, params)
+    return num
+
+
+def _elliptic_lah_denominator(params: EllipticParams, k: int, j: int) -> complex:
+    aj = elliptic_number(j, params)
+    den = complex(1.0)
+    for i in range(k + 1):
+        if i != j:
+            den *= aj - elliptic_number(i, params)
+    return den
+
+
+def _elliptic_lah_terms(n: int, k: int, numerator, denominator) -> list[complex]:
     terms = []
     for j in range(k + 1):
-        aj = elliptic_number(j, params)
-        num = complex(1.0)
-        for i in range(1, n + 1):
-            num *= aj - elliptic_number(-n + i, params)
-        den = complex(1.0)
-        for i in range(k + 1):
-            if i != j:
-                den *= aj - elliptic_number(i, params)
+        num = numerator(n, j)
+        den = denominator(k, j)
         terms.append(num / _nonzero(den, f"explicit term j = {j} of ({n}, {k})"))
     return terms
 
@@ -527,7 +652,9 @@ def elliptic_lah_scaled(n: int, k: int, params: EllipticParams,
     if k > n:
         return complex(0.0), 1.0
     if route == "explicit":
-        terms = _elliptic_lah_terms(n, k, params)
+        terms = _elliptic_lah_terms(
+            n, k, partial(_elliptic_lah_numerator, params),
+            partial(_elliptic_lah_denominator, params))
         return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
     if route == "oracle":
         seq = EllipticSequence(params)

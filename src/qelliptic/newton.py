@@ -44,6 +44,8 @@ __all__ = [
     "h_recurrence",
     "h_explicit_scaled",
     "h_explicit_degrees",
+    "h_recurrence_rows",
+    "h_explicit_rows",
     "connection_recurrence",
     "connection_explicit_scaled",
     "newton_oracle_scaled",
@@ -241,24 +243,47 @@ def falling_factorial(z, seq: ValueSequence, n: int):
     return acc
 
 
-def h_recurrence(n: int, values: Sequence, field: ScalarField):
-    """Complete homogeneous h_n(values) by the prefix recurrence
+def _h_step(prev: list, values: Sequence) -> list:
+    """h_d(a_0..a_j) for j < len(prev), from prev[j] = h_{d-1}(a_0..a_j):
 
-    h_n(a_0..a_k) = h_n(a_0..a_{k-1}) + a_k h_{n-1}(a_0..a_k).
-    """
+    h_d(a_0..a_j) = h_d(a_0..a_{j-1}) + a_j h_{d-1}(a_0..a_j).
+
+    No node past a_j enters entry j, so a shorter prev gives the same
+    entries."""
+    cur = [values[0] * prev[0]]
+    for j in range(1, len(prev)):
+        cur.append(cur[j - 1] + values[j] * prev[j])
+    return cur
+
+
+def h_recurrence(n: int, values: Sequence, field: ScalarField):
+    """Complete homogeneous h_n(values) by the prefix recurrence."""
     if n < 0:
         raise DomainError("h needs n >= 0")
     if not values:
         return field.one if n == 0 else field.zero
-    k = len(values) - 1
-    prev = [field.one] * (k + 1)
+    prev = [field.one] * len(values)
     for _ in range(n):
-        cur = [None] * (k + 1)
-        cur[0] = values[0] * prev[0]
-        for j in range(1, k + 1):
-            cur[j] = cur[j - 1] + values[j] * prev[j]
-        prev = cur
-    return prev[k]
+        prev = _h_step(prev, values)
+    return prev[-1]
+
+
+def h_recurrence_rows(N: int, seq: ValueSequence) -> list[list]:
+    """Rows 0..N of h_{n-k}(a_0..a_k) by one prefix recurrence over a_0..a_N.
+
+    After d steps the recurrence holds h_d(a_0..a_j) for every j, entry
+    (j + d, j) of the triangle, with the bits of h_recurrence(d, a_0..a_j).
+    Step d keeps the columns j <= N - d, the ones rows 0..N still need.
+    """
+    values = seq.window(0, N)
+    rows = [[None] * (n + 1) for n in range(N + 1)]
+    prev = [seq.field.one] * (N + 1)
+    for d in range(N + 1):
+        for j, h in enumerate(prev):
+            rows[j + d][j] = h
+        if d < N:
+            prev = _h_step(prev[:N - d], values)
+    return rows
 
 
 def _div_gap_product(field: ScalarField, num, denom):
@@ -291,6 +316,35 @@ def h_explicit_scaled(n: int, values: Sequence, field: ScalarField):
     return h_explicit_degrees([n], values, field)[0]
 
 
+def _gap_products(values: Sequence, field: ScalarField) -> list:
+    """prod_{i != j} (a_j - a_i) for each j, once the nodes pass the
+    distinctness guard."""
+    pairwise_distinct_guard(values, field)
+    products = []
+    for j, aj in enumerate(values):
+        denom = field.one
+        for i, ai in enumerate(values):
+            if i != j:
+                denom = denom * (aj - ai)
+        products.append(denom)
+    return products
+
+
+def _h_value(n: int, values: Sequence, products, field: ScalarField):
+    """h_n(a_0..a_k) over a float field, and its summands a_j^(n+k) /
+    prod_j; products is None for a single node, whose power is the value."""
+    if products is None:
+        value = _checked_power(values[0], n)
+        return value, [value]
+    k = len(values) - 1
+    terms = [_div_gap_product(field, _checked_power(aj, n + k), products[j])
+             for j, aj in enumerate(values)]
+    total = field.zero
+    for term in terms:
+        total = total + term
+    return total, terms
+
+
 def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
                        field: ScalarField) -> list[tuple]:
     """h_explicit_scaled at each degree n of the list: one (h_n(values),
@@ -309,42 +363,57 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
     k = len(values) - 1
     if k < 0:
         return [((field.one if n == 0 else field.zero), 1.0) for n in degrees]
+    if not field.exact:
+        products = _gap_products(values, field) if k else None
+        results = []
+        for n in degrees:
+            value, terms = _h_value(n, values, products, field)
+            results.append((value, max(1.0, *(abs(t) for t in terms))))
+        return results
     if k == 0:
-        powers = [_checked_power(values[0], n) for n in degrees]
-        return [(v, 1.0 if field.exact else max(1.0, abs(v))) for v in powers]
-    pairwise_distinct_guard(values, field)
-    products = []
-    for j, aj in enumerate(values):
-        denom = field.one
-        for i, ai in enumerate(values):
-            if i != j:
-                denom = denom * (aj - ai)
-        products.append(denom)
-    if field.exact:
-        coefficients, common = field.reciprocals(products)
-        # a_j^reached for every j, raised from degree to degree
-        powers, reached = [field.one] * (k + 1), 0
+        return [(_checked_power(values[0], n), 1.0) for n in degrees]
+    coefficients, common = field.reciprocals(_gap_products(values, field))
+    # a_j^reached for every j, raised from degree to degree
+    powers, reached = [field.one] * (k + 1), 0
     results = []
     for n in degrees:
+        if n + k < reached:
+            powers, reached = [field.one] * (k + 1), 0
+        step, reached = n + k - reached, n + k
         total = field.zero
-        scale = 1.0
-        if field.exact:
-            if n + k < reached:
-                powers, reached = [field.one] * (k + 1), 0
-            step, reached = n + k - reached, n + k
         for j, aj in enumerate(values):
-            if field.exact:
-                powers[j] = powers[j] * _checked_power(aj, step)
-                term = powers[j] * coefficients[j]
-            else:
-                term = _div_gap_product(
-                    field, _checked_power(aj, n + k), products[j])
-                scale = max(scale, abs(term))
-            total = total + term
-        if field.exact:
-            total = _div_gap_product(field, total, common)
-        results.append((total, scale))
+            powers[j] = powers[j] * _checked_power(aj, step)
+            total = total + powers[j] * coefficients[j]
+        results.append((_div_gap_product(field, total, common), 1.0))
     return results
+
+
+def h_explicit_rows(N: int, seq: ValueSequence) -> list[list]:
+    """Rows 0..N of h_{n-k}(a_0..a_k) by the Lagrange sum.
+
+    Column k's gap products are formed once.  An exact column is one
+    h_explicit_degrees call over its degrees 0..N-k.  A float triangle is
+    built row by row, and column k's nodes, guard and products are formed
+    at its first entry (k, k): a refusal is then the one the per-entry
+    route meets first in (n, k) order.
+    """
+    field = seq.field
+    if field.exact:
+        rows = [[None] * (n + 1) for n in range(N + 1)]
+        for k in range(N + 1):
+            column = h_explicit_degrees(range(N - k + 1), seq.window(0, k), field)
+            for n, (value, _) in enumerate(column, k):
+                rows[n][k] = value
+        return rows
+    columns = []
+    rows = []
+    for n in range(N + 1):
+        row = [_h_value(n - k, *columns[k], field)[0] for k in range(n)]
+        nodes = seq.window(0, n)
+        columns.append((nodes, _gap_products(nodes, field) if n else None))
+        row.append(_h_value(0, *columns[n], field)[0])
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +442,43 @@ def connection_recurrence(c0, cs: Sequence, seq: ValueSequence) -> list[list]:
     return rows
 
 
+def _connection_factors(seq: ValueSequence, cs: Sequence):
+    """The two products of the Lagrange summand for C_{n,k}, as functions:
+    numerator(n, j) = prod_{i<n} (a_j - c_i) and denominator(k, j) =
+    prod_{i<=k, i != j} (a_j - a_i), each formed in that order.  A table
+    wraps them in a cache, so each is formed once per (n, j) or (k, j)."""
+    one = seq.field.one
+
+    def numerator(n, j):
+        aj, num = seq[j], one
+        for i in range(n):
+            num = num * (aj - cs[i])
+        return num
+
+    def denominator(k, j):
+        aj, denom = seq[j], one
+        for i in range(k + 1):
+            if i != j:
+                denom = denom * (aj - seq[i])
+        return denom
+
+    return numerator, denominator
+
+
+def _connection_sum(c0, seq: ValueSequence, n: int, k: int,
+                    numerator, denominator):
+    """C_{n,k} = c0 sum_j numerator(n, j) / denominator(k, j) over the
+    guarded nodes a_0..a_k, and its summands (before the factor c0)."""
+    field = seq.field
+    pairwise_distinct_guard(seq.window(0, k), field)
+    terms = [_div_gap_product(field, numerator(n, j), denominator(k, j))
+             for j in range(k + 1)]
+    total = field.zero
+    for term in terms:
+        total = total + term
+    return c0 * total, terms
+
+
 def connection_explicit_scaled(c0, cs: Sequence, seq: ValueSequence,
                                n: int, k: int):
     """Single coefficient C_{n,k} by the Lagrange-interpolation formula,
@@ -389,36 +495,37 @@ def connection_explicit_scaled(c0, cs: Sequence, seq: ValueSequence,
         raise DomainError("connection coefficient needs 0 <= k <= n")
     if len(cs) < n:
         raise DomainError(f"need n = {n} interior nodes, got {len(cs)}")
-    field = seq.field
+    value, terms = _connection_sum(
+        c0, seq, n, k, *_connection_factors(seq, cs))
+    if seq.field.exact:
+        return value, 1.0
     nodes = seq.window(0, k)
-    pairwise_distinct_guard(nodes, field)
-    total = field.zero
-    largest = 1.0
     amp = 1.0
+    for j, aj in enumerate(nodes):
+        for u in nodes[:j] + nodes[j + 1:] + list(cs[:n]):
+            d = abs(aj - u)
+            if d > 0.0:
+                amp = max(amp, max(1.0, abs(aj), abs(u)) / d)
+    return value, max(1.0, *(abs(c0 * t) for t in terms)) * amp
 
-    def bump(u, v):
-        nonlocal amp
-        d = abs(u - v)
-        if d > 0.0:
-            amp = max(amp, max(1.0, abs(u), abs(v)) / d)
 
-    for j in range(k + 1):
-        denom = field.one
-        for i in range(k + 1):
-            if i != j:
-                denom = denom * (nodes[j] - nodes[i])
-                if not field.exact:
-                    bump(nodes[j], nodes[i])
-        num = field.one
-        for i in range(n):
-            num = num * (nodes[j] - cs[i])
-            if not field.exact:
-                bump(nodes[j], cs[i])
-        term = _div_gap_product(field, num, denom)
-        if not field.exact:
-            largest = max(largest, abs(c0 * term))
-        total = total + term
-    return c0 * total, largest * amp
+def _divided_differences(f_values: Sequence, seq: ValueSequence, n: int):
+    """The divided-difference table of f over the guarded nodes a_0..a_n,
+    level by level: yields the list whose first n + 1 - level entries are
+    f[a_i .. a_{i+level}], the one list rewritten in place per level."""
+    if len(f_values) < n + 1:
+        raise DomainError("need n + 1 function values")
+    field = seq.field
+    nodes = seq.window(0, n)
+    pairwise_distinct_guard(nodes, field)
+    table = list(f_values[: n + 1])
+    yield table
+    for level in range(1, n + 1):
+        for i in range(n + 1 - level):
+            diff = table[i + 1] - table[i]
+            gap = nodes[i + level] - nodes[i]
+            table[i] = field.div(diff, gap)
+        yield table
 
 
 def newton_oracle_scaled(f_values: Sequence, seq: ValueSequence, n: int):
@@ -442,30 +549,24 @@ def newton_oracle_scaled(f_values: Sequence, seq: ValueSequence, n: int):
     so an honest residual for coefficient k is
     ``abs(err) / max(1, abs(coeff), scale)``.  Exact fields report 1.0.
     """
-    if len(f_values) < n + 1:
-        raise DomainError("need n + 1 function values")
-    field = seq.field
-    nodes = seq.window(0, n)
-    pairwise_distinct_guard(nodes, field)
-    table = list(f_values[: n + 1])
-    numeric = not field.exact
-    bound = [abs(t) for t in table] if numeric else []
-    scale = max(1.0, *bound) if numeric else 1.0
-    coeffs = [table[0]]
-    for level in range(1, n + 1):
-        for i in range(n + 1 - level):
-            diff = table[i + 1] - table[i]
-            gap = nodes[i + level] - nodes[i]
-            table[i] = field.div(diff, gap)
-            if numeric:
-                g = abs(gap)
-                node_err = abs(nodes[i + level]) + abs(nodes[i])
-                bound[i] = (
-                    (bound[i] + bound[i + 1]
-                     + abs(table[i]) * node_err) / g
-                    + abs(table[i])
-                )
+    coeffs = []
+    scale = 1.0
+    for level, table in enumerate(_divided_differences(f_values, seq, n)):
         coeffs.append(table[0])
-        if numeric:
-            scale = max(scale, bound[0])
+        if seq.field.exact:
+            continue
+        if level == 0:
+            nodes = seq.window(0, n)
+            bound = [abs(t) for t in table]
+            scale = max(1.0, *bound)
+            continue
+        for i in range(n + 1 - level):
+            g = abs(nodes[i + level] - nodes[i])
+            node_err = abs(nodes[i + level]) + abs(nodes[i])
+            bound[i] = (
+                (bound[i] + bound[i + 1]
+                 + abs(table[i]) * node_err) / g
+                + abs(table[i])
+            )
+        scale = max(scale, bound[0])
     return coeffs, scale

@@ -453,8 +453,8 @@ class EllipticParams:
             if self.p == 0:
                 for z in range(lo, hi + 1):
                     u = qpow(q, z)
-                    _finite_den(_number_den(u, a, b, self), f"[{z}]")
-                    _finite_den(_weight_den(u, a, b, self), f"W({z})")
+                    _finite_den(_number_den(u, a, b, self, z), f"[{z}]")
+                    _finite_den(_weight_den(u, a, b, self, z), f"W({z})")
                 return None
             memo = self._theta
 
@@ -553,19 +553,21 @@ def _refuse_bad_argument(z, shift, a, b, q) -> None:
         raise DegenerateParameters(refusal) from None
 
 
-def _number_den(u, a, b, params: EllipticParams) -> complex:
-    """The guarded denominator of [z] at u = q^z (off the classical end)."""
+def _number_den(u, a, b, params: EllipticParams, z=None) -> complex:
+    """The guarded denominator of [z] at u = q^z (off the classical end);
+    at p = 0 a refusal names the index z when one is given."""
     q = params.q
     if params.p == 0:
         if a == 0 and b == 0:
-            return _guard(1 - q, "(1 - q)")
+            return _guard(1 - q, "(1 - q)", z)
         if a == 0:
-            return _guard(1 - q, "(1 - q)") * _guard(1 - b * u, "(1 - b q^z)")
+            return (_guard(1 - q, "(1 - q)", z)
+                    * _guard(1 - b * u, "(1 - b q^z)", z))
         return (
-            _guard(1 - q, "(1 - q)")
-            * _guard(1 - a * q, "(1 - a q)")
-            * _guard(1 - b * u, "(1 - b q^z)")
-            * _guard(1 - a * u / b, "(1 - a q^z / b)")
+            _guard(1 - q, "(1 - q)", z)
+            * _guard(1 - a * q, "(1 - a q)", z)
+            * _guard(1 - b * u, "(1 - b q^z)", z)
+            * _guard(1 - a * u / b, "(1 - a q^z / b)", z)
         )
     th = params._theta
     return (
@@ -576,21 +578,22 @@ def _number_den(u, a, b, params: EllipticParams) -> complex:
     )
 
 
-def _weight_den(u, a, b, params: EllipticParams) -> complex:
-    """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k."""
+def _weight_den(u, a, b, params: EllipticParams, z=None) -> complex:
+    """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k.  At
+    p = 0 a refusal names the index, given as z, when one is given."""
     q = params.q
     if params.p == 0:
         if a == 0 and b == 0:
             return 1 + 0j
         if a == 0:
-            return (_guard(1 - b * u, "(1 - b q^k)")
-                    * _guard(1 - b * q * u, "(1 - b q^(k+1))"))
+            return (_guard(1 - b * u, "(1 - b q^k)", z)
+                    * _guard(1 - b * q * u, "(1 - b q^(k+1))", z))
         return (
-            _guard(1 - a * q, "(1 - a q)")
-            * _guard(1 - b * u, "(1 - b q^k)")
-            * _guard(1 - b * q * u, "(1 - b q^(k+1))")
-            * _guard(1 - a * u / b, "(1 - a q^k / b)")
-            * _guard(1 - a * q * u / b, "(1 - a q^(k+1) / b)")
+            _guard(1 - a * q, "(1 - a q)", z)
+            * _guard(1 - b * u, "(1 - b q^k)", z)
+            * _guard(1 - b * q * u, "(1 - b q^(k+1))", z)
+            * _guard(1 - a * u / b, "(1 - a q^k / b)", z)
+            * _guard(1 - a * q * u / b, "(1 - a q^(k+1) / b)", z)
         )
     th = params._theta
     return (

@@ -5,18 +5,25 @@ import io
 import math
 import pathlib
 import random
+import struct
 import time
 from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
-from qelliptic import intpoly
-from qelliptic.cli import _DEGENERATE, _FAMILIES, _degenerate_limit, main
-from qelliptic.errors import DomainError
+from qelliptic import cli, intpoly
+from qelliptic.cli import (
+    _DEGENERATE,
+    _FAMILIES,
+    _build_parser,
+    _degenerate_limit,
+    _resolve_table,
+    main,
+)
+from qelliptic.errors import DegenerateParameters, DomainError
 from qelliptic.eulerian import (
     elliptic_eulerian,
-    elliptic_eulerian_rows,
     elliptic_r_whitney_eulerian,
     elliptic_r_whitney_eulerian_rows,
     eulerian,
@@ -29,7 +36,6 @@ from qelliptic.eulerian import (
 from qelliptic.families import (
     FerrersBoard,
     elliptic_lah,
-    elliptic_lah_rows,
     elliptic_rook,
     elliptic_shifted_stirling,
     elliptic_stirling2,
@@ -393,6 +399,32 @@ def test_window_refusal_names_the_small_factor(capsys):
     assert "refused: denominator factor theta(b q^(z+1)) at z = -5 has modulus " in err
 
 
+def test_p0_window_refusal_names_the_index(capsys):
+    # at p = 0 the window guards the factors (1 - ...) of the closed forms;
+    # 1 - b q^(k+1) is exactly 0 at k = 2 for b = 8, q = 0.5
+    code, out, err = run_cli(
+        capsys, "table", "--family", "lah", "--n", "3", "--seed", "1",
+        "--p=0", "--q=0.5", "--b=8",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate: no generic completion")
+    assert err.rstrip().endswith(
+        "refused: denominator factor (1 - b q^(k+1)) at z = 2 has modulus "
+        "0.000e+00 < 1.0e-06")
+
+
+def test_degenerate_calls_the_library_by_name(capsys, monkeypatch):
+    # a tracer rebinds the library names in the cli module; degenerate must
+    # call through them, not through objects bound at import
+    calls = []
+    rows = cli.elliptic_stirling2_rows
+    monkeypatch.setattr(cli, "elliptic_stirling2_rows",
+                        lambda *args: calls.append(args) or rows(*args))
+    code, out, _ = run_cli(capsys, "degenerate", "--family", "stirling", "--seed", "1")
+    assert code == 0 and "result PASS" in out
+    assert len(calls) == 1
+
+
 # every table entry recomputed by the public entry function, on the
 # parameters the document echoes
 ENTRIES = {
@@ -473,40 +505,114 @@ def _ell(seed):
 
 
 @pytest.mark.parametrize("rows,entry", [
-    # the exact recurrences against their family's explicit route
     (stirling2_rows, lambda n, k: stirling2(n, k, "explicit")),
     (q_stirling2_rows, lambda n, k: q_stirling2(n, k, "explicit")),
     (lambda N: r_whitney_eulerian_rows(N, 1, 0),
      lambda n, k: eulerian(n, k, "explicit")),
     (lambda N: q_r_whitney_eulerian_rows(N, 1, 0),
      lambda n, k: q_eulerian(n, k, "explicit")),
-    (lambda N: r_whitney_eulerian_rows(N, 2, 1, "direct"),
-     lambda n, k: r_whitney_eulerian(n, k, 2, 1, "direct")),
     (lambda N: r_whitney_eulerian_rows(N, 3, 2, "engine"),
-     lambda n, k: r_whitney_eulerian(n, k, 3, 2, "engine")),
-    (lambda N: q_r_whitney_eulerian_rows(N, 2, 1, "recurrence"),
-     lambda n, k: q_r_whitney_eulerian(n, k, 2, 1, "recurrence")),
-    (lambda N: q_r_whitney_eulerian_rows(N, 2, 1, "engine"),
-     lambda n, k: q_r_whitney_eulerian(n, k, 2, 1, "engine")),
-    (lambda N: elliptic_r_whitney_eulerian_rows(N, 2, 1, _ell(3)),
-     lambda n, k: elliptic_r_whitney_eulerian(n, k, 2, 1, _ell(3))),
-    (lambda N: elliptic_stirling2_rows(N, _ell(4)),
-     lambda n, k: elliptic_stirling2(n, k, _ell(4))),
-    (lambda N: elliptic_lah_rows(N, _ell(5)),
-     lambda n, k: elliptic_lah(n, k, _ell(5))),
-    (lambda N: elliptic_eulerian_rows(N, _ell(6)),
-     lambda n, k: elliptic_eulerian(n, k, _ell(6))),
+     lambda n, k: r_whitney_eulerian(n, k, 3, 2, "direct")),
 ])
-def test_row_builders_match_their_entries(rows, entry):
+def test_exact_recurrences_match_the_explicit_route(rows, entry):
     triangle = rows(6)
     assert len(triangle) == 7
     for n, row in enumerate(triangle):
-        want = [entry(n, k) for k in range(n + 1)]
-        if isinstance(want[0], complex):
-            assert all(same_value({"re": g.real, "im": g.imag}, w)
-                       for g, w in zip(row, want, strict=True))
-        else:
-            assert [str(v) for v in row] == [str(w) for w in want]
+        assert [str(v) for v in row] == [str(entry(n, k)) for k in range(n + 1)]
+
+
+# rook boards with n columns, for the n of the builder grid
+BOARDS = {0: (), 1: (1,), 2: (0, 2), 6: (0, 1, 1, 3, 4, 6),
+          10: (1, 1, 2, 3, 3, 5, 6, 6, 8, 9)}
+ROUTES = [(family, route) for family, record in _FAMILIES.items()
+          for route in record.routes]
+
+
+def _resolved(family, route, n, seed, *extra):
+    """The table arguments of the CLI, flags checked and parameters drawn."""
+    argv = ["table", "--family", family, "--route", route, "--seed", str(seed),
+            *extra]
+    if "m" in _FAMILIES[family].flags:
+        argv += ["--m", "2", "--r", "1"]
+    if family == "rook":
+        args = _build_parser().parse_args(argv + ["--board", "1"])
+        args.board = FerrersBoard(BOARDS[n])
+    else:
+        args = _build_parser().parse_args(argv + ["--n", str(n)])
+    _resolve_table(args)
+    return args
+
+
+def _bits(value) -> bytes:
+    # complex values by their IEEE bytes, so the sign of a zero counts
+    if isinstance(value, complex):
+        return struct.pack("<dd", value.real, value.imag)
+    return str(value).encode()
+
+
+def _outcome(compute):
+    try:
+        return "rows", [[_bits(v) for v in row] for row in compute()]
+    except Exception as exc:  # the refusal itself is what is compared
+        return "raised", type(exc), str(exc)
+
+
+def _per_entry_rows(args):
+    """The triangle by the public per-entry function, in (n, k) order, on a
+    fresh copy of the parameters (empty caches)."""
+    e = SimpleNamespace(**vars(args))
+    if "p" in _FAMILIES[args.family].flags:
+        e.ell = EllipticParams(a=args.a, b=args.b, q=args.q, p=args.p)
+    if args.board is not None:
+        e.board = list(args.board.heights)
+    first = args.n if args.family == "rook" else 0
+    return [[ENTRIES[args.family](e, n, k) for k in range(n + 1)]
+            for n in range(first, args.n + 1)]
+
+
+@pytest.mark.parametrize("family,route", ROUTES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_builders_match_their_entries(family, route, seed):
+    built = 0
+    for n in BOARDS:
+        args = _resolved(family, route, n, seed)
+        got = _outcome(lambda: _FAMILIES[family].rows[route](args))
+        # equal to rows 0..n (rook: the one row n) of the entries, or to
+        # their first refusal (the nodes of a deep table can cluster)
+        assert got == _outcome(lambda: _per_entry_rows(args)), n
+        built += got[0] == "rows"
+    assert built >= 4
+
+
+@pytest.mark.parametrize("family,route", [
+    (family, route) for family, route in ROUTES if "a" in _FAMILIES[family].flags])
+@pytest.mark.parametrize("flags", [("--q", "-1"), ("--a", "1")])
+def test_row_builders_refuse_like_their_first_failing_entry(family, route, flags):
+    # q = -1 and a = 1 make elliptic numbers, shifted numbers or node gaps
+    # exactly or nearly 0, and most routes refuse some of these tables; a
+    # builder forms shared pieces once, and must still meet the refusal of
+    # the first entry, in (n, k) order, that the per-entry route refuses
+    compared = 0
+    for seed in (1, 2, 3, 4):
+        for n in (2, 6, 10):
+            try:
+                args = _resolved(family, route, n, seed, *flags)
+            except DegenerateParameters:
+                continue
+            got = _outcome(lambda: _FAMILIES[family].rows[route](args))
+            want = _outcome(lambda: _per_entry_rows(args))
+            if (family, route) in WHOLE_WINDOW_GUARD and want[0] == "raised":
+                got, want = got[:2], want[:2]
+            assert got == want, (seed, n)
+            compared += 1
+    assert compared
+
+
+# general_eulerian_rows(seq, N) guards the node window of its last row,
+# [-N, N + 2], before it grows the triangle, as the table always did; the
+# entry (n, k) guards the window of row n.  Both refuse the same tables,
+# with DegenerateSequence, but may name different close pairs.
+WHOLE_WINDOW_GUARD = {("eeulerian", "engine"), ("erwhitneyeulerian", "recurrence")}
 
 
 @pytest.mark.parametrize("m,r", [(0, 0), (-1, 1), (1, -1)])

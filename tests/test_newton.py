@@ -276,7 +276,7 @@ def test_h_explicit_degree_list_is_bit_identical_numeric(degrees):
 @pytest.mark.parametrize("m,r", [(1, 0), (1, 1), (2, 1), (3, 2)])
 def test_whitney_explicit_rows_equal_the_per_entry_lagrange_loop(m, r):
     N = 12
-    rows = whitney_qr_rows(N, m, r)
+    rows = whitney_qr_rows(N, m, r, "explicit")
     for n in range(N + 1):
         assert len(rows[n]) == n + 1
         for k in range(n + 1):

@@ -154,8 +154,10 @@ def test_guard_scans_each_node_window_once_per_table(capsys, monkeypatch,
     argv = ["table", "--family", family, "--route", route, *size, "--seed", "1"]
     assert main(argv) == 0, capsys.readouterr().err
     assert len(scanned) == len(set(scanned)) == len(set(guarded))
-    # the routes guard per entry, so the memo is what keeps this small
-    assert len(guarded) > len(scanned)
+    # the estirling oracle rows, the erwhitneyeulerian explicit rows and the
+    # eshifted h columns guard each window once; the lah oracle guards per
+    # entry, and the memo is what keeps its scans to one per window
+    assert (len(guarded) > len(scanned)) == (family == "lah")
 
 
 def test_guard_refusal_repeats_its_message():
