@@ -12,28 +12,33 @@ from .errors import (
     QEllipticError,
 )
 from .eulerian import (
+    elliptic_eulerian_rows,
+    elliptic_r_whitney_eulerian_rows,
     eulerian,
-    general_eulerian,
+    eulerian_rows,
     general_eulerian_rows,
     lagrange_delta,
     q_eulerian,
+    q_eulerian_rows,
     q_r_whitney_eulerian,
-    r_whitney_eulerian,
+    q_r_whitney_eulerian_rows,
+    r_whitney_eulerian_rows,
     worpitzky_check,
 )
-from .eulerian import elliptic_eulerian, elliptic_r_whitney_eulerian
 from .families import (
     FerrersBoard,
-    elliptic_lah,
-    elliptic_rook,
-    elliptic_shifted_stirling,
-    elliptic_stirling2,
+    elliptic_lah_rows,
+    elliptic_rook_row,
+    elliptic_shifted_stirling_rows,
+    elliptic_stirling2_rows,
     lah,
     q_stirling2,
-    st_shifted_stirling,
+    q_stirling2_rows,
+    st_shifted_stirling_rows,
     stirling2,
+    stirling2_rows,
     weight_product,
-    whitney_qr,
+    whitney_qr_rows,
 )
 from .newton import (
     AffineWhitneySequence,

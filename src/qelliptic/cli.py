@@ -31,34 +31,24 @@ from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .eulerian import (
     elliptic_eulerian_rows,
     elliptic_r_whitney_eulerian_rows,
-    eulerian,
-    general_eulerian_rows,
-    q_eulerian,
-    q_r_whitney_eulerian,
+    eulerian_rows,
+    q_eulerian_rows,
     q_r_whitney_eulerian_rows,
     r_whitney_eulerian_rows,
 )
 from .families import (
     FerrersBoard,
-    _entry_rows,
     elliptic_lah_rows,
     elliptic_rook_row,
     elliptic_shifted_stirling_rows,
     elliptic_stirling2_rows,
     lah,
-    q_stirling2,
     q_stirling2_rows,
     st_shifted_stirling_rows,
-    stirling2,
     stirling2_rows,
     whitney_qr_rows,
 )
-from .newton import (
-    ClassicalSequence,
-    QNumberSequence,
-    connection_recurrence,
-    h_recurrence_rows,
-)
+from .newton import ClassicalSequence, connection_recurrence
 from .scalars import ExactScalar, residual
 from .suites import SUITE_NAMES, run_suites
 from .theta import EllipticParams, sample_annulus, sample_elliptic_params
@@ -75,7 +65,8 @@ EXIT_DEGENERATE = 3
 
 class _Family(NamedTuple):
     """One table family: its flags, and for each route (the first is the
-    default) the builder args -> rows 0..args.n of its triangle."""
+    default) the builder args -> rows 0..args.n of its triangle; one
+    builder serves every route, reading args.route."""
 
     flags: tuple[str, ...]
     rows: dict[str, Callable]
@@ -83,12 +74,6 @@ class _Family(NamedTuple):
     @property
     def routes(self) -> tuple[str, ...]:
         return tuple(self.rows)
-
-
-def _each_entry(entry: Callable) -> Callable:
-    """The builder of an exact route whose entries share no work: rows of
-    entry(args, n, k)."""
-    return lambda args: _entry_rows(args.n, lambda n, k: entry(args, n, k))
 
 
 _MR = ("m", "r")
@@ -102,13 +87,12 @@ _FLAGS = _MR + _ST + _ELLIPTIC + ("board",)
 # rejected before computing.  Builders name library functions inside their
 # lambdas, so a rebinding of those names (a tracer) sees every call.
 _FAMILIES = {
-    "stirling": _Family((), {
-        "recurrence": lambda args: stirling2_rows(args.n),
-        "explicit": _each_entry(lambda args, n, k: stirling2(n, k, "explicit"))}),
-    "qstirling": _Family((), {
-        "recurrence": lambda args: q_stirling2_rows(args.n),
-        "explicit": _each_entry(lambda args, n, k: q_stirling2(n, k, "explicit")),
-        "h": lambda args: h_recurrence_rows(args.n, QNumberSequence())}),
+    "stirling": _Family((), dict.fromkeys(
+        ("recurrence", "explicit"),
+        lambda args: stirling2_rows(args.n, args.route))),
+    "qstirling": _Family((), dict.fromkeys(
+        ("recurrence", "explicit", "h"),
+        lambda args: q_stirling2_rows(args.n, args.route))),
     "estirling": _Family(_ELLIPTIC, dict.fromkeys(
         ("recurrence", "h", "explicit", "oracle"),
         lambda args: elliptic_stirling2_rows(args.n, args.params, args.route))),
@@ -130,23 +114,18 @@ _FAMILIES = {
     "lah": _Family(_ELLIPTIC, dict.fromkeys(
         ("recurrence", "explicit", "oracle"),
         lambda args: elliptic_lah_rows(args.n, args.params, args.route))),
-    "eulerian": _Family((), {
-        "recurrence": lambda args: r_whitney_eulerian_rows(args.n, 1, 0, "direct"),
-        "explicit": _each_entry(lambda args, n, k: eulerian(n, k, "explicit"))}),
-    "qeulerian": _Family((), {
-        "recurrence": lambda args: q_r_whitney_eulerian_rows(args.n, 1, 0, "recurrence"),
-        "explicit": _each_entry(lambda args, n, k: q_eulerian(n, k, "explicit")),
-        "engine": lambda args: general_eulerian_rows(QNumberSequence(), args.n)}),
+    "eulerian": _Family((), dict.fromkeys(
+        ("recurrence", "explicit"),
+        lambda args: eulerian_rows(args.n, args.route))),
+    "qeulerian": _Family((), dict.fromkeys(
+        ("recurrence", "explicit", "engine"),
+        lambda args: q_eulerian_rows(args.n, args.route))),
     "rwhitneyeulerian": _Family(_MR, dict.fromkeys(
         ("direct", "engine"),
         lambda args: r_whitney_eulerian_rows(args.n, args.m, args.r, args.route))),
-    "qrwhitneyeulerian": _Family(_MR, {
-        "recurrence": lambda args: q_r_whitney_eulerian_rows(
-            args.n, args.m, args.r, "recurrence"),
-        "explicit": _each_entry(lambda args, n, k: q_r_whitney_eulerian(
-            n, k, args.m, args.r, "explicit")),
-        "engine": lambda args: q_r_whitney_eulerian_rows(
-            args.n, args.m, args.r, "engine")}),
+    "qrwhitneyeulerian": _Family(_MR, dict.fromkeys(
+        ("recurrence", "explicit", "engine"),
+        lambda args: q_r_whitney_eulerian_rows(args.n, args.m, args.r, args.route))),
     "eeulerian": _Family(_ELLIPTIC, dict.fromkeys(
         ("recurrence", "explicit", "engine"),
         lambda args: elliptic_eulerian_rows(args.n, args.params, args.route))),
@@ -413,12 +392,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if failing == 0 else EXIT_CHECK_FAILED
 
 
-def _degenerate_q(family, elliptic_rows, q_rows, classical, N, tol, rng, out) -> bool:
+def _degenerate_q(family, elliptic_rows, q_rows, classical_rows, N, tol, rng,
+                  out) -> bool:
     """Elliptic at p = a = b = 0 against the exact q triangle, then q = 1
     against the classical one."""
     qv = sample_annulus(rng, 0.4, 0.9)
     rows = elliptic_rows(N, EllipticParams(a=0, b=0, q=qv, p=0))
     exact = q_rows(N)
+    classical = classical_rows(N)
     dev_q = 0.0
     dev_classical = 0.0
     for n in range(N + 1):
@@ -426,7 +407,7 @@ def _degenerate_q(family, elliptic_rows, q_rows, classical, N, tol, rng, out) ->
             dev_q = max(dev_q, residual(rows[n][k], exact[n][k].evaluate(qv)))
             dev_classical = max(
                 dev_classical,
-                abs(exact[n][k].evaluate(1.0) - classical(n, k)),
+                abs(exact[n][k].evaluate(1.0) - classical[n][k]),
             )
     out.write(f"family {family}  N={N}  q={_fmt_numeric(qv)}\n")
     out.write(f"  elliptic -> exact q analogue  max rel dev {dev_q:.3e}\n")
@@ -459,12 +440,11 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
 # lambdas look the library functions up when called, as _FAMILIES does
 _DEGENERATE = {
     "stirling": (lambda *run: _degenerate_q(
-        "stirling", elliptic_stirling2_rows, q_stirling2_rows, stirling2, *run),
-        lambda n, k: stirling2(n, k), 7, 1e-9),
+        "stirling", elliptic_stirling2_rows, q_stirling2_rows, stirling2_rows, *run),
+        lambda n, k: stirling2_rows(n)[n][k], 7, 1e-9),
     "eulerian": (lambda *run: _degenerate_q(
-        "eulerian", elliptic_eulerian_rows,
-        lambda N: q_r_whitney_eulerian_rows(N, 1, 0, "recurrence"), eulerian, *run),
-        lambda n, k: eulerian(n, k), 6, 1e-8),
+        "eulerian", elliptic_eulerian_rows, q_eulerian_rows, eulerian_rows, *run),
+        lambda n, k: eulerian_rows(n)[n][k], 6, 1e-8),
     "lah": (_degenerate_lah, lambda n, k: lah(n, k), 6, 1e-8),
 }
 

@@ -26,7 +26,7 @@ behind it (lagrange_delta) are exported as executable checks.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .families import _bad_route, _check_entry, _entry_rows, _grow_rows
@@ -41,6 +41,7 @@ from .newton import (
 from .scalars import (
     EXACT_Q,
     ExactScalar,
+    _checked_power,
     q_binomial,
     q_int_power,
     q_number,
@@ -54,18 +55,16 @@ from .theta import (
 
 __all__ = [
     "eulerian",
+    "eulerian_rows",
     "q_eulerian",
-    "r_whitney_eulerian",
+    "q_eulerian_rows",
     "r_whitney_eulerian_rows",
     "q_r_whitney_eulerian",
     "q_r_whitney_eulerian_rows",
-    "elliptic_eulerian",
     "elliptic_eulerian_rows",
     "elliptic_eulerian_scaled",
-    "elliptic_r_whitney_eulerian",
     "elliptic_r_whitney_eulerian_rows",
     "elliptic_r_whitney_eulerian_scaled",
-    "general_eulerian",
     "general_eulerian_scaled",
     "general_eulerian_rows",
     "worpitzky_check",
@@ -78,8 +77,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _guard_window(seq: ValueSequence, n: int) -> None:
-    # the recurrence and the explicit sum subtract nodes across [-n, n+2];
-    # refuse the whole window if any two of them (nearly) coincide
+    # row n of the recurrence and of the explicit sum subtracts nodes
+    # across [-n, n+2]; refuse the whole window if any two of them
+    # (nearly) coincide
     if not seq.field.exact:
         pairwise_distinct_guard(seq.window(-n, n + 2), seq.field)
 
@@ -106,7 +106,10 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
     if N < 0:
         raise DomainError("need N >= 0")
     field = seq.field
-    _guard_window(seq, N)
+    # row by row, so a refusal names the close pair that the first
+    # refusing row names; the windows nest, so the verdict is the last's
+    for n in range(N + 1):
+        _guard_window(seq, n)
 
     if field.exact:
         # c -> (L, W(c, L)) for the last L asked; rows grow in order, so
@@ -157,7 +160,7 @@ def _general_explicit_value(n: int, k: int, seq: ValueSequence):
                 num = seq[n - k + 1] - seq[i - k]
                 den = seq[-j] - seq[i - k]
                 ratio = ratio * field.div(num, den)
-        terms.append(ratio * seq[-j] ** n)
+        terms.append(ratio * _checked_power(seq[-j], n))
     total = field.zero
     for t in terms:
         total = total + t
@@ -171,19 +174,6 @@ def _general_explicit_rows(seq: ValueSequence, N: int) -> list[list]:
         _guard_window(seq, n)
         rows.append([_general_explicit_value(n, k, seq)[0] for k in range(n + 1)])
     return rows
-
-
-def general_eulerian(n: int, k: int, seq: ValueSequence,
-                     route: str = "recurrence"):
-    """One entry of the Eulerian triangle over arbitrary nodes."""
-    _check_entry(n, k)
-    if k > n:
-        return seq.field.zero
-    if route == "recurrence":
-        return general_eulerian_rows(seq, n)[n][k]
-    if route == "explicit":
-        return general_eulerian_scaled(n, k, seq)[0]
-    raise _bad_route(route, ("recurrence", "explicit"))
 
 
 def general_eulerian_scaled(n: int, k: int, seq: ValueSequence):
@@ -314,53 +304,67 @@ def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,
 # classical and q
 # ---------------------------------------------------------------------------
 
-def eulerian(n: int, k: int, route: str = "recurrence") -> int:
-    """Descent counts A(n, k); row 3 reads 0, 1, 4, 1.  The recurrence is
-    the r-Whitney triangle at m = 1, r = 0."""
-    _check_entry(n, k)
-    if k > n:
-        return 0
+def eulerian_rows(N: int, route: str = "recurrence") -> list[list[int]]:
+    """Rows 0..N of the descent counts A(n, k): "recurrence" is the
+    r-Whitney triangle at m = 1, r = 0, "explicit" a table of eulerian;
+    the recurrence's rows are cached, so callers must not mutate them."""
+    _check_entry(N)
     if route == "recurrence":
-        return r_whitney_eulerian_rows(n, 1, 0, "direct")[n][k]
+        return r_whitney_eulerian_rows(N, 1, 0, "direct")
     if route == "explicit":
-        return sum(
-            (-1) ** j * math.comb(n + 1, j) * (k - j) ** n for j in range(k + 1)
-        )
+        return _entry_rows(N, eulerian)
     raise _bad_route(route, ("recurrence", "explicit"))
 
 
-def q_eulerian(n: int, k: int, route: str = "recurrence") -> ExactScalar:
-    """q-Eulerian numbers, exact in q.
+def eulerian(n: int, k: int) -> int:
+    """Descent counts A(n, k) by the alternating explicit sum; row 3
+    reads 0, 1, 4, 1."""
+    _check_entry(n, k)
+    if k > n:
+        return 0
+    return sum(
+        (-1) ** j * math.comb(n + 1, j) * (k - j) ** n for j in range(k + 1)
+    )
+
+
+def q_eulerian_rows(N: int, route: str = "recurrence") -> list[list[ExactScalar]]:
+    """Rows 0..N of the q-Eulerian triangle, exact in q.
 
     The recurrence uses the multipliers [n-k+2]_q and q^(n-k+1) [k]_q: it
-    is the q-deformed r-Whitney triangle at m = 1, r = 0.  The explicit
-    route is the alternating sum with Gaussian binomials;
-    "engine" runs the generic machinery over the nodes [i]_q, exercising
-    the same gap quotients the elliptic level needs.  Row n sums to
-    [n]_q! whichever way it is computed.
+    is the q-deformed r-Whitney triangle at m = 1, r = 0.  "explicit" is
+    a table of q_eulerian; "engine" runs the generic machinery over the
+    nodes [i]_q, exercising the same gap quotients the elliptic level
+    needs.  Row n sums to [n]_q! whichever way it is computed.  The
+    recurrence's rows are cached, so callers must not mutate them.
     """
+    _check_entry(N)
+    if route == "recurrence":
+        return q_r_whitney_eulerian_rows(N, 1, 0, "recurrence")
+    if route == "explicit":
+        return _entry_rows(N, q_eulerian)
+    if route == "engine":
+        return general_eulerian_rows(QNumberSequence(), N)
+    raise _bad_route(route, ("recurrence", "explicit", "engine"))
+
+
+def q_eulerian(n: int, k: int) -> ExactScalar:
+    """q-Eulerian numbers by the alternating sum with Gaussian binomials."""
     _check_entry(n, k)
     if k > n:
         return EXACT_Q.zero
-    if route == "recurrence":
-        return q_r_whitney_eulerian_rows(n, 1, 0, "recurrence")[n][k]
-    if route == "explicit":
-        total = EXACT_Q.zero
-        for j in range(k + 1):
-            term = (
-                ExactScalar.q_power(math.comb(j, 2))
-                * q_binomial(n + 1, j)
-                * q_int_power(k - j, n)
-            )
-            if j % 2:
-                term = -term
-            total = total + term
-        return ExactScalar.q_power(
-            math.comb(n - k + 1, 2) - math.comb(k, 2)
-        ) * total
-    if route == "engine":
-        return general_eulerian(n, k, QNumberSequence())
-    raise _bad_route(route, ("recurrence", "explicit", "engine"))
+    total = EXACT_Q.zero
+    for j in range(k + 1):
+        term = (
+            ExactScalar.q_power(math.comb(j, 2))
+            * q_binomial(n + 1, j)
+            * q_int_power(k - j, n)
+        )
+        if j % 2:
+            term = -term
+        total = total + term
+    return ExactScalar.q_power(
+        math.comb(n - k + 1, 2) - math.comb(k, 2)
+    ) * total
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +393,18 @@ def r_whitney_eulerian_rows(N: int, m: int, r: int,
     raise _bad_route(route, ("direct", "engine"))
 
 
-def r_whitney_eulerian(n: int, k: int, m: int, r: int,
-                       route: str = "direct") -> int:
-    """Eulerian numbers over the affine nodes m i - r, integer valued."""
-    _check_entry(n, k)
-    _check_whitney(m, r)
-    if k > n:
-        return 0
-    return r_whitney_eulerian_rows(n, m, r, route)[n][k]
-
-
 @lru_cache(maxsize=None)
 def q_r_whitney_eulerian_rows(N: int, m: int, r: int,
                               route: str = "recurrence") -> list[list[ExactScalar]]:
-    """Rows 0..N of the q-deformed r-Whitney Eulerian triangle, by the
-    direct triangle or the generic engine over the nodes [m i - r]_q;
-    cached, so callers must not mutate the rows."""
+    """Rows 0..N of the q-deformed r-Whitney Eulerian triangle, exact in q.
+
+    Three routes: the direct triangle with multipliers
+    [m(n-k+2) - r]_q and q^(m(n+1) - mk - r) [mk + r]_q, a table of the
+    explicit sums of q_r_whitney_eulerian, and the generic engine over
+    the nodes [m i - r]_q.  m = 1, r = 0 collapses everything onto the
+    plain q-Eulerian triangle.  Cached per argument tuple, so callers
+    must not mutate the rows.
+    """
     _check_entry(N)
     _check_whitney(m, r)
     if route == "recurrence":
@@ -413,42 +413,33 @@ def q_r_whitney_eulerian_rows(N: int, m: int, r: int,
             lambda n, k, x: q_number(m * (n - k + 2) - r) * x,
             lambda n, k, x: (ExactScalar.q_power(m * (n + 1) - m * k - r)
                              * q_number(m * k + r) * x))
+    if route == "explicit":
+        return _entry_rows(N, lambda n, k: q_r_whitney_eulerian(n, k, m, r))
     if route == "engine":
         return general_eulerian_rows(QWhitneySequence(m, r), N)
-    raise _bad_route(route, ("recurrence", "engine"))
+    raise _bad_route(route, ("recurrence", "explicit", "engine"))
 
 
-def q_r_whitney_eulerian(n: int, k: int, m: int, r: int,
-                         route: str = "recurrence") -> ExactScalar:
-    """q-deformed r-Whitney Eulerian numbers, exact in q.
-
-    Three routes again: the direct triangle with multipliers
-    [m(n-k+2) - r]_q and q^(m(n+1) - mk - r) [mk + r]_q, the alternating
-    explicit sum whose binomials live in base q^m, and the generic engine
-    over the nodes [m i - r]_q.  m = 1, r = 0 collapses everything onto
-    the plain q-Eulerian triangle.
-    """
+def q_r_whitney_eulerian(n: int, k: int, m: int, r: int) -> ExactScalar:
+    """q-deformed r-Whitney Eulerian numbers by the alternating explicit
+    sum, whose binomials live in base q^m."""
     _check_entry(n, k)
     _check_whitney(m, r)
     if k > n:
         return EXACT_Q.zero
-    if route in ("recurrence", "engine"):
-        return q_r_whitney_eulerian_rows(n, m, r, route)[n][k]
-    if route == "explicit":
-        total = EXACT_Q.zero
-        for j in range(k + 1):
-            term = (
-                ExactScalar.q_power(
-                    m * math.comb(n - j + 1, 2) - n * (m * (k - j) + r)
-                )
-                * q_binomial(n + 1, j).stretch(m)
-                * q_int_power(m * (k - j) + r, n)
+    total = EXACT_Q.zero
+    for j in range(k + 1):
+        term = (
+            ExactScalar.q_power(
+                m * math.comb(n - j + 1, 2) - n * (m * (k - j) + r)
             )
-            if j % 2:
-                term = -term
-            total = total + term
-        return total
-    raise _bad_route(route, ("recurrence", "explicit", "engine"))
+            * q_binomial(n + 1, j).stretch(m)
+            * q_int_power(m * (k - j) + r, n)
+        )
+        if j % 2:
+            term = -term
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +460,18 @@ def _shifted_divisor(z: int, shift: tuple[int, int], params: EllipticParams) -> 
 
 def elliptic_eulerian_rows(N: int, params: EllipticParams,
                            route: str = "recurrence") -> list[list[complex]]:
-    """Rows 0..N of the elliptic Eulerian triangle by one route of
-    elliptic_eulerian: "recurrence" keeps the correction product in its
-    weight form, "explicit" forms each power [-j]^n once per row, and
-    "engine" is the generic triangle over the nodes [i]."""
+    """Rows 0..N of the Eulerian triangle over elliptic nodes [i].
+
+    The "recurrence" route keeps the correction product in its weight
+    form, every factor a shifted number or weight with its own
+    degeneracy guard; "explicit" is the interpolation sum after the
+    weights cancel, each power [-j]^n formed once per row; "engine"
+    recomputes either from raw node gaps.  The three agree up to the
+    conditioning of the gaps encountered.
+    """
     _check_entry(N)
     if route == "explicit":
-        power = cache(lambda j, n: elliptic_number(-j, params) ** n)
+        power = cache(partial(_elliptic_power, params))
         return _entry_rows(N, lambda n, k: sum(
             _elliptic_explicit_terms(n, k, params, power), complex(0.0)))
     if route == "engine":
@@ -497,6 +493,10 @@ def elliptic_eulerian_rows(N: int, params: EllipticParams,
                       lambda n, k, x: elliptic_number(n - k + 2, params) * x, right)
 
 
+def _elliptic_power(params: EllipticParams, j: int, n: int) -> complex:
+    return _checked_power(elliptic_number(-j, params), n)
+
+
 def _elliptic_explicit_terms(n: int, k: int, params: EllipticParams,
                              power) -> list[complex]:
     # power(j, n) = [-j]^n
@@ -512,44 +512,22 @@ def _elliptic_explicit_terms(n: int, k: int, params: EllipticParams,
     return terms
 
 
-def elliptic_eulerian(n: int, k: int, params: EllipticParams,
-                      route: str = "recurrence") -> complex:
-    """Eulerian numbers over elliptic nodes [i].
-
-    The "recurrence" route keeps the correction product in its weight
-    form, every factor a shifted number or weight with its own
-    degeneracy guard; "explicit" is the interpolation sum after the
-    weights cancel; "engine" recomputes either from raw node gaps.  The
-    three agree up to the conditioning of the gaps encountered.
-    """
-    _check_entry(n, k)
-    if k > n:
-        return complex(0.0)
-    if route == "recurrence":
-        return elliptic_eulerian_rows(n, params)[n][k]
-    if route == "explicit":
-        return elliptic_eulerian_scaled(n, k, params)[0]
-    if route == "engine":
-        return general_eulerian(n, k, EllipticSequence(params))
-    raise _bad_route(route, ("recurrence", "explicit", "engine"))
-
-
 def elliptic_eulerian_scaled(n: int, k: int,
                              params: EllipticParams) -> tuple[complex, float]:
     """Explicit-route entry and its largest summand magnitude."""
     _check_entry(n, k)
     if k > n:
         return complex(0.0), 1.0
-    terms = _elliptic_explicit_terms(
-        n, k, params, lambda j, e: elliptic_number(-j, params) ** e)
+    terms = _elliptic_explicit_terms(n, k, params, partial(_elliptic_power, params))
     return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
 
 
 def elliptic_r_whitney_eulerian_rows(
         N: int, m: int, r: int, params: EllipticParams,
         route: str = "recurrence") -> list[list[complex]]:
-    """Rows 0..N over the elliptic nodes [m i - r], by the engine
-    ("recurrence") or its explicit sum on one node sequence."""
+    """Rows 0..N of the Eulerian triangle over the elliptic nodes
+    [m i - r], by the engine ("recurrence") or its explicit sum on one
+    node sequence."""
     _check_whitney(m, r)
     seq = EllipticSequence(params, scale=m, offset=-r)
     if route == "recurrence":
@@ -557,21 +535,6 @@ def elliptic_r_whitney_eulerian_rows(
     if route == "explicit":
         _check_entry(N)
         return _general_explicit_rows(seq, N)
-    raise _bad_route(route, ("recurrence", "explicit"))
-
-
-def elliptic_r_whitney_eulerian(n: int, k: int, m: int, r: int,
-                                params: EllipticParams,
-                                route: str = "recurrence") -> complex:
-    """Eulerian triangle over the elliptic nodes [m i - r], via the engine."""
-    _check_entry(n, k)
-    _check_whitney(m, r)
-    if k > n:
-        return complex(0.0)
-    if route == "recurrence":
-        return elliptic_r_whitney_eulerian_rows(n, m, r, params)[n][k]
-    if route == "explicit":
-        return elliptic_r_whitney_eulerian_scaled(n, k, m, r, params)[0]
     raise _bad_route(route, ("recurrence", "explicit"))
 
 

@@ -8,6 +8,10 @@ divided-difference oracle.  The routes share no intermediate formulas;
 their agreement is the correctness argument, and the check suites replay
 it at runtime.
 
+Each family is one builder, ``*_rows(N, ..., route)``, that returns rows
+0..N by the route named; the per-entry forms are the ``*_scaled``
+variants, the exact explicit sums and ``lah``.
+
 The elliptic families take an EllipticParams pack and return complex
 values.  Their explicit sums cancel heavily once the triangle gets deep,
 because elliptic numbers cluster the way q-numbers do; the *_scaled
@@ -29,6 +33,7 @@ from functools import cache, lru_cache, partial
 from .errors import DegenerateParameters, DomainError
 from .newton import (
     EllipticSequence,
+    QNumberSequence,
     QWhitneySequence,
     STSequence,
     ValueSequence,
@@ -37,14 +42,13 @@ from .newton import (
     _divided_differences,
     connection_explicit_scaled,
     h_explicit_rows,
-    h_explicit_scaled,
-    h_recurrence,
     h_recurrence_rows,
     newton_oracle_scaled,
 )
 from .scalars import (
     EXACT_Q,
     ExactScalar,
+    _checked_power,
     q_binomial,
     q_factorial,
     q_int_power,
@@ -62,22 +66,16 @@ __all__ = [
     "stirling2_rows",
     "q_stirling2",
     "q_stirling2_rows",
-    "elliptic_stirling2",
     "elliptic_stirling2_rows",
     "elliptic_stirling2_scaled",
-    "whitney_qr",
     "whitney_qr_rows",
-    "st_shifted_stirling",
     "st_shifted_stirling_rows",
-    "elliptic_shifted_stirling",
     "elliptic_shifted_stirling_rows",
     "weight_product",
     "FerrersBoard",
-    "elliptic_rook",
     "elliptic_rook_row",
     "elliptic_rook_scaled",
     "lah",
-    "elliptic_lah",
     "elliptic_lah_rows",
     "elliptic_lah_scaled",
 ]
@@ -124,8 +122,8 @@ def _grow_rows(N: int, one, zero, left, right) -> list[list]:
 
 def _entry_rows(N: int, entry) -> list[list]:
     """Rows 0..N of entry(n, k), formed in (n, k) order: a route whose
-    entries share cached pieces meets its first refusal where the
-    per-entry route does."""
+    entries share cached pieces meets its first refusal where an
+    entry-by-entry computation does."""
     return [[entry(n, k) for k in range(n + 1)] for n in range(N + 1)]
 
 
@@ -134,74 +132,70 @@ def _entry_rows(N: int, entry) -> list[list]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def stirling2_rows(N: int) -> list[list[int]]:
-    """Rows 0..N of the set-partition triangle, S(n+1, k) = S(n, k-1) +
-    k S(n, k); cached per N, so callers must not mutate the rows."""
+def stirling2_rows(N: int, route: str = "recurrence") -> list[list[int]]:
+    """Rows 0..N of the set-partition triangle: "recurrence" is
+    S(n+1, k) = S(n, k-1) + k S(n, k), "explicit" a table of stirling2.
+    Cached per argument tuple, so callers must not mutate the rows."""
     _check_entry(N)
-    return _grow_rows(N, 1, 0, lambda n, k, x: x, lambda n, k, x: k * x)
-
-
-def stirling2(n: int, k: int, route: str = "recurrence") -> int:
-    """Set-partition counts S(n, k)."""
-    _check_entry(n, k)
-    if k > n:
-        return 0
     if route == "recurrence":
-        return stirling2_rows(n)[n][k]
+        return _grow_rows(N, 1, 0, lambda n, k, x: x, lambda n, k, x: k * x)
     if route == "explicit":
-        total = sum(
-            (-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)
-        )
-        fact = math.factorial(k)
-        assert total % fact == 0
-        return total // fact
+        return _entry_rows(N, stirling2)
     raise _bad_route(route, ("recurrence", "explicit"))
 
 
+def stirling2(n: int, k: int) -> int:
+    """Set-partition counts S(n, k) by the alternating explicit sum."""
+    _check_entry(n, k)
+    if k > n:
+        return 0
+    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    fact = math.factorial(k)
+    assert total % fact == 0
+    return total // fact
+
+
 @lru_cache(maxsize=None)
-def q_stirling2_rows(N: int) -> list[list[ExactScalar]]:
-    """Rows 0..N of the q-Stirling triangle, with multiplier [k]_q; cached
-    per N, so callers must not mutate the rows."""
-    _check_entry(N)
-    return _grow_rows(N, EXACT_Q.one, EXACT_Q.zero, lambda n, k, x: x,
-                      lambda n, k, x: q_number(k) * x)
-
-
-def q_stirling2(n: int, k: int, route: str = "recurrence") -> ExactScalar:
-    """q-Stirling numbers of the second kind, exact in q.
-
-    Three routes: the triangle recurrence
+def q_stirling2_rows(N: int, route: str = "recurrence") -> list[list[ExactScalar]]:
+    """Rows 0..N of the q-Stirling triangle, exact in q, by three routes:
+    the triangle recurrence
 
         S(n+1, k) = S(n, k-1) + [k]_q S(n, k),
 
-    the alternating explicit sum
+    a table of the explicit sums of q_stirling2, and "h", the complete
+    homogeneous specialization h_{n-k}([0]_q .. [k]_q).  All three
+    produce the same canonical rational functions.  Cached per argument
+    tuple, so callers must not mutate the rows."""
+    _check_entry(N)
+    if route == "recurrence":
+        return _grow_rows(N, EXACT_Q.one, EXACT_Q.zero, lambda n, k, x: x,
+                          lambda n, k, x: q_number(k) * x)
+    if route == "explicit":
+        return _entry_rows(N, q_stirling2)
+    if route == "h":
+        return h_recurrence_rows(N, QNumberSequence())
+    raise _bad_route(route, ("recurrence", "explicit", "h"))
 
-        q^-C(k,2) / [k]_q!  sum_j (-1)^j q^C(j,2) qbinom(k, j) [k-j]_q^n,
 
-    and the complete homogeneous specialization h_{n-k}([0]_q .. [k]_q).
-    All three produce the same canonical rational function; the tests
-    compare them structurally, not numerically.
+def q_stirling2(n: int, k: int) -> ExactScalar:
+    """q-Stirling numbers of the second kind by the alternating sum
+
+        q^-C(k,2) / [k]_q!  sum_j (-1)^j q^C(j,2) qbinom(k, j) [k-j]_q^n.
     """
     _check_entry(n, k)
     if k > n:
         return EXACT_Q.zero
-    if route == "recurrence":
-        return q_stirling2_rows(n)[n][k]
-    if route == "explicit":
-        total = EXACT_Q.zero
-        for j in range(k + 1):
-            term = (
-                ExactScalar.q_power(math.comb(j, 2))
-                * q_binomial(k, j)
-                * q_int_power(k - j, n)
-            )
-            if j % 2:
-                term = -term
-            total = total + term
-        return ExactScalar.q_power(-math.comb(k, 2)) / q_factorial(k) * total
-    if route == "h":
-        return h_recurrence(n - k, [q_number(i) for i in range(k + 1)], EXACT_Q)
-    raise _bad_route(route, ("recurrence", "explicit", "h"))
+    total = EXACT_Q.zero
+    for j in range(k + 1):
+        term = (
+            ExactScalar.q_power(math.comb(j, 2))
+            * q_binomial(k, j)
+            * q_int_power(k - j, n)
+        )
+        if j % 2:
+            term = -term
+        total = total + term
+    return ExactScalar.q_power(-math.comb(k, 2)) / q_factorial(k) * total
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +204,17 @@ def q_stirling2(n: int, k: int, route: str = "recurrence") -> ExactScalar:
 
 def elliptic_stirling2_rows(N: int, params: EllipticParams,
                             route: str = "recurrence") -> list[list[complex]]:
-    """Rows 0..N of the elliptic Stirling triangle by one route of
-    elliptic_stirling2: "recurrence" with multiplier [k], "h" by one
-    prefix recurrence, "explicit" with each denominator formed once per
-    (k, j), and "oracle" with one divided-difference table per row."""
+    """Rows 0..N of the Stirling triangle over elliptic numbers.
+
+    Routes: "recurrence" is the triangle with multiplier [k]; "h" runs
+    one prefix recurrence of the generic complete homogeneous engine
+    over the nodes [0], [1], ...; "explicit" is the weighted
+    interpolation sum whose denominators are assembled, once per (k, j),
+    from weights and base-shifted numbers rather than raw node gaps;
+    "oracle" reads row n off one divided-difference table of the power
+    function.  Agreement of "explicit" with the others exercises the
+    addition rule at every node pair.
+    """
     _check_entry(N)
     if route == "recurrence":
         return _grow_rows(N, complex(1.0), complex(0.0), lambda n, k, x: x,
@@ -227,8 +228,13 @@ def elliptic_stirling2_rows(N: int, params: EllipticParams,
     if route == "oracle":
         seq = EllipticSequence(params)
         return [[table[0] for table in _divided_differences(
-            [seq[m] ** n for m in range(n + 1)], seq, n)] for n in range(N + 1)]
+            _powers(seq, n), seq, n)] for n in range(N + 1)]
     raise _bad_route(route, ("recurrence", "h", "explicit", "oracle"))
+
+
+def _powers(seq: EllipticSequence, n: int) -> list[complex]:
+    # the oracle's function values [m]^n at the nodes m = 0..n
+    return [_checked_power(seq[m], n) for m in range(n + 1)]
 
 
 def _elliptic_stirling2_denominator(params: EllipticParams, k: int,
@@ -250,34 +256,9 @@ def _elliptic_stirling2_terms(n: int, k: int, params: EllipticParams,
     terms = []
     for j in range(k + 1):
         den = denominator(k, j)
-        terms.append(elliptic_number(k - j, params) ** n
+        terms.append(_checked_power(elliptic_number(k - j, params), n)
                      / _nonzero(den, f"explicit term j = {j} of ({n}, {k})"))
     return terms
-
-
-def elliptic_stirling2(n: int, k: int, params: EllipticParams,
-                       route: str = "recurrence") -> complex:
-    """Stirling numbers of the second kind over elliptic numbers.
-
-    Routes: "recurrence" is the triangle with multiplier [k]; "h" runs
-    the generic complete homogeneous engine over the nodes [0] .. [k];
-    "explicit" is the weighted interpolation sum whose denominators are
-    assembled from weights and base-shifted numbers rather than raw node
-    gaps; "oracle" reads the coefficient off a divided-difference table
-    of the power function.  Agreement of "explicit" with the others
-    exercises the addition rule at every node pair.
-    """
-    _check_entry(n, k)
-    if k > n:
-        return complex(0.0)
-    if route == "recurrence":
-        return elliptic_stirling2_rows(n, params)[n][k]
-    if route == "h":
-        seq = EllipticSequence(params)
-        return h_recurrence(n - k, seq.window(0, k), seq.field)
-    if route in ("explicit", "oracle"):
-        return elliptic_stirling2_scaled(n, k, params, route)[0]
-    raise _bad_route(route, ("recurrence", "h", "explicit", "oracle"))
 
 
 def elliptic_stirling2_scaled(n: int, k: int, params: EllipticParams,
@@ -298,8 +279,7 @@ def elliptic_stirling2_scaled(n: int, k: int, params: EllipticParams,
         return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
     if route == "oracle":
         seq = EllipticSequence(params)
-        fvals = [seq[m] ** n for m in range(n + 1)]
-        coeffs, scale = newton_oracle_scaled(fvals, seq, n)
+        coeffs, scale = newton_oracle_scaled(_powers(seq, n), seq, n)
         return coeffs[k], scale
     raise _bad_route(route, ("explicit", "oracle"))
 
@@ -308,39 +288,16 @@ def elliptic_stirling2_scaled(n: int, k: int, params: EllipticParams,
 # q-deformed r-Whitney numbers and their (s, t) and elliptic extensions
 # ---------------------------------------------------------------------------
 
-def whitney_qr(n: int, k: int, m: int, r: int, route: str = "recurrence",
-               normalized: bool = False) -> ExactScalar:
-    """r-Whitney numbers of the second kind, q-deformed, exact.
-
-    The raw value is h_{n-k} over the nodes [r]_q, [m+r]_q, ..., [km+r]_q.
-    With normalized=True the result carries the extra factor
-    q^(kr + m C(k,2)) that makes the m = r = 1 column match the shifted
-    set-partition triangle at q = 1.
-    """
-    _check_entry(n, k)
-    if m < 0 or r < 0:
-        raise DomainError("whitney parameters need m >= 0 and r >= 0")
-    if k > n:
-        return EXACT_Q.zero
-    nodes = [q_number(m * i + r) for i in range(k + 1)]
-    if route == "recurrence":
-        value = h_recurrence(n - k, nodes, EXACT_Q)
-    elif route == "explicit":
-        value = h_explicit_scaled(n - k, nodes, EXACT_Q)[0]
-    else:
-        raise _bad_route(route, ("recurrence", "explicit"))
-    if normalized:
-        value = value * ExactScalar.q_power(k * r + m * math.comb(k, 2))
-    return value
-
-
 def whitney_qr_rows(N: int, m: int, r: int,
                     route: str = "recurrence") -> list[list[ExactScalar]]:
-    """Rows 0..N of the raw r-Whitney triangle by one route of whitney_qr.
+    """Rows 0..N of the r-Whitney numbers of the second kind, q-deformed,
+    exact.
 
     Column k is h_{n-k} over the nodes [r]_q .. [km+r]_q for n = k..N:
     "recurrence" is one prefix recurrence over [r]_q .. [Nm+r]_q, and
-    "explicit" one Lagrange sum per column.
+    "explicit" one Lagrange sum per column.  These are the raw values;
+    the factor q^(kr + m C(k,2)) makes the m = r = 1 column match the
+    shifted set-partition triangle at q = 1.
     """
     _check_entry(N)
     if m < 0 or r < 0:
@@ -358,48 +315,19 @@ def _h_rows(N: int, seq: ValueSequence, route: str) -> list[list]:
     raise _bad_route(route, ("recurrence", "explicit"))
 
 
-def st_shifted_stirling(n: int, k: int, m: int, r: int, s: complex, t: complex,
-                        route: str = "recurrence") -> complex:
-    """Stirling-type triangle over the two-parameter nodes [m i + r]_{s,t}."""
-    _check_entry(n, k)
-    if k > n:
-        return complex(0.0)
-    seq = STSequence(m, r, s, t)
-    nodes = seq.window(0, k)
-    if route == "recurrence":
-        return h_recurrence(n - k, nodes, seq.field)
-    if route == "explicit":
-        return h_explicit_scaled(n - k, nodes, seq.field)[0]
-    raise _bad_route(route, ("recurrence", "explicit"))
-
-
 def st_shifted_stirling_rows(N: int, m: int, r: int, s: complex, t: complex,
                              route: str = "recurrence") -> list[list[complex]]:
-    """Rows 0..N of st_shifted_stirling by one route."""
+    """Rows 0..N of the Stirling-type triangle over the two-parameter
+    nodes [m i + r]_{s,t}, by the routes of whitney_qr_rows."""
     _check_entry(N)
     return _h_rows(N, STSequence(m, r, s, t), route)
-
-
-def elliptic_shifted_stirling(n: int, k: int, m: int, r: int,
-                              params: EllipticParams,
-                              route: str = "recurrence") -> complex:
-    """Stirling-type triangle over the elliptic nodes [m i + r]."""
-    _check_entry(n, k)
-    if k > n:
-        return complex(0.0)
-    seq = EllipticSequence(params, scale=m, offset=r)
-    nodes = seq.window(0, k)
-    if route == "recurrence":
-        return h_recurrence(n - k, nodes, seq.field)
-    if route == "explicit":
-        return h_explicit_scaled(n - k, nodes, seq.field)[0]
-    raise _bad_route(route, ("recurrence", "explicit"))
 
 
 def elliptic_shifted_stirling_rows(N: int, m: int, r: int,
                                    params: EllipticParams,
                                    route: str = "recurrence") -> list[list[complex]]:
-    """Rows 0..N of elliptic_shifted_stirling by one route."""
+    """Rows 0..N of the Stirling-type triangle over the elliptic nodes
+    [m i + r], by the routes of whitney_qr_rows."""
     _check_entry(N)
     return _h_rows(N, EllipticSequence(params, scale=m, offset=r), route)
 
@@ -480,25 +408,6 @@ def _rook_terms(board: FerrersBoard, j: int, params: EllipticParams,
     return terms
 
 
-def elliptic_rook(board: FerrersBoard, j: int, params: EllipticParams,
-                  route: str = "explicit") -> complex:
-    """Rook numbers r_j of a Ferrers board over elliptic weights.
-
-    The "explicit" route is a closed interpolation sum in which a column
-    of height b contributes numbers at base shift (2u, u), u = i - 1 - b.
-    Zero factors are structural there: an empty board gives r_0 = 1 and
-    r_j = 0 for j > 0 as exact floats, not approximations.
-
-    The "oracle" route expands the board product
-
-        (prod_i W(i - 1 - b_i))^-1 prod_i ([z] - [i - 1 - b_i])
-
-    in the Newton basis over the nodes [0], [1], ... and multiplies the
-    (n, n-j) coefficient back by the first n-j weights.
-    """
-    return elliptic_rook_scaled(board, j, params, route)[0]
-
-
 def _rook_oracle_nodes(board: FerrersBoard, params: EllipticParams):
     # the board product's leading coefficient and interior nodes
     n = board.columns
@@ -534,8 +443,22 @@ def elliptic_rook_scaled(board: FerrersBoard, j: int, params: EllipticParams,
 
 def elliptic_rook_row(board: FerrersBoard, params: EllipticParams,
                       route: str = "explicit") -> list[complex]:
-    """r_0 .. r_n of the board by one route, each numerator of the
-    explicit sum and of the oracle's connection sum formed once."""
+    """Rook numbers r_0 .. r_n of a Ferrers board over elliptic weights.
+
+    The "explicit" route is a closed interpolation sum in which a column
+    of height b contributes numbers at base shift (2u, u), u = i - 1 - b.
+    Zero factors are structural there: an empty board gives r_0 = 1 and
+    r_j = 0 for j > 0 as exact floats, not approximations.
+
+    The "oracle" route expands the board product
+
+        (prod_i W(i - 1 - b_i))^-1 prod_i ([z] - [i - 1 - b_i])
+
+    in the Newton basis over the nodes [0], [1], ... and multiplies the
+    (n, n-j) coefficient back by the first n-j weights.  Each numerator
+    of the explicit sum and of the oracle's connection sum is formed
+    once per row.
+    """
     n = board.columns
     if route == "explicit":
         numerator = cache(partial(_rook_numerator, board, params))
@@ -566,10 +489,17 @@ def lah(n: int, k: int) -> int:
 
 def elliptic_lah_rows(N: int, params: EllipticParams,
                       route: str = "recurrence") -> list[list[complex]]:
-    """Rows 0..N of the elliptic Lah triangle by one route of elliptic_lah:
-    "recurrence" with multiplier W(-n) [n+k]; "explicit" and "oracle"
-    with each numerator formed once per (n, j) and each gap product once
-    per (k, j)."""
+    """Rows 0..N of the Lah triangle over elliptic numbers: connection
+    coefficients from the rising basis prod_i ([z] + [i-1]-type nodes)
+    to the falling one.
+
+    Routes: "recurrence" grows the triangle with the split multiplier
+    W(-n) [n+k]; "explicit" evaluates the interpolation sum with raw node
+    gaps; "oracle" hands the interior nodes [0], [-1], ..., [-(n-1)] to
+    the generic connection engine.  The last two form each numerator
+    once per (n, j) and each gap product once per (k, j).  At the fully
+    degenerate point the triangle collapses to the integer Lah numbers.
+    """
     _check_entry(N)
     if route == "recurrence":
         # [k] - [-n] split by the addition rule, so the triangle weight is
@@ -622,27 +552,6 @@ def _elliptic_lah_terms(n: int, k: int, numerator, denominator) -> list[complex]
         den = denominator(k, j)
         terms.append(num / _nonzero(den, f"explicit term j = {j} of ({n}, {k})"))
     return terms
-
-
-def elliptic_lah(n: int, k: int, params: EllipticParams,
-                 route: str = "recurrence") -> complex:
-    """Lah numbers over elliptic numbers: connection coefficients from the
-    rising basis prod_i ([z] + [i-1]-type nodes) to the falling one.
-
-    Routes: "recurrence" grows the triangle with the split multiplier
-    W(-n) [n+k]; "explicit" evaluates the interpolation sum with raw node
-    gaps; "oracle" hands the interior nodes [0], [-1], ..., [-(n-1)] to
-    the generic connection engine.  At the fully degenerate point the
-    triangle collapses to the integer Lah numbers.
-    """
-    _check_entry(n, k)
-    if k > n:
-        return complex(0.0)
-    if route == "recurrence":
-        return elliptic_lah_rows(n, params)[n][k]
-    if route in ("explicit", "oracle"):
-        return elliptic_lah_scaled(n, k, params, route)[0]
-    raise _bad_route(route, ("recurrence", "explicit", "oracle"))
 
 
 def elliptic_lah_scaled(n: int, k: int, params: EllipticParams,

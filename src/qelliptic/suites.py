@@ -26,28 +26,28 @@ from fractions import Fraction
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .eulerian import (
-    elliptic_eulerian,
+    elliptic_eulerian_rows,
     elliptic_eulerian_scaled,
-    eulerian,
+    eulerian_rows,
     general_eulerian_scaled,
     general_eulerian_rows,
     lagrange_delta,
-    q_eulerian,
+    q_eulerian_rows,
     q_r_whitney_eulerian,
-    r_whitney_eulerian,
+    q_r_whitney_eulerian_rows,
+    r_whitney_eulerian_rows,
     worpitzky_check,
 )
 from .families import (
     FerrersBoard,
-    elliptic_lah,
+    elliptic_lah_rows,
     elliptic_lah_scaled,
-    elliptic_rook,
     elliptic_rook_scaled,
-    elliptic_stirling2,
+    elliptic_stirling2_rows,
     elliptic_stirling2_scaled,
     lah,
-    q_stirling2,
-    stirling2,
+    q_stirling2_rows,
+    stirling2_rows,
     weight_product,
 )
 from .newton import (
@@ -438,8 +438,9 @@ def _suite_rook(trials, seed, tol):
         params = sample_elliptic_params(rng)
         n = rng.randint(1, 5)
         board = FerrersBoard.empty(n)
-        ok = elliptic_rook(board, 0, params) == 1.0 and all(
-            elliptic_rook(board, j, params) == 0.0 for j in range(1, n + 1)
+        ok = elliptic_rook_scaled(board, 0, params)[0] == 1.0 and all(
+            elliptic_rook_scaled(board, j, params)[0] == 0.0
+            for j in range(1, n + 1)
         )
         return (0.0 if ok else 1.0), _param_record(params, n=n)
 
@@ -462,7 +463,7 @@ def _suite_lah(trials, seed, tol):
         params = sample_elliptic_params(rng)
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
-        rec = elliptic_lah(n, k, params, "recurrence")
+        rec = elliptic_lah_rows(n, params)[n][k]
         exp_, s_exp = elliptic_lah_scaled(n, k, params, "explicit")
         orc, s_orc = elliptic_lah_scaled(n, k, params, "oracle")
         err = max(
@@ -476,7 +477,7 @@ def _suite_lah(trials, seed, tol):
         n = rng.randint(1, 6)
         k = rng.randint(0, n)
         flat = EllipticParams(a=0, b=0, q=1, p=0)
-        got = elliptic_lah(n, k, flat, "recurrence")
+        got = elliptic_lah_rows(n, flat)[n][k]
         err = abs(got - lah(n, k))
         # the same integers must fall out of the connection oracle over
         # the classical nodes with c_i = -(i - 1)
@@ -505,7 +506,7 @@ def _suite_eulerian_routes(trials, seed, tol):
         params = sample_elliptic_params(rng)
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
-        rec = elliptic_eulerian(n, k, params, "recurrence")
+        rec = elliptic_eulerian_rows(n, params)[n][k]
         exp_, s_exp = elliptic_eulerian_scaled(n, k, params)
         eng, s_eng = general_eulerian_scaled(n, k, EllipticSequence(params))
         err = max(
@@ -520,8 +521,8 @@ def _suite_eulerian_routes(trials, seed, tol):
         r = rng.randint(0, m - 1)
         n = rng.randint(1, 6)
         k = rng.randint(0, n)
-        direct = r_whitney_eulerian(n, k, m, r, "direct")
-        engine = r_whitney_eulerian(n, k, m, r, "engine")
+        direct = r_whitney_eulerian_rows(n, m, r, "direct")[n][k]
+        engine = r_whitney_eulerian_rows(n, m, r, "engine")[n][k]
         return (0.0 if direct == engine else 1.0), f"m={m} r={r} n={n} k={k}"
 
     def q_r_whitney_exact(rng):
@@ -529,9 +530,9 @@ def _suite_eulerian_routes(trials, seed, tol):
         r = rng.randint(0, m - 1)
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
-        rec = q_r_whitney_eulerian(n, k, m, r, "recurrence")
-        exp_ = q_r_whitney_eulerian(n, k, m, r, "explicit")
-        eng = q_r_whitney_eulerian(n, k, m, r, "engine")
+        rec = q_r_whitney_eulerian_rows(n, m, r, "recurrence")[n][k]
+        exp_ = q_r_whitney_eulerian(n, k, m, r)
+        eng = q_r_whitney_eulerian_rows(n, m, r, "engine")[n][k]
         ok = rec == exp_ == eng
         return (0.0 if ok else 1.0), f"m={m} r={r} n={n} k={k}"
 
@@ -612,8 +613,8 @@ def _suite_degeneration(trials, seed, tol):
         flat = EllipticParams(a=0, b=0, q=qv, p=0)
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
-        got = elliptic_stirling2(n, k, flat, "recurrence")
-        want = q_stirling2(n, k).evaluate(qv)
+        got = elliptic_stirling2_rows(n, flat)[n][k]
+        want = q_stirling2_rows(n)[n][k].evaluate(qv)
         return residual(got, want), f"q={qv!r} n={n} k={k}"
 
     def eulerian_chain(rng):
@@ -621,22 +622,22 @@ def _suite_degeneration(trials, seed, tol):
         flat = EllipticParams(a=0, b=0, q=qv, p=0)
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
-        got = elliptic_eulerian(n, k, flat, "recurrence")
-        want = q_eulerian(n, k).evaluate(qv)
+        got = elliptic_eulerian_rows(n, flat)[n][k]
+        want = q_eulerian_rows(n)[n][k].evaluate(qv)
         return residual(got, want), f"q={qv!r} n={n} k={k}"
 
     def lah_chain(rng):
         n = rng.randint(1, 6)
         k = rng.randint(0, n)
         flat = EllipticParams(a=0, b=0, q=1, p=0)
-        got = elliptic_lah(n, k, flat, "recurrence")
+        got = elliptic_lah_rows(n, flat)[n][k]
         return abs(got - lah(n, k)), f"n={n} k={k}"
 
     def classical_point(rng):
         n = rng.randint(1, 6)
         k = rng.randint(0, n)
-        s_err = abs(q_stirling2(n, k).evaluate(1.0) - stirling2(n, k))
-        e_err = abs(q_eulerian(n, k).evaluate(1.0) - eulerian(n, k))
+        s_err = abs(q_stirling2_rows(n)[n][k].evaluate(1.0) - stirling2_rows(n)[n][k])
+        e_err = abs(q_eulerian_rows(n)[n][k].evaluate(1.0) - eulerian_rows(n)[n][k])
         return max(s_err, e_err), f"n={n} k={k}"
 
     checks = [

@@ -21,20 +21,23 @@ from qelliptic.eulerian import (
     general_eulerian_scaled,
     lagrange_delta,
     q_eulerian,
+    q_eulerian_rows,
     q_r_whitney_eulerian,
-    r_whitney_eulerian,
+    q_r_whitney_eulerian_rows,
+    r_whitney_eulerian_rows,
     worpitzky_check,
 )
 from qelliptic.families import (
     FerrersBoard,
-    elliptic_lah,
+    elliptic_lah_rows,
     elliptic_lah_scaled,
-    elliptic_rook,
+    elliptic_rook_row,
     elliptic_rook_scaled,
-    elliptic_stirling2,
+    elliptic_stirling2_rows,
     elliptic_stirling2_scaled,
     lah,
     q_stirling2,
+    q_stirling2_rows,
     stirling2,
     weight_product,
 )
@@ -79,12 +82,13 @@ def test_q_stirling_routes_and_classical_point():
     failures = []
     start = time.monotonic()
     one = Fraction(1)
+    recurrence, h = q_stirling2_rows(10), q_stirling2_rows(10, "h")
     for n in range(11):
         for k in range(n + 1):
-            rec = q_stirling2(n, k, "recurrence")
-            if rec != q_stirling2(n, k, "explicit"):
+            rec = recurrence[n][k]
+            if rec != q_stirling2(n, k):
                 failures.append(("explicit", n, k))
-            if rec != q_stirling2(n, k, "h"):
+            if rec != h[n][k]:
                 failures.append(("h", n, k))
             if rec.evaluate_fraction(one) != stirling2(n, k):
                 failures.append(("q=1", n, k))
@@ -99,10 +103,11 @@ def test_q_eulerian_routes_and_classical_row():
     failures = []
     start = time.monotonic()
     one = Fraction(1)
+    recurrence = q_eulerian_rows(9)
     for n in range(10):
         for k in range(n + 1):
-            rec = q_eulerian(n, k, "recurrence")
-            if rec != q_eulerian(n, k, "explicit"):
+            rec = recurrence[n][k]
+            if rec != q_eulerian(n, k):
                 failures.append(("explicit", n, k))
             if rec.evaluate_fraction(one) != eulerian(n, k):
                 failures.append(("q=1", n, k))
@@ -138,9 +143,10 @@ def test_elliptic_stirling_triple_route_and_degeneration():
 
     def triangle(params):
         devs = []
+        recurrence = elliptic_stirling2_rows(7, params)
         for n in range(8):
             for k in range(n + 1):
-                rec = elliptic_stirling2(n, k, params, "recurrence")
+                rec = recurrence[n][k]
                 ev, es = elliptic_stirling2_scaled(n, k, params, "explicit")
                 ov, os_ = elliptic_stirling2_scaled(n, k, params, "oracle")
                 devs.append(max(
@@ -160,10 +166,11 @@ def test_elliptic_stirling_triple_route_and_degeneration():
     for _ in range(5):
         qv = sample_annulus(rng, 0.4, 0.9)
         flat = EllipticParams(a=0, b=0, q=qv, p=0)
+        rows, exact = elliptic_stirling2_rows(7, flat), q_stirling2_rows(7)
         for n in range(8):
             for k in range(n + 1):
-                got = elliptic_stirling2(n, k, flat, "recurrence")
-                want = q_stirling2(n, k).evaluate(qv)
+                got = rows[n][k]
+                want = exact[n][k].evaluate(qv)
                 dev = residual(got, want)
                 chain_worst = max(chain_worst, dev)
                 if dev > 1e-9:
@@ -259,8 +266,7 @@ def test_rook_and_lah_families():
     rng = random.Random(7)
 
     def empty_board(params):
-        for j in range(6):
-            val = elliptic_rook(FerrersBoard.empty(5), j, params)
+        for j, val in enumerate(elliptic_rook_row(FerrersBoard.empty(5), params)):
             if val != (1.0 if j == 0 else 0.0):
                 failures.append(("empty", j, val))
         return 0.0
@@ -269,18 +275,19 @@ def test_rook_and_lah_families():
         devs = []
         for n in range(1, 7):
             board = FerrersBoard.staircase(n)
+            stirling = elliptic_stirling2_rows(n, params)[n]
             for k in range(n + 1):
                 rv, rs = elliptic_rook_scaled(board, n - k, params)
-                want = (elliptic_stirling2(n, k, params, "recurrence")
-                        * weight_product(k, params))
+                want = stirling[k] * weight_product(k, params)
                 devs.append(residual(rv, want, rs))
         return max(devs)
 
     def lah_routes(params):
         devs = []
+        recurrence = elliptic_lah_rows(6, params)
         for n in range(7):
             for k in range(n + 1):
-                rec = elliptic_lah(n, k, params, "recurrence")
+                rec = recurrence[n][k]
                 ev, es = elliptic_lah_scaled(n, k, params, "explicit")
                 ov, os_ = elliptic_lah_scaled(n, k, params, "oracle")
                 devs.append(max(
@@ -304,6 +311,7 @@ def test_rook_and_lah_families():
 
     flat = EllipticParams(a=0, b=0, q=1, p=0)
     seq = ClassicalSequence()
+    chain = elliptic_lah_rows(6, flat)
     for n in range(7):
         fv = []
         for z in range(n + 1):
@@ -313,7 +321,7 @@ def test_rook_and_lah_families():
             fv.append(v)
         coeffs = newton_oracle_scaled(fv, seq, n)[0]
         for k in range(n + 1):
-            if abs(elliptic_lah(n, k, flat, "recurrence") - lah(n, k)) > 1e-8:
+            if abs(chain[n][k] - lah(n, k)) > 1e-8:
                 failures.append(("lah chain", n, k))
             if coeffs[k] != lah(n, k):
                 failures.append(("lah oracle", n, k))
@@ -326,18 +334,21 @@ def test_r_whitney_eulerian_families():
     failures = []
     for m in range(1, 4):
         for r in range(m):
+            direct = r_whitney_eulerian_rows(8, m, r, "direct")
+            engine = r_whitney_eulerian_rows(8, m, r, "engine")
             for n in range(9):
                 for k in range(n + 1):
-                    direct = r_whitney_eulerian(n, k, m, r, "direct")
-                    if direct != r_whitney_eulerian(n, k, m, r, "engine"):
+                    if direct[n][k] != engine[n][k]:
                         failures.append(("int", m, r, n, k))
     for m, r in ((1, 0), (2, 1), (3, 2)):
+        recurrence = q_r_whitney_eulerian_rows(6, m, r, "recurrence")
+        engine = q_r_whitney_eulerian_rows(6, m, r, "engine")
         for n in range(7):
             for k in range(n + 1):
-                rec = q_r_whitney_eulerian(n, k, m, r, "recurrence")
-                if rec != q_r_whitney_eulerian(n, k, m, r, "explicit"):
+                rec = recurrence[n][k]
+                if rec != q_r_whitney_eulerian(n, k, m, r):
                     failures.append(("q explicit", m, r, n, k))
-                if rec != q_r_whitney_eulerian(n, k, m, r, "engine"):
+                if rec != engine[n][k]:
                     failures.append(("q engine", m, r, n, k))
     for n in range(7):
         for k in range(n + 1):

@@ -23,31 +23,37 @@ from qelliptic.cli import (
 )
 from qelliptic.errors import DegenerateParameters, DomainError
 from qelliptic.eulerian import (
-    elliptic_eulerian,
-    elliptic_r_whitney_eulerian,
+    elliptic_eulerian_rows,
+    elliptic_eulerian_scaled,
     elliptic_r_whitney_eulerian_rows,
+    elliptic_r_whitney_eulerian_scaled,
     eulerian,
+    general_eulerian_rows,
     q_eulerian,
     q_r_whitney_eulerian,
     q_r_whitney_eulerian_rows,
-    r_whitney_eulerian,
     r_whitney_eulerian_rows,
 )
 from qelliptic.families import (
     FerrersBoard,
-    elliptic_lah,
-    elliptic_rook,
-    elliptic_shifted_stirling,
-    elliptic_stirling2,
+    elliptic_lah_rows,
+    elliptic_lah_scaled,
+    elliptic_rook_scaled,
     elliptic_stirling2_rows,
+    elliptic_stirling2_scaled,
     q_stirling2,
     q_stirling2_rows,
-    st_shifted_stirling,
     stirling2,
     stirling2_rows,
-    whitney_qr,
 )
-from qelliptic.scalars import ExactScalar
+from qelliptic.newton import (
+    EllipticSequence,
+    QNumberSequence,
+    STSequence,
+    h_explicit_scaled,
+    h_recurrence,
+)
+from qelliptic.scalars import EXACT_Q, ExactScalar, q_number
 from qelliptic.suites import run_suite
 from qelliptic.theta import EllipticParams, sample_elliptic_params
 
@@ -425,29 +431,72 @@ def test_degenerate_calls_the_library_by_name(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-# every table entry recomputed by the public entry function, on the
-# parameters the document echoes
+def _h_entry(e, n, k, nodes, field):
+    """h_{n-k}(nodes) by the h route of the name e.route."""
+    if e.route == "recurrence":
+        return h_recurrence(n - k, nodes, field)
+    return h_explicit_scaled(n - k, nodes, field)[0]
+
+
+# every table entry (n, k) of each (family, route) recomputed on the
+# parameters the document echoes: by the per-entry forms (the explicit
+# sums, the *_scaled values, one h sum), or else as row n of a triangle
+# built up to n
 ENTRIES = {
-    "stirling": lambda e, n, k: stirling2(n, k, e.route),
-    "qstirling": lambda e, n, k: q_stirling2(n, k, e.route),
-    "estirling": lambda e, n, k: elliptic_stirling2(n, k, e.ell, e.route),
-    "whitney": lambda e, n, k: whitney_qr(n, k, e.m, e.r, e.route),
-    "stshifted": lambda e, n, k: st_shifted_stirling(
-        n, k, e.m, e.r, e.s, e.t, e.route),
-    "eshifted": lambda e, n, k: elliptic_shifted_stirling(
-        n, k, e.m, e.r, e.ell, e.route),
-    "rook": lambda e, n, k: elliptic_rook(
-        FerrersBoard(tuple(e.board)), k, e.ell, e.route),
-    "lah": lambda e, n, k: elliptic_lah(n, k, e.ell, e.route),
-    "eulerian": lambda e, n, k: eulerian(n, k, e.route),
-    "qeulerian": lambda e, n, k: q_eulerian(n, k, e.route),
-    "rwhitneyeulerian": lambda e, n, k: r_whitney_eulerian(
-        n, k, e.m, e.r, e.route),
-    "qrwhitneyeulerian": lambda e, n, k: q_r_whitney_eulerian(
-        n, k, e.m, e.r, e.route),
-    "eeulerian": lambda e, n, k: elliptic_eulerian(n, k, e.ell, e.route),
-    "erwhitneyeulerian": lambda e, n, k: elliptic_r_whitney_eulerian(
-        n, k, e.m, e.r, e.ell, e.route),
+    ("stirling", "recurrence"): lambda e, n, k: stirling2_rows(n)[n][k],
+    ("stirling", "explicit"): lambda e, n, k: stirling2(n, k),
+    ("qstirling", "recurrence"): lambda e, n, k: q_stirling2_rows(n)[n][k],
+    ("qstirling", "explicit"): lambda e, n, k: q_stirling2(n, k),
+    ("qstirling", "h"): lambda e, n, k: h_recurrence(
+        n - k, [q_number(i) for i in range(k + 1)], EXACT_Q),
+    ("estirling", "recurrence"): lambda e, n, k: elliptic_stirling2_rows(n, e.ell)[n][k],
+    ("estirling", "h"): lambda e, n, k: h_recurrence(
+        n - k, EllipticSequence(e.ell).window(0, k), EllipticSequence.field),
+    ("estirling", "explicit"): lambda e, n, k: elliptic_stirling2_scaled(
+        n, k, e.ell, "explicit")[0],
+    ("estirling", "oracle"): lambda e, n, k: elliptic_stirling2_scaled(
+        n, k, e.ell, "oracle")[0],
+    **dict.fromkeys([("whitney", "recurrence"), ("whitney", "explicit")],
+                    lambda e, n, k: _h_entry(e, n, k, [
+                        q_number(e.m * i + e.r) for i in range(k + 1)], EXACT_Q)),
+    **dict.fromkeys([("stshifted", "recurrence"), ("stshifted", "explicit")],
+                    lambda e, n, k: _h_entry(
+                        e, n, k, STSequence(e.m, e.r, e.s, e.t).window(0, k),
+                        STSequence.field)),
+    **dict.fromkeys([("eshifted", "recurrence"), ("eshifted", "explicit")],
+                    lambda e, n, k: _h_entry(
+                        e, n, k, EllipticSequence(e.ell, scale=e.m, offset=e.r)
+                        .window(0, k), EllipticSequence.field)),
+    **dict.fromkeys([("rook", "explicit"), ("rook", "oracle")],
+                    lambda e, n, k: elliptic_rook_scaled(
+                        FerrersBoard(tuple(e.board)), k, e.ell, e.route)[0]),
+    ("lah", "recurrence"): lambda e, n, k: elliptic_lah_rows(n, e.ell)[n][k],
+    ("lah", "explicit"): lambda e, n, k: elliptic_lah_scaled(n, k, e.ell, "explicit")[0],
+    ("lah", "oracle"): lambda e, n, k: elliptic_lah_scaled(n, k, e.ell, "oracle")[0],
+    ("eulerian", "recurrence"): lambda e, n, k: r_whitney_eulerian_rows(
+        n, 1, 0, "direct")[n][k],
+    ("eulerian", "explicit"): lambda e, n, k: eulerian(n, k),
+    ("qeulerian", "recurrence"): lambda e, n, k: q_r_whitney_eulerian_rows(
+        n, 1, 0, "recurrence")[n][k],
+    ("qeulerian", "explicit"): lambda e, n, k: q_eulerian(n, k),
+    ("qeulerian", "engine"): lambda e, n, k: general_eulerian_rows(
+        QNumberSequence(), n)[n][k],
+    **dict.fromkeys([("rwhitneyeulerian", "direct"), ("rwhitneyeulerian", "engine")],
+                    lambda e, n, k: r_whitney_eulerian_rows(n, e.m, e.r, e.route)[n][k]),
+    **dict.fromkeys([("qrwhitneyeulerian", "recurrence"),
+                     ("qrwhitneyeulerian", "engine")],
+                    lambda e, n, k: q_r_whitney_eulerian_rows(
+                        n, e.m, e.r, e.route)[n][k]),
+    ("qrwhitneyeulerian", "explicit"): lambda e, n, k: q_r_whitney_eulerian(
+        n, k, e.m, e.r),
+    ("eeulerian", "recurrence"): lambda e, n, k: elliptic_eulerian_rows(n, e.ell)[n][k],
+    ("eeulerian", "explicit"): lambda e, n, k: elliptic_eulerian_scaled(n, k, e.ell)[0],
+    ("eeulerian", "engine"): lambda e, n, k: general_eulerian_rows(
+        EllipticSequence(e.ell), n)[n][k],
+    ("erwhitneyeulerian", "recurrence"): lambda e, n, k: elliptic_r_whitney_eulerian_rows(
+        n, e.m, e.r, e.ell)[n][k],
+    ("erwhitneyeulerian", "explicit"): lambda e, n, k: elliptic_r_whitney_eulerian_scaled(
+        n, k, e.m, e.r, e.ell)[0],
 }
 
 
@@ -491,12 +540,13 @@ def test_table_rows_equal_the_entry_functions(capsys, family, route, seed):
         want = [(3, k) for k in range(4)]
     assert [(row["n"], row["k"]) for row in doc["rows"]] == want
     for row in doc["rows"]:
-        reference = ENTRIES[family](e, row["n"], row["k"])
+        reference = ENTRIES[family, route](e, row["n"], row["k"])
         assert same_value(row["value"], reference), (row, reference)
 
 
 def test_schema_family_enum_is_the_family_record():
-    assert set(ENTRIES) == set(_FAMILIES)
+    assert set(ENTRIES) == {(family, route) for family, record in _FAMILIES.items()
+                            for route in record.routes}
     assert sorted(SCHEMA["properties"]["family"]["enum"]) == sorted(_FAMILIES)
 
 
@@ -505,14 +555,12 @@ def _ell(seed):
 
 
 @pytest.mark.parametrize("rows,entry", [
-    (stirling2_rows, lambda n, k: stirling2(n, k, "explicit")),
-    (q_stirling2_rows, lambda n, k: q_stirling2(n, k, "explicit")),
-    (lambda N: r_whitney_eulerian_rows(N, 1, 0),
-     lambda n, k: eulerian(n, k, "explicit")),
-    (lambda N: q_r_whitney_eulerian_rows(N, 1, 0),
-     lambda n, k: q_eulerian(n, k, "explicit")),
+    (stirling2_rows, stirling2),
+    (q_stirling2_rows, q_stirling2),
+    (lambda N: r_whitney_eulerian_rows(N, 1, 0), eulerian),
+    (lambda N: q_r_whitney_eulerian_rows(N, 1, 0), q_eulerian),
     (lambda N: r_whitney_eulerian_rows(N, 3, 2, "engine"),
-     lambda n, k: r_whitney_eulerian(n, k, 3, 2, "direct")),
+     lambda n, k: r_whitney_eulerian_rows(n, 3, 2, "direct")[n][k]),
 ])
 def test_exact_recurrences_match_the_explicit_route(rows, entry):
     triangle = rows(6)
@@ -566,7 +614,7 @@ def _per_entry_rows(args):
     if args.board is not None:
         e.board = list(args.board.heights)
     first = args.n if args.family == "rook" else 0
-    return [[ENTRIES[args.family](e, n, k) for k in range(n + 1)]
+    return [[ENTRIES[args.family, args.route](e, n, k) for k in range(n + 1)]
             for n in range(first, args.n + 1)]
 
 
@@ -601,18 +649,23 @@ def test_row_builders_refuse_like_their_first_failing_entry(family, route, flags
                 continue
             got = _outcome(lambda: _FAMILIES[family].rows[route](args))
             want = _outcome(lambda: _per_entry_rows(args))
-            if (family, route) in WHOLE_WINDOW_GUARD and want[0] == "raised":
-                got, want = got[:2], want[:2]
             assert got == want, (seed, n)
             compared += 1
     assert compared
 
 
-# general_eulerian_rows(seq, N) guards the node window of its last row,
-# [-N, N + 2], before it grows the triangle, as the table always did; the
-# entry (n, k) guards the window of row n.  Both refuse the same tables,
-# with DegenerateSequence, but may name different close pairs.
-WHOLE_WINDOW_GUARD = {("eeulerian", "engine"), ("erwhitneyeulerian", "recurrence")}
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_routes_are_declared_once(family):
+    # one builder call serves every route of a family, and it refuses any
+    # other route by naming exactly the family's routes
+    record = _FAMILIES[family]
+    assert len({id(builder) for builder in record.rows.values()}) == 1
+    args = _resolved(family, record.routes[0], 2, 1)
+    args.route = "bogus"
+    with pytest.raises(DomainError) as refusal:
+        record.rows[record.routes[0]](args)
+    assert str(refusal.value) == (
+        f"unknown route 'bogus', expected one of {record.routes}")
 
 
 @pytest.mark.parametrize("m,r", [(0, 0), (-1, 1), (1, -1)])

@@ -10,18 +10,20 @@ import pytest
 
 from qelliptic.errors import DegenerateSequence, DomainError
 from qelliptic.eulerian import (
-    elliptic_eulerian,
+    elliptic_eulerian_rows,
     elliptic_eulerian_scaled,
-    elliptic_r_whitney_eulerian,
+    elliptic_r_whitney_eulerian_rows,
     elliptic_r_whitney_eulerian_scaled,
     eulerian,
-    general_eulerian,
+    eulerian_rows,
     general_eulerian_rows,
     general_eulerian_scaled,
     lagrange_delta,
     q_eulerian,
+    q_eulerian_rows,
     q_r_whitney_eulerian,
-    r_whitney_eulerian,
+    q_r_whitney_eulerian_rows,
+    r_whitney_eulerian_rows,
     worpitzky_check,
 )
 from qelliptic.newton import (
@@ -59,9 +61,9 @@ def test_eulerian_frozen():
 
 
 def test_eulerian_routes_and_row_sums():
-    for n in range(10):
-        row = [eulerian(n, k) for k in range(n + 1)]
-        assert row == [eulerian(n, k, "explicit") for k in range(n + 1)]
+    rows = eulerian_rows(9)
+    assert rows == eulerian_rows(9, "explicit")
+    for n, row in enumerate(rows):
         assert sum(row) == math.factorial(n)
 
 
@@ -71,7 +73,7 @@ def test_eulerian_engine_matches():
         rows = general_eulerian_rows(seq, n)
         for k in range(n + 1):
             assert rows[n][k] == Fraction(eulerian(n, k))
-            assert general_eulerian(n, k, seq, "explicit") == eulerian(n, k)
+            assert general_eulerian_scaled(n, k, seq)[0] == eulerian(n, k)
 
 
 def _rows_per_factor(seq, N):
@@ -143,27 +145,23 @@ def test_q_eulerian_frozen():
 
 
 def test_q_eulerian_three_routes_identical():
-    for n in range(8):
-        for k in range(n + 1):
-            a = q_eulerian(n, k, "recurrence")
-            b = q_eulerian(n, k, "explicit")
-            c = q_eulerian(n, k, "engine")
-            assert a == b
-            assert a == c
+    a = q_eulerian_rows(7, "recurrence")
+    assert a == q_eulerian_rows(7, "explicit")
+    assert a == q_eulerian_rows(7, "engine")
 
 
 def test_q_eulerian_row_sum_is_q_factorial():
-    for n in range(8):
+    for n, row in enumerate(q_eulerian_rows(7)):
         total = EXACT_Q.zero
-        for k in range(n + 1):
-            total = total + q_eulerian(n, k)
+        for value in row:
+            total = total + value
         assert total == q_factorial(n)
 
 
 def test_q_eulerian_classical_limit():
-    for n in range(8):
-        for k in range(n + 1):
-            assert q_eulerian(n, k).evaluate_fraction(Fraction(1)) == eulerian(n, k)
+    for n, row in enumerate(q_eulerian_rows(7)):
+        for k, value in enumerate(row):
+            assert value.evaluate_fraction(Fraction(1)) == eulerian(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +171,22 @@ def test_q_eulerian_classical_limit():
 def test_r_whitney_direct_vs_engine():
     for m in (1, 2, 3):
         for r in range(m):
-            for n in range(7):
-                for k in range(n + 1):
-                    assert r_whitney_eulerian(n, k, m, r, "direct") == \
-                        r_whitney_eulerian(n, k, m, r, "engine")
+            assert r_whitney_eulerian_rows(6, m, r, "direct") == \
+                r_whitney_eulerian_rows(6, m, r, "engine")
 
 
 def test_r_whitney_10_is_classical():
+    rows = r_whitney_eulerian_rows(7, 1, 0)
     for n in range(8):
         for k in range(n + 1):
-            assert r_whitney_eulerian(n, k, 1, 0) == eulerian(n, k)
+            assert rows[n][k] == eulerian(n, k)
 
 
 def test_q_r_whitney_three_routes():
     for m, r in [(1, 0), (2, 1), (3, 2)]:
-        for n in range(6):
-            for k in range(n + 1):
-                a = q_r_whitney_eulerian(n, k, m, r, "recurrence")
-                b = q_r_whitney_eulerian(n, k, m, r, "explicit")
-                c = q_r_whitney_eulerian(n, k, m, r, "engine")
-                assert a == b
-                assert a == c
+        a = q_r_whitney_eulerian_rows(5, m, r, "recurrence")
+        assert a == q_r_whitney_eulerian_rows(5, m, r, "explicit")
+        assert a == q_r_whitney_eulerian_rows(5, m, r, "engine")
 
 
 def test_q_r_whitney_10_is_q_eulerian():
@@ -204,7 +197,7 @@ def test_q_r_whitney_10_is_q_eulerian():
 
 def test_r_whitney_domain():
     with pytest.raises(DomainError):
-        r_whitney_eulerian(3, 1, 0, 0)
+        r_whitney_eulerian_rows(3, 0, 0)
     with pytest.raises(DomainError):
         q_r_whitney_eulerian(3, 1, 2, -1)
 
@@ -217,13 +210,15 @@ def test_r_whitney_domain():
 def test_elliptic_eulerian_routes(seed):
     params = fixed_params(seed)
     seq = EllipticSequence(params)
+    recurrence = elliptic_eulerian_rows(6, params)
+    explicit = elliptic_eulerian_rows(6, params, "explicit")
     for n in range(7):
         rows = general_eulerian_rows(seq, n)
         for k in range(n + 1):
-            rec = elliptic_eulerian(n, k, params, "recurrence")
+            rec = recurrence[n][k]
             exp, s_exp = elliptic_eulerian_scaled(n, k, params)
             eng, s_eng = general_eulerian_scaled(n, k, seq)
-            assert exp == elliptic_eulerian(n, k, params, "explicit")
+            assert exp == explicit[n][k]
             assert abs(rec - exp) / max(1.0, abs(rec), s_exp) <= 1e-12
             assert abs(rec - eng) / max(1.0, abs(rec), s_eng) <= 1e-12
             assert abs(rec - rows[n][k]) / max(1.0, abs(rec), abs(rows[n][k])) <= 1e-7
@@ -232,33 +227,33 @@ def test_elliptic_eulerian_routes(seed):
 def test_elliptic_eulerian_q_degeneration():
     q = 0.31 - 0.14j
     params = EllipticParams(a=0, b=0, q=q, p=0)
+    rows, exact = elliptic_eulerian_rows(6, params), q_eulerian_rows(6)
     for n in range(7):
         for k in range(n + 1):
-            got = elliptic_eulerian(n, k, params)
-            want = q_eulerian(n, k).evaluate(q)
+            got = rows[n][k]
+            want = exact[n][k].evaluate(q)
             assert residual(got, want) <= 1e-9
 
 
 def test_elliptic_eulerian_classical_point():
     params = EllipticParams(a=0, b=0, q=1, p=0)
+    rows = elliptic_eulerian_rows(6, params)
     for n in range(7):
         for k in range(n + 1):
-            assert abs(elliptic_eulerian(n, k, params) - eulerian(n, k)) <= 1e-8
+            assert abs(rows[n][k] - eulerian(n, k)) <= 1e-8
 
 
 def test_elliptic_r_whitney_routes_and_specialization():
     params = fixed_params(7)
     for m, r in [(1, 0), (2, 1)]:
+        rows = elliptic_r_whitney_eulerian_rows(5, m, r, params)
         for n in range(6):
             for k in range(n + 1):
-                rec = elliptic_r_whitney_eulerian(n, k, m, r, params)
+                rec = rows[n][k]
                 exp, scale = elliptic_r_whitney_eulerian_scaled(n, k, m, r, params)
                 assert abs(rec - exp) / max(1.0, abs(rec), scale) <= 1e-12
-    for n in range(6):
-        for k in range(n + 1):
-            a = elliptic_r_whitney_eulerian(n, k, 1, 0, params)
-            b = elliptic_eulerian(n, k, params, "engine")
-            assert a == b
+    assert elliptic_r_whitney_eulerian_rows(5, 1, 0, params) == \
+        elliptic_eulerian_rows(5, params, "engine")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +392,7 @@ def test_lagrange_delta_scale_bound_raises():
 
 def test_engine_domain():
     with pytest.raises(DomainError):
-        general_eulerian(3, 1, ClassicalSequence(), "fast")
+        general_eulerian_rows(ClassicalSequence(), -1)
     with pytest.raises(DomainError):
         lagrange_delta(3, 1, 2, ClassicalSequence())
     with pytest.raises(DomainError):

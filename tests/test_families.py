@@ -9,21 +9,21 @@ import pytest
 from qelliptic.errors import DomainError
 from qelliptic.families import (
     FerrersBoard,
-    elliptic_lah,
     elliptic_lah_rows,
     elliptic_lah_scaled,
-    elliptic_rook,
+    elliptic_rook_row,
     elliptic_rook_scaled,
-    elliptic_shifted_stirling,
-    elliptic_stirling2,
+    elliptic_shifted_stirling_rows,
     elliptic_stirling2_rows,
     elliptic_stirling2_scaled,
     lah,
     q_stirling2,
-    st_shifted_stirling,
+    q_stirling2_rows,
+    st_shifted_stirling_rows,
     stirling2,
+    stirling2_rows,
     weight_product,
-    whitney_qr,
+    whitney_qr_rows,
 )
 from qelliptic.newton import AffineWhitneySequence, connection_recurrence
 from qelliptic.scalars import ExactScalar, q_number, residual
@@ -47,9 +47,7 @@ def test_stirling2_frozen():
 
 
 def test_stirling2_routes_agree():
-    for n in range(11):
-        for k in range(n + 1):
-            assert stirling2(n, k, "recurrence") == stirling2(n, k, "explicit")
+    assert stirling2_rows(10) == stirling2_rows(10, "explicit")
 
 
 def test_stirling2_row_sums_are_bell():
@@ -66,27 +64,22 @@ def test_q_stirling2_frozen():
 
 
 def test_q_stirling2_three_routes_identical():
-    for n in range(9):
-        for k in range(n + 1):
-            a = q_stirling2(n, k, "recurrence")
-            b = q_stirling2(n, k, "explicit")
-            c = q_stirling2(n, k, "h")
-            assert a == b
-            assert a == c
+    a = q_stirling2_rows(8, "recurrence")
+    assert a == q_stirling2_rows(8, "explicit")
+    assert a == q_stirling2_rows(8, "h")
 
 
 def test_q_stirling2_is_polynomial_with_classical_limit():
     # every entry clears its denominator, and q = 1 recovers the counts
-    for n in range(10):
-        for k in range(n + 1):
-            v = q_stirling2(n, k)
+    for n, row in enumerate(q_stirling2_rows(9)):
+        for k, v in enumerate(row):
             assert v.is_polynomial
             assert v.evaluate_fraction(Fraction(1)) == stirling2(n, k)
 
 
 def test_q_stirling2_bad_route():
     with pytest.raises(DomainError):
-        q_stirling2(3, 2, "newton")
+        q_stirling2_rows(3, "newton")
     with pytest.raises(DomainError):
         q_stirling2(-1, 0)
 
@@ -99,14 +92,16 @@ def test_q_stirling2_bad_route():
 def test_elliptic_stirling2_all_routes(seed):
     params = fixed_params(seed)
     worst = 0.0
+    rows = {route: elliptic_stirling2_rows(7, params, route)
+            for route in ("recurrence", "h", "explicit", "oracle")}
     for n in range(8):
         for k in range(n + 1):
-            rec = elliptic_stirling2(n, k, params, "recurrence")
-            hh = elliptic_stirling2(n, k, params, "h")
+            rec = rows["recurrence"][n][k]
+            hh = rows["h"][n][k]
             exp, s_exp = elliptic_stirling2_scaled(n, k, params, "explicit")
             orc, s_orc = elliptic_stirling2_scaled(n, k, params, "oracle")
-            assert exp == elliptic_stirling2(n, k, params, "explicit")
-            assert orc == elliptic_stirling2(n, k, params, "oracle")
+            assert exp == rows["explicit"][n][k]
+            assert orc == rows["oracle"][n][k]
             worst = max(
                 worst,
                 residual(rec, hh),
@@ -120,26 +115,28 @@ def test_elliptic_stirling2_degeneration_to_q():
     # on the b = 0, a = 0 leg of the chain the triangle is the numeric
     # q-triangle, so the exact polynomials evaluated at q must match
     params = EllipticParams(a=0, b=0, q=0.37 + 0.21j, p=0)
+    rows, exact = elliptic_stirling2_rows(6, params), q_stirling2_rows(6)
     for n in range(7):
         for k in range(n + 1):
-            got = elliptic_stirling2(n, k, params)
-            want = q_stirling2(n, k).evaluate(params.q)
+            got = rows[n][k]
+            want = exact[n][k].evaluate(params.q)
             assert residual(got, want) <= 1e-9
 
 
 def test_elliptic_stirling2_classical_point():
     params = EllipticParams(a=0, b=0, q=1, p=0)
+    rows = elliptic_stirling2_rows(6, params)
     for n in range(7):
         for k in range(n + 1):
-            assert abs(elliptic_stirling2(n, k, params) - stirling2(n, k)) <= 1e-9
+            assert abs(rows[n][k] - stirling2(n, k)) <= 1e-9
 
 
 def test_elliptic_stirling2_edges():
     params = fixed_params(4)
-    assert elliptic_stirling2(5, 7, params) == 0
-    assert elliptic_stirling2(0, 0, params) == 1
+    assert elliptic_stirling2_scaled(5, 7, params) == (0, 1.0)
+    assert elliptic_stirling2_rows(0, params) == [[1]]
     with pytest.raises(DomainError):
-        elliptic_stirling2(3, 1, params, route="fast")
+        elliptic_stirling2_rows(3, params, route="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +145,17 @@ def test_elliptic_stirling2_edges():
 
 def test_whitney_routes_and_polynomiality():
     for m, r in [(1, 0), (1, 1), (2, 1), (3, 2)]:
-        for n in range(7):
-            for k in range(n + 1):
-                a = whitney_qr(n, k, m, r, "recurrence")
-                b = whitney_qr(n, k, m, r, "explicit")
-                assert a == b
+        assert whitney_qr_rows(6, m, r, "recurrence") == whitney_qr_rows(6, m, r, "explicit")
 
 
 def test_whitney_normalized_m1_r1_limit():
-    # at q = 1 with m = r = 1 the triangle is the set-partition triangle
-    # shifted by one in both indices
+    # at q = 1 with m = r = 1 the triangle, times q^(kr + m C(k,2)), is
+    # the set-partition triangle shifted by one in both indices
+    m = r = 1
+    rows = whitney_qr_rows(6, m, r)
     for n in range(7):
         for k in range(n + 1):
-            v = whitney_qr(n, k, 1, 1, normalized=True)
+            v = rows[n][k] * ExactScalar.q_power(k * r + m * math.comb(k, 2))
             assert v.evaluate_fraction(Fraction(1)) == stirling2(n + 1, k + 1)
 
 
@@ -168,16 +163,17 @@ def test_whitney_matches_connection_engine_at_q1():
     # W_{1,1}(n, k) at q = 1 equals the coefficient expanding z^n over the
     # nodes 1, 2, 3, ...
     nodes = AffineWhitneySequence(1, -1)
+    whitney = whitney_qr_rows(6, 1, 1)
     for n in range(7):
         rows = connection_recurrence(Fraction(1), [Fraction(0)] * n, nodes)
         for k in range(n + 1):
-            v = whitney_qr(n, k, 1, 1).evaluate_fraction(Fraction(1))
+            v = whitney[n][k].evaluate_fraction(Fraction(1))
             assert v == rows[n][k]
 
 
 def test_whitney_domain():
     with pytest.raises(DomainError):
-        whitney_qr(3, 1, -1, 0)
+        whitney_qr_rows(3, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +183,19 @@ def test_whitney_domain():
 def test_st_shifted_matches_whitney_at_t1():
     s = 1.31
     for m, r in [(1, 0), (2, 1)]:
+        rows, exact = st_shifted_stirling_rows(5, m, r, s, 1.0), whitney_qr_rows(5, m, r)
         for n in range(6):
             for k in range(n + 1):
-                got = st_shifted_stirling(n, k, m, r, s, 1.0)
-                want = whitney_qr(n, k, m, r).evaluate(s)
-                assert residual(got, want) <= 1e-9
+                assert residual(rows[n][k], exact[n][k].evaluate(s)) <= 1e-9
 
 
 def test_st_shifted_routes_agree():
     s, t = 1.7, 0.6
+    rec = st_shifted_stirling_rows(5, 2, 1, s, t, "recurrence")
+    exp = st_shifted_stirling_rows(5, 2, 1, s, t, "explicit")
     for n in range(6):
         for k in range(n + 1):
-            a = st_shifted_stirling(n, k, 2, 1, s, t, "recurrence")
-            b = st_shifted_stirling(n, k, 2, 1, s, t, "explicit")
-            assert residual(a, b) <= 1e-8
+            assert residual(rec[n][k], exp[n][k]) <= 1e-8
 
 
 def test_elliptic_shifted_routes_agree():
@@ -213,11 +208,11 @@ def test_elliptic_shifted_routes_agree():
         seed += 1
         try:
             for m, r in [(1, 0), (2, 1)]:
+                rec = elliptic_shifted_stirling_rows(5, m, r, params, "recurrence")
+                exp = elliptic_shifted_stirling_rows(5, m, r, params, "explicit")
                 for n in range(6):
                     for k in range(n + 1):
-                        a = elliptic_shifted_stirling(n, k, m, r, params, "recurrence")
-                        b = elliptic_shifted_stirling(n, k, m, r, params, "explicit")
-                        assert residual(a, b) <= 1e-7
+                        assert residual(rec[n][k], exp[n][k]) <= 1e-7
         except DegenerateSequence:
             # scaled windows can put two nodes on top of each other; the
             # guard refusing to divide is the correct outcome for that draw
@@ -233,17 +228,13 @@ def test_elliptic_shifted_guard_detects_collision():
 
     params = fixed_params(6)
     with pytest.raises(DegenerateSequence):
-        elliptic_shifted_stirling(3, 2, 1, 0, params, "explicit")
-    elliptic_shifted_stirling(3, 2, 1, 0, params, "recurrence")
+        elliptic_shifted_stirling_rows(3, 1, 0, params, "explicit")
+    elliptic_shifted_stirling_rows(3, 1, 0, params, "recurrence")
 
 
 def test_elliptic_shifted_m1_r0_is_plain():
     params = fixed_params(7)
-    for n in range(6):
-        for k in range(n + 1):
-            a = elliptic_shifted_stirling(n, k, 1, 0, params)
-            b = elliptic_stirling2(n, k, params)
-            assert a == b
+    assert elliptic_shifted_stirling_rows(5, 1, 0, params) == elliptic_stirling2_rows(5, params)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +244,9 @@ def test_elliptic_shifted_m1_r0_is_plain():
 def test_empty_board_exact_structure():
     params = fixed_params(11)
     for n in [1, 2, 4, 6]:
-        board = FerrersBoard.empty(n)
-        assert elliptic_rook(board, 0, params) == 1.0
-        for j in range(1, n + 1):
-            assert elliptic_rook(board, j, params) == 0.0
+        row = elliptic_rook_row(FerrersBoard.empty(n), params)
+        assert row[0] == 1.0
+        assert all(r == 0.0 for r in row[1:])
 
 
 def test_rook_routes_agree():
@@ -269,21 +259,23 @@ def test_rook_routes_agree():
         FerrersBoard.staircase(5),
     ]
     for board in boards:
+        explicit = elliptic_rook_row(board, params, "explicit")
+        oracle = elliptic_rook_row(board, params, "oracle")
         for j in range(board.columns + 1):
             exp, s_exp = elliptic_rook_scaled(board, j, params, "explicit")
             orc, s_orc = elliptic_rook_scaled(board, j, params, "oracle")
-            assert exp == elliptic_rook(board, j, params, "explicit")
-            assert orc == elliptic_rook(board, j, params, "oracle")
+            assert exp == explicit[j]
+            assert orc == oracle[j]
             assert abs(exp - orc) / max(1.0, s_exp, s_orc) <= 1e-12
 
 
 def test_staircase_is_stirling():
     params = fixed_params(13)
     n = 6
-    board = FerrersBoard.staircase(n)
+    row = elliptic_rook_row(FerrersBoard.staircase(n), params)
     for j in range(n + 1):
         k = n - j
-        got = elliptic_rook(board, j, params) / weight_product(k, params)
+        got = row[j] / weight_product(k, params)
         want, scale = elliptic_stirling2_scaled(n, k, params, "explicit")
         assert abs(got - want) / scale <= 1e-12
 
@@ -293,7 +285,7 @@ def test_rook_classical_counts():
     # on the full 2x2 square board r_1 = 4 and r_2 = 2
     params = EllipticParams(a=0, b=0, q=1, p=0)
     board = FerrersBoard((2, 2))
-    got = [elliptic_rook(board, j, params) for j in range(3)]
+    got = elliptic_rook_row(board, params)
     assert [round(abs(v)) for v in got] == [1, 4, 2]
     for v, w in zip(got, [1, 4, 2]):
         assert abs(v - w) <= 1e-9
@@ -305,7 +297,7 @@ def test_board_validation():
     with pytest.raises(DomainError):
         FerrersBoard((-1, 0))
     with pytest.raises(DomainError):
-        elliptic_rook(FerrersBoard((0, 1)), 3, fixed_params(1))
+        elliptic_rook_scaled(FerrersBoard((0, 1)), 3, fixed_params(1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +324,15 @@ def test_lah_frozen():
 
 def test_elliptic_lah_routes_agree():
     params = fixed_params(17)
+    rows = {route: elliptic_lah_rows(6, params, route)
+            for route in ("recurrence", "explicit", "oracle")}
     for n in range(7):
         for k in range(n + 1):
-            rec = elliptic_lah(n, k, params, "recurrence")
+            rec = rows["recurrence"][n][k]
             exp, s_exp = elliptic_lah_scaled(n, k, params, "explicit")
             orc, s_orc = elliptic_lah_scaled(n, k, params, "oracle")
-            assert exp == elliptic_lah(n, k, params, "explicit")
-            assert orc == elliptic_lah(n, k, params, "oracle")
+            assert exp == rows["explicit"][n][k]
+            assert orc == rows["oracle"][n][k]
             assert abs(rec - exp) / max(1.0, abs(rec), s_exp) <= 1e-12
             assert abs(rec - orc) / max(1.0, abs(rec), s_orc) <= 1e-12
 
@@ -347,15 +341,16 @@ def test_elliptic_lah_q_degeneration():
     # pure-q leg: the 2,1 entry collapses to q^-1 (1 + q)
     q = 0.44 + 0.13j
     params = EllipticParams(a=0, b=0, q=q, p=0)
-    got = elliptic_lah(2, 1, params)
+    got = elliptic_lah_rows(2, params)[2][1]
     assert residual(got, (1 + q) / q) <= 1e-12
 
 
 def test_elliptic_lah_classical_point():
     params = EllipticParams(a=0, b=0, q=1, p=0)
+    rows = elliptic_lah_rows(6, params)
     for n in range(7):
         for k in range(n + 1):
-            assert abs(elliptic_lah(n, k, params) - lah(n, k)) <= 1e-8
+            assert abs(rows[n][k] - lah(n, k)) <= 1e-8
 
 
 def test_weight_product_edges():

@@ -227,6 +227,9 @@ def table_argv(draw):
 # OverflowError traceback
 @example(argv=["table", "--family", "stshifted", "--seed", "0", "--route",
                "explicit", "--n", "4", "--s=0", "--t=1e30"])
+# and so did a power [k-j]^n of the estirling explicit sum
+@example(argv=["table", "--family", "estirling", "--route", "explicit",
+               "--n", "12", "--seed", "2", "--p=0.9"])
 def test_table_flag_grammar_fuzz(capsys, argv):
     start = time.perf_counter()
     code = run_exit(*argv)
@@ -268,6 +271,21 @@ def test_st_power_past_double_range_exits_3(capsys, route):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("degenerate: ")
     assert "outside double range" in captured.err
+
+
+# at p = 0.9 a sampled elliptic number [k-j] can reach 1e26, and its
+# power [k-j]^n in the estirling explicit sum leaves double range; these
+# are every such command over p in {0.9, 0.95}, n in {10, 12, 14, 18} and
+# seeds 1-20, which used to end in an OverflowError traceback
+@pytest.mark.parametrize("n,seed", [(12, 2), (12, 18), (14, 2), (14, 18),
+                                    (14, 20), (18, 2), (18, 18), (18, 20)])
+def test_estirling_power_past_double_range_exits_3(capsys, n, seed):
+    code = run_exit("table", "--family", "estirling", "--route", "explicit",
+                    "--n", str(n), "--seed", str(seed), "--p=0.9")
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("degenerate: ")
+    assert captured.err.endswith("is outside double range\n")
 
 
 # ---------------------------------------------------------------------------
