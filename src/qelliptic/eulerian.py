@@ -36,6 +36,7 @@ from .newton import (
     QNumberSequence,
     QWhitneySequence,
     ValueSequence,
+    _numeric_pair_scan,
     pairwise_distinct_guard,
 )
 from .scalars import (
@@ -107,9 +108,15 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
         raise DomainError("need N >= 0")
     field = seq.field
     # row by row, so a refusal names the close pair that the first
-    # refusing row names; the windows nest, so the verdict is the last's
-    for n in range(N + 1):
-        _guard_window(seq, n)
+    # refusing row's window names.  Window n adds the nodes -n and n+2
+    # (positions 0 and 2n+2) to window n-1, whose pairs passed, so only
+    # the pairs they form are scanned, in the order of a full scan
+    if not field.exact:
+        for n in range(N + 1):
+            last = 2 * n + 2
+            _numeric_pair_scan(seq.window(-n, n + 2),
+                               [(0, j) for j in range(1, last + 1)]
+                               + [(i, last) for i in range(1, last)])
 
     if field.exact:
         # c -> (L, W(c, L)) for the last L asked; rows grow in order, so

@@ -15,6 +15,7 @@ rational functions of q, or plain rationals) and numerically (complex).
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .errors import DegenerateSequence, DomainError
@@ -217,16 +218,18 @@ def pairwise_distinct_guard(values: Sequence, field: ScalarField) -> None:
     _ACCEPTED_WINDOWS[key] = None
 
 
-def _numeric_pair_scan(values: Sequence) -> None:
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(values[i] - values[j])
-            scale = max(1.0, abs(values[i]), abs(values[j]))
-            if gap < DISTINCTNESS_REL * scale:
-                raise DegenerateSequence(
-                    f"nodes at positions {i} and {j} are within {gap:.3e}"
-                )
+def _numeric_pair_scan(values: Sequence, pairs=None) -> None:
+    """Refuse the first pair (i, j) of ``pairs``, by default every i < j in
+    row order, whose nodes are within DISTINCTNESS_REL of each other."""
+    if pairs is None:
+        pairs = itertools.combinations(range(len(values)), 2)
+    for i, j in pairs:
+        gap = abs(values[i] - values[j])
+        scale = max(1.0, abs(values[i]), abs(values[j]))
+        if gap < DISTINCTNESS_REL * scale:
+            raise DegenerateSequence(
+                f"nodes at positions {i} and {j} are within {gap:.3e}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .newton import (
     h_recurrence,
     newton_oracle_scaled,
 )
-from .scalars import residual
+from .scalars import _checked_power, residual
 from .theta import (
     EllipticParams,
     elliptic_number,
@@ -310,7 +310,7 @@ def _suite_h_routes(trials, seed, tol):
         rec = h_recurrence(n - k, values, field)
         exp_, s_exp = h_explicit_scaled(n - k, values, field)
         coeffs, s_orc = newton_oracle_scaled(
-            [seq[i] ** n for i in range(n + 1)], seq, n
+            [_checked_power(seq[i], n) for i in range(n + 1)], seq, n
         )
         orc = coeffs[k]
         err = max(

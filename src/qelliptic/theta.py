@@ -53,12 +53,21 @@ bit.  Each parameter set memoizes theta(x; p) per argument, so no theta
 value is evaluated twice for one set; the key carries the signs of both
 zero parts, so 0.3+0j and 0.3-0j (equal under ==) never share an entry,
 and every miss calls ``theta``.  The sampler's window check
-(``EllipticParams.window_ok``) puts only the guarded denominator factors
-in this memo: theta(q) and theta(a q) once, then theta(b q^k),
-theta(a q^k / b), theta(b q^(k+1)) and theta(a q^(k+1) / b) per index k,
-each looked up and guarded once.  It refuses an index whose number or
-weight denominator product is not finite, range-checks the numerator
-arguments without evaluating them, and caches no number or weight.
+(``EllipticParams.window_ok``) certifies first, then scans.  The
+certificate evaluates no theta value: with x = p^k y reduced as above
+and r = |p|, the product gives |theta(y)| >= |1 - y| (r^(1/2); r)_inf^2
+on the annulus, and each undo step keeps at least r^(1/2) of it, so
+|theta(x)| >= c |1 - y| with c = r^(1/2) (r^(1/2); r)_inf^2.  A window
+whose guarded factors all have c |1 - y| >= 2 DEFAULT_MIN_DENOMINATOR and
+|k| <= k_max (each factor at most 1e60, so every denominator product is
+finite) is accepted, with this memo left empty.  Any other window,
+p = 0 and |p| > SERIES_MAX_NOME among them, goes to the scan, which puts
+only the guarded denominator factors in this memo: theta(q) and
+theta(a q) once, then theta(b q^k), theta(a q^k / b), theta(b q^(k+1))
+and theta(a q^(k+1) / b) per index k, each looked up and guarded once.
+It refuses an index whose number or weight denominator product is not
+finite and range-checks the numerator arguments without evaluating
+them.  Neither caches a number or weight.
 ``theta`` reads the constants of its nome from a bounded cache keyed the
 same way: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
 each rounded once from exact integer arithmetic and grown on demand.  In
@@ -237,10 +246,12 @@ class _Nome:
       recurrence p^j = p^(j-1) p carry errors that add up along a
       reduction of k steps to about k^1.5 ulps; rounded powers keep the
       reduction within about sqrt(k) ulps.
+    - ``c`` and ``k_max``: the constants of ``certifies`` (None and -1
+      when |p| > SERIES_MAX_NOME).
     """
 
     __slots__ = ("log_modulus", "order", "terms", "inv_terms", "inv_euler",
-                 "_exact", "_table")
+                 "c", "k_max", "_exact", "_table")
 
     def __init__(self, p: complex, order: int, target_eps: float):
         self.log_modulus = math.log(abs(p))
@@ -253,9 +264,25 @@ class _Nome:
         self._exact = (re * (den // re_den), im * (den // im_den),
                        den.bit_length() - 1)
         self._table = ((1 + 0j,), 1, 0, 0)
-        self.terms = self.inv_terms = self.inv_euler = None
+        self.terms = self.inv_terms = self.inv_euler = self.c = None
+        self.k_max = -1
         if abs(p) > SERIES_MAX_NOME:
             return
+        # for y in the annulus, r = |p| and s = r^(1/2):
+        # (s; r)_inf^2 <= |theta(y) / (1 - y)| <= (-s; r)_inf^2, and the undo
+        # steps multiply by at least s and at most r^-(k^2/2 + |k|)
+        r = abs(p)
+        s = t = math.sqrt(r)
+        low = high = 1.0
+        for _ in range(order):
+            low *= 1 - t
+            high *= 1 + t
+            t *= r
+        self.c = s * low * low
+        # the largest k with (1 + 1/s) high^2 r^-(k^2/2 + k) <= 1e60
+        budget = math.log(1e60 / ((1 + 1 / s) * high * high)) / -self.log_modulus
+        if budget >= 0:
+            self.k_max = math.isqrt(math.floor(1 + 2 * budget)) - 1
         # c_n = (-1)^n p^(n(n-1)/2) and b_m = -(c_(m+1) + c_(m+2) + ...);
         # in the reduced annulus the terms b_m y^(+-m) are below
         # |p|^(m^2 / 2), which is <= target_eps for every dropped m > top
@@ -297,6 +324,27 @@ class _Nome:
         # one assignment, so a concurrent reader sees a consistent state
         self._table = (table, re, im, shift)
         return table
+
+    def certifies(self, xs) -> bool:
+        """True when every x in xs is nonzero and finite, and theta(x) is
+        certainly at least 2 DEFAULT_MIN_DENOMINATOR and at most 1e60 in
+        modulus, without evaluating it: with x = p^k y reduced as
+        ``evaluate`` reduces it, |theta(x)| >= c |1 - y|, and |k| <= k_max
+        bounds it above.  The factor 2 covers the series error and the
+        rounding of y.  False decides nothing."""
+        c, k_max, log_modulus = self.c, self.k_max, self.log_modulus
+        table = self.powers(k_max)
+        least = 2 * DEFAULT_MIN_DENOMINATOR
+        for x in xs:
+            if x == 0 or not cmath.isfinite(x):
+                return False
+            k = math.floor(cmath.log(x).real / log_modulus + 0.5)
+            if abs(k) > k_max:
+                return False
+            y = x / table[k] if k > 0 else x * table[-k]
+            if c * abs(1 - y) < least:
+                return False
+        return True
 
     def evaluate(self, x: complex, product: bool) -> complex:
         """theta(x) by the three steps of the module docstring: reduce x to
@@ -435,6 +483,38 @@ class EllipticParams:
         """None when numbers and weights over [lo, hi] clear the guards,
         else the reason for the first refusal.
 
+        A window whose guarded factors ``_Nome.certifies`` bounds clear of
+        the guards is accepted without a theta value; any other goes to
+        ``_window_scan``, which decides it.  No number or weight is
+        formed, so their caches stay empty.
+        """
+        return None if self._window_certified(lo, hi) else self._window_scan(lo, hi)
+
+    def _window_certified(self, lo: int, hi: int) -> bool:
+        """True when every theta argument of [z] and W(z) over [lo, hi] is
+        nonzero and finite and ``_Nome.certifies`` every guarded factor;
+        only for p != 0 evaluated by the series under the policy
+        ``ThetaPolicy.for_nome`` gives p, whose error the bound covers."""
+        p = self.p
+        if (p == 0 or abs(p) > SERIES_MAX_NOME
+                or self.policy != ThetaPolicy.for_nome(p)):
+            return False
+        a, b, q = self.a, self.b, self.q
+        dens = [q, a * q]
+        nums = [b * q, a * q / b, b, a / b]
+        try:
+            for z in range(lo, hi + 1):
+                u = qpow(q, z)
+                nums += (u, a * u, a * q * u * u)
+                dens += (b * u, a * u / b, b * q * u, a * q * u / b)
+        except DegenerateParameters:
+            return False
+        return (all(x != 0 and cmath.isfinite(x) for x in nums)
+                and _nome_for(q, p, self.policy).certifies(dens))
+
+    def _window_scan(self, lo: int, hi: int) -> str | None:
+        """``window_refusal`` by evaluation.
+
         Only the guarded denominator factors of [z] and W(z) are evaluated,
         through the theta memo, each distinct one once and in the order in
         which ``_number_den`` and ``_weight_den`` first ask for it.  Their
@@ -443,8 +523,7 @@ class EllipticParams:
         range-checked instead of evaluated: one that is 0 or not finite
         fails the window, as its theta would raise.  A denominator argument
         that underflows to 0 fails it too.  Every refusal names its argument
-        or factor and the index z.  No number or weight is formed, so their
-        caches stay empty.
+        or factor and the index z.
         """
         if self.q == 1:
             return None  # the classical end: [z] = z and W(k) = 1, no guard
@@ -741,9 +820,10 @@ def sample_elliptic_params(
     DEFAULT_MIN_DENOMINATOR,
     every denominator product there is finite, and every numerator theta
     argument there is nonzero and finite (``EllipticParams.window_ok``).
-    The window evaluates only the distinct denominator factors, 4 theta
-    values per index and 2 more, and leaves the returned parameters with
-    no number or weight cached.
+    Most draws pass the window's closed-form certificate, which evaluates
+    no theta value; the rest are scanned, at 4 theta values per index and
+    2 more.  Either way the returned parameters have no number or weight
+    cached.
     """
     for _ in range(retries):
         p = rng.uniform(0.05, 0.5)

@@ -26,6 +26,7 @@ from qelliptic.eulerian import (
     r_whitney_eulerian_rows,
     worpitzky_check,
 )
+from qelliptic import newton
 from qelliptic.newton import (
     AffineWhitneySequence,
     ClassicalSequence,
@@ -35,6 +36,7 @@ from qelliptic.newton import (
     QWhitneySequence,
 )
 from qelliptic.scalars import (
+    COMPLEX,
     EXACT_Q,
     RATIONAL,
     ExactScalar,
@@ -388,6 +390,40 @@ def test_lagrange_delta_scale_bound_raises():
     with pytest.raises(DegenerateSequence):
         lagrange_delta(6, 2, 1, seq, max_scale=1e5)
     assert abs(lagrange_delta(6, 2, 1, seq)) <= 1e-6
+
+
+def test_engine_names_the_first_close_pair_of_the_first_refusing_row():
+    # general_eulerian_rows scans only the pairs that the new nodes -n and
+    # n+2 of window n form; it must refuse with the pair that a full scan
+    # of each window [-n, n+2], row by row, names first, and leave the
+    # accepted-window memo alone
+    rng = random.Random(43)
+    N = 7
+    outcomes = set()
+    for trial in range(400):
+        values = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                  for _ in range(2 * N + 3)]
+        for _ in range(trial % 3):
+            i, j = sorted(rng.sample(range(len(values)), 2))
+            values[j] = values[i] * (1 + complex(rng.uniform(-1e-12, 1e-12)))
+        seq = ExplicitSequence(values, offset=-N, field=COMPLEX)
+        want = None
+        try:
+            for n in range(N + 1):
+                newton._numeric_pair_scan(seq.window(-n, n + 2))
+        except DegenerateSequence as exc:
+            want = str(exc)
+        memo = dict(newton._ACCEPTED_WINDOWS)
+        try:
+            general_eulerian_rows(seq, N)
+            got = None
+        except DegenerateSequence as exc:
+            got = str(exc)
+        assert got == want, values
+        assert newton._ACCEPTED_WINDOWS == memo
+        outcomes.add(None if got is None else got.split()[3] != "0")
+    # acceptances, and refusals at pairs (0, j) and (i, 2n+2) with i > 0
+    assert outcomes == {None, False, True}
 
 
 def test_engine_domain():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import importlib
 import itertools
 import math
 import random
@@ -578,19 +580,24 @@ def _near_zero(rng, a, b, q, unit):
     return near * b * qpow(q, -z0), b, q
 
 
-def test_window_matches_full_evaluation():
-    # draws from sample_elliptic_params' distribution, not filtered by the
-    # window; every second one moved next to a zero p^k of theta
-    rng = random.Random(17)
-    outcomes = set()
-    for i in range(2000):
+def _near_zero_draws(seed, count):
+    """Draws from the sampler's distribution, every second one moved next
+    to a zero p^k of theta."""
+    rng = random.Random(seed)
+    for i in range(count):
         p = rng.uniform(0.05, 0.5)
         q, a, b = (sample_annulus(rng, 0.4, 0.9) for _ in range(3))
         if i % 2:
             a, b, q = _near_zero(rng, a, b, q, p ** rng.randint(-1, 1))
-        params = EllipticParams(a=a, b=b, q=q, p=p)
+        yield EllipticParams(a=a, b=b, q=q, p=p)
+
+
+def test_window_matches_full_evaluation():
+    # draws not filtered by the window
+    outcomes = set()
+    for params in _near_zero_draws(17, 2000):
         ok = params.window_ok(-8, 10)
-        assert ok == _full_window(params), (a, b, q, p)
+        assert ok == _full_window(params), params
         outcomes.add(ok)
     assert outcomes == {True, False}
 
@@ -669,26 +676,26 @@ def _edge_packs():
                 yield EllipticParams(**draw)
 
 
+def _scan_ok(params, lo, hi):
+    """window_ok by the exhaustive scan alone, without the certificate."""
+    return params._window_scan(lo, hi) is None
+
+
 def test_window_asks_for_each_factor_in_per_call_order():
-    # verdicts, escaping exceptions and memo contents (keys, value bits and
-    # insertion order) equal those of one _number_den and one _weight_den
-    # call per index, on the sampler's draws, draws moved next to a zero,
-    # and the CLI edge packs.  A verdict equals the full evaluation's.  On
-    # some edge packs a theta argument underflows to 0, which both refuse
-    rng = random.Random(21)
-    cases = []
-    for i in range(300):
-        p = rng.uniform(0.05, 0.5)
-        q, a, b = (sample_annulus(rng, 0.4, 0.9) for _ in range(3))
-        if i % 2:
-            a, b, q = _near_zero(rng, a, b, q, p ** rng.randint(-1, 1))
-        cases.append(EllipticParams(a=a, b=b, q=q, p=p))
-    cases += list(_edge_packs())
+    # the scan's verdicts, escaping exceptions and memo contents (keys,
+    # value bits and insertion order) equal those of one _number_den and
+    # one _weight_den call per index, on the sampler's draws, draws moved
+    # next to a zero, and the CLI edge packs; a certified window leaves
+    # the memo empty, so the order is the scan's.  The window's verdict or
+    # exception is the same, and equals the full evaluation's.  On some
+    # edge packs a theta argument underflows to 0, which both refuse
+    cases = list(_near_zero_draws(21, 300)) + list(_edge_packs())
     outcomes = set()
     for params in cases:
-        got = _window_run(EllipticParams.window_ok, params)
+        got = _window_run(_scan_ok, params)
         assert got == _window_run(_per_call_window, params), params
         verdict = got[0]
+        assert _window_run(EllipticParams.window_ok, params)[0] == verdict, params
         assert verdict == _full_window(params), params
         outcomes.add(verdict)
     assert outcomes == {True, False}
@@ -698,8 +705,10 @@ def test_window_decides_finiteness_in_denominator_product_order():
     # theta values planted in the memo: moduli from 1e-5 to 1e3, and at
     # one index z0 each u-dependent factor near 1e150 half of the time, so
     # that a product leaves double range at one partial product and not at
-    # another.  The window must multiply in the order of _number_den and
-    # _weight_den to refuse exactly what they refuse
+    # another.  The scan must multiply in the order of _number_den and
+    # _weight_den to refuse exactly what they refuse.  A bound on the true
+    # theta cannot see planted values, so the scan runs without the
+    # certificate
     rng = random.Random(27)
     outcomes = set()
     for _ in range(300):
@@ -715,7 +724,7 @@ def test_window_decides_finiteness_in_denominator_product_order():
                 key = (x, math.copysign(1, x.real), math.copysign(1, x.imag))
                 planted.setdefault(key, sample_annulus(rng, size, size))
         verdicts = []
-        for window in (EllipticParams.window_ok, _per_call_window):
+        for window in (_scan_ok, _per_call_window):
             fresh = params.with_ab()
             fresh._theta_cache.update(planted)
             verdicts.append(window(fresh, -8, 10))
@@ -756,7 +765,7 @@ def test_theta_argument_underflow_is_a_named_degeneracy():
 
 
 def test_window_evaluates_only_the_guarded_factors():
-    # per index the window memoizes theta(b q^k), theta(a q^k / b),
+    # per index the scan memoizes theta(b q^k), theta(a q^k / b),
     # theta(b q^(k+1)) and theta(a q^(k+1) / b), plus theta(q) and theta(a q)
     # once; it forms no number or weight, and leaves the values to come
     # with the bits of a parameter set that never ran it
@@ -766,14 +775,109 @@ def test_window_evaluates_only_the_guarded_factors():
         params = sample_elliptic_params(rng)
         fresh = params.with_ab()
         params = params.with_ab()
-        assert params.window_ok(-8, 10)
-        assert len(params._theta_cache) <= 4 * 19 + 2
+        assert params._window_scan(-8, 10) is None
+        assert 0 < len(params._theta_cache) <= 4 * 19 + 2
         assert not params._num_cache and not params._wt_cache
         for kind in ("number", "weight"):
             for shift in _SHIFTS:
                 for z in range(-8, 11):
                     got = _ENTRY[kind](z, shift, params)
                     assert _same_bits(got, _ENTRY[kind](z, shift, fresh)), (kind, z, shift)
+
+
+# -- the window's certificate ------------------------------------------------------
+
+
+def _certificate_cases():
+    """The near-zero draws, the CLI edge packs, complex p, and p just
+    above and below SERIES_MAX_NOME."""
+    yield from _near_zero_draws(31, 600)
+    yield from _edge_packs()
+    rng = random.Random(37)
+    for i in range(300):
+        modulus = (SERIES_MAX_NOME * (1 + 1e-12), SERIES_MAX_NOME,
+                   SERIES_MAX_NOME * (1 - 1e-12), rng.uniform(0.05, 0.6))[i % 4]
+        p = sample_annulus(rng, modulus, modulus) if i % 3 else complex(modulus)
+        q, a, b = (sample_annulus(rng, 0.3, 1.2) for _ in range(3))
+        if i % 5 == 0:
+            a, b, q = _near_zero(rng, a, b, q, p ** rng.randint(-1, 1))
+        yield EllipticParams(a=a, b=b, q=q, p=p)
+
+
+def test_window_certificate_gives_the_scans_verdict_and_message():
+    certified = refused = 0
+    above = False
+    for params in _certificate_cases():
+        got = _window_run(EllipticParams.window_refusal, params)[0]
+        assert got == _window_run(EllipticParams._window_scan, params)[0], params
+        if params.with_ab()._window_certified(-8, 10):
+            certified += 1
+            assert abs(params.p) <= SERIES_MAX_NOME, params
+        refused += got is not None
+        above |= abs(params.p) > SERIES_MAX_NOME and got is None
+    assert certified > 400 and refused > 100 and above
+
+
+def test_certified_window_calls_no_theta(monkeypatch):
+    theta_module = importlib.import_module("qelliptic.theta")
+    draws = [sample_elliptic_params(random.Random(seed)) for seed in range(40)]
+    calls = []
+
+    def counting_theta(*args):
+        calls.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(theta_module, "theta", counting_theta)
+    certified = 0
+    for params in draws:
+        params = params.with_ab()
+        del calls[:]
+        assert params.window_ok(-8, 10)
+        if params._window_certified(-8, 10):
+            certified += 1
+            assert not calls and not params._theta_cache, params
+    assert certified > 30
+    # the wrapper sees the scan's evaluations
+    params = draws[0].with_ab()
+    assert params._window_scan(-8, 10) is None and calls
+
+
+def _reduced(x, nome):
+    """y of x = p^k y, reduced as theta reduces it, and k."""
+    k = math.floor(cmath.log(x).real / nome.log_modulus + 0.5)
+    table = nome.powers(abs(k))
+    return (x / table[k] if k > 0 else x * table[-k]), k
+
+
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.3 + 0.2j, -0.5, 0.6j, SERIES_MAX_NOME])
+def test_certificate_bounds_theta(p):
+    # |theta(x)| >= c |1 - y| everywhere, and it is nearly tight at small
+    # |p| just inside |x| = |p|^(1/2), where k = 1 and y = |p|^(-1/2); for
+    # |k| <= k_max, |theta(x)| <= 1e60, where a product of five stays finite
+    nome = _nome_entry(complex(p))
+    r = abs(p)
+    rng = random.Random(41)
+    xs = [math.sqrt(r) * (1 - 1e-9) * p / r, 1 + 1e-7, -1.0]
+    xs += [sample_route_argument(rng) for _ in range(300)]
+    xs += [sample_annulus(rng, 0.5, 2.0) for _ in range(100)]
+    xs += [y * p ** k for k in (-nome.k_max, nome.k_max)
+           for y in (-(r ** -0.5), -(r ** 0.5), -1)]
+    tightest = math.inf
+    for x in xs:
+        y, k = _reduced(x, nome)
+        value = abs(theta(x, p))
+        assert nome.c * abs(1 - y) <= value, (x, p)
+        if abs(1 - y) > 0:
+            tightest = min(tightest, value / (nome.c * abs(1 - y)))
+        if abs(k) <= nome.k_max:
+            assert value <= 1e60, (x, p)
+    if r <= 0.05:
+        assert tightest < 2
+    # past k_max the certificate declines, however far y is from 1
+    assert nome.k_max > 0
+    assert nome.certifies([-(p ** nome.k_max)])
+    assert not nome.certifies([-(p ** (nome.k_max + 1))])
+    assert not nome.certifies([-(p ** -(nome.k_max + 1))])
 
 
 # -- independent oracle -------------------------------------------------------------
