@@ -77,6 +77,21 @@ __all__ = [
 # the generic engine
 # ---------------------------------------------------------------------------
 
+def _scanned_window(seq: ValueSequence, n: int) -> list:
+    """seq.window(-n, n + 2), for numeric nodes whose window n - 1 passed.
+
+    Window n adds the nodes -n and n + 2 (positions 0 and 2n + 2) to
+    window n - 1, so only the pairs they form are scanned, in the order of
+    a full scan: row by row, a refusal names the close pair that a
+    whole-window scan of the first refusing row names.
+    """
+    nodes = seq.window(-n, n + 2)
+    last = 2 * n + 2
+    _numeric_pair_scan(nodes, [(0, j) for j in range(1, last + 1)]
+                       + [(i, last) for i in range(1, last)])
+    return nodes
+
+
 def _guard_window(seq: ValueSequence, n: int) -> None:
     # row n of the recurrence and of the explicit sum subtracts nodes
     # across [-n, n+2]; refuse the whole window if any two of them
@@ -107,17 +122,6 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
     if N < 0:
         raise DomainError("need N >= 0")
     field = seq.field
-    # row by row, so a refusal names the close pair that the first
-    # refusing row's window names.  Window n adds the nodes -n and n+2
-    # (positions 0 and 2n+2) to window n-1, whose pairs passed, so only
-    # the pairs they form are scanned, in the order of a full scan
-    if not field.exact:
-        for n in range(N + 1):
-            last = 2 * n + 2
-            _numeric_pair_scan(seq.window(-n, n + 2),
-                               [(0, j) for j in range(1, last + 1)]
-                               + [(i, last) for i in range(1, last)])
-
     if field.exact:
         # c -> (L, W(c, L)) for the last L asked; rows grow in order, so
         # the L asked for any c never falls
@@ -135,14 +139,18 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
             p = field.div(gap_product(c + 1, n + 1), gap_product(c, n + 1))
             return (-seq[-k]) * p * x
     else:
+        for n in range(N + 1):
+            nodes = _scanned_window(seq, n)
+        # a_i is nodes[N + i], from the last window scanned
+        div = field.div
+
         def right(n, k, x):
+            lo = N - k
+            top, below = nodes[lo + n + 2], nodes[lo + n + 1]
             p = field.one
-            for i in range(1, n + 2):
-                p = p * field.div(
-                    seq[n - k + 2] - seq[i - k],
-                    seq[n - k + 1] - seq[i - 1 - k],
-                )
-            return (-seq[-k]) * p * x
+            for i in range(lo + 1, lo + n + 2):
+                p = p * div(top - nodes[i], below - nodes[i - 1])
+            return (-nodes[lo]) * p * x
 
     return _grow_rows(N, field.one, field.zero,
                       lambda n, k, x: seq[n - k + 2] * x, right)
@@ -159,15 +167,18 @@ def _general_explicit_value(n: int, k: int, seq: ValueSequence):
     """The explicit-route entry (n, k) and its summands; the caller guards
     the node window first."""
     field = seq.field
+    div = field.div
+    # a_i is nodes[k + i]; a_{n-k+1} is read only when n > 0
+    nodes = seq.window(-k, n - k + min(n, 1))
+    top = nodes[-1]
     terms = []
     for j in range(k + 1):
+        node = nodes[k - j]
         ratio = field.one
         for i in range(n + 1):
             if i != k - j:
-                num = seq[n - k + 1] - seq[i - k]
-                den = seq[-j] - seq[i - k]
-                ratio = ratio * field.div(num, den)
-        terms.append(ratio * _checked_power(seq[-j], n))
+                ratio = ratio * div(top - nodes[i], node - nodes[i])
+        terms.append(ratio * _checked_power(node, n))
     total = field.zero
     for t in terms:
         total = total + t
@@ -175,10 +186,11 @@ def _general_explicit_value(n: int, k: int, seq: ValueSequence):
 
 
 def _general_explicit_rows(seq: ValueSequence, N: int) -> list[list]:
-    """Rows 0..N of the explicit route, the node window guarded once per row."""
+    """Rows 0..N of the explicit route over numeric nodes, each row's new
+    node pairs scanned before the row is formed."""
     rows = []
     for n in range(N + 1):
-        _guard_window(seq, n)
+        _scanned_window(seq, n)
         rows.append([_general_explicit_value(n, k, seq)[0] for k in range(n + 1)])
     return rows
 
@@ -217,11 +229,15 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
 
     The node gaps a_{n-k+1} - a_{i-k} do not depend on z and are formed
     once.  Over an exact field the coefficient A(n, k) / prod_i gap is
-    formed once too, so a point costs the products prod_i (z - a_{i-k}),
-    and none where a factor is 0; results are canonical, so they equal
-    the point-by-point quotients.  A float summand keeps the order
-    A(n, k) prod_i ((z - a_{i-k}) / gap) of a point-by-point evaluation,
-    bit for bit.
+    formed once too.  The window of column k, z - a_j for j in
+    [1 - k, n - k], is the last k of the first n differences z - a_j
+    (j in [1 - n, 0]) and the first n - k of the last n (j in [1, n]), so
+    a point costs one running product over each half, from the middle
+    outwards, and at most two products per column: about 4n ring products
+    instead of n(n + 1), and none past a difference that is 0.  Results
+    are canonical, so they equal the point-by-point quotients.  A float
+    summand keeps the order A(n, k) prod_i ((z - a_{i-k}) / gap) of a
+    point-by-point evaluation, bit for bit.
     """
     if n < 0:
         raise DomainError("need n >= 0")
@@ -241,16 +257,22 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
     for z in points:
         # z - a_j for j in [1 - n, n], at index j + n - 1
         diffs = [z - seq[j] for j in range(1 - n, n + 1)]
+        if field.exact:
+            # head[k]: the last k of the first n; tail[m]: the first m of
+            # the last n
+            head = _running_products(diffs[n - 1::-1], field)
+            tail = _running_products(diffs[n:], field)
         terms = []
         for k in range(n + 1):
             lo = n - k  # diffs index of a_{1-k}
             if field.exact:
-                window = diffs[lo:lo + n]
                 factor = field.zero
-                if not any(map(field.is_zero, window)):
+                if not (field.is_zero(head[k]) or field.is_zero(tail[lo])):
                     factor = coefficients[k]
-                    for d in window:
-                        factor = factor * d
+                    if k:
+                        factor = factor * head[k]
+                    if lo:
+                        factor = factor * tail[lo]
             else:
                 factor = row[k]
                 for i, gap in enumerate(gaps[k]):
@@ -261,6 +283,18 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
             rhs = rhs + t
         results.append((z ** n, rhs, terms))
     return results
+
+
+def _running_products(xs: list, field) -> list:
+    """[1, x_0, x_0 x_1, ...] over an exact field, each product formed once;
+    from the first x that is 0 on, every entry is 0 and no product is
+    formed."""
+    products = [field.one]
+    for i, x in enumerate(xs):
+        if field.is_zero(x):
+            return products + [field.zero] * (len(xs) - i)
+        products.append(products[-1] * x if i else x)
+    return products
 
 
 def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,
@@ -478,9 +512,11 @@ def elliptic_eulerian_rows(N: int, params: EllipticParams,
     """
     _check_entry(N)
     if route == "explicit":
-        power = cache(partial(_elliptic_power, params))
+        # each shifted number and power once per table, on first touch, so
+        # a refusal still names the entry that an entry-by-entry pass names
+        pieces = [cache(partial(piece, params)) for piece in _EXPLICIT_PIECES]
         return _entry_rows(N, lambda n, k: sum(
-            _elliptic_explicit_terms(n, k, params, power), complex(0.0)))
+            _elliptic_explicit_terms(n, k, *pieces), complex(0.0)))
     if route == "engine":
         return general_eulerian_rows(EllipticSequence(params), N)
     if route != "recurrence":
@@ -500,21 +536,36 @@ def elliptic_eulerian_rows(N: int, params: EllipticParams,
                       lambda n, k, x: elliptic_number(n - k + 2, params) * x, right)
 
 
+def _elliptic_numerator(params: EllipticParams, d: int, u: int) -> complex:
+    # [n - i + 1] at shift (2u, u), with d = n - k and u = i - k
+    return elliptic_number_shifted(d - u + 1, (2 * u, u), params)
+
+
+def _elliptic_divisor(params: EllipticParams, j: int, u: int) -> complex:
+    # [k - j - i] at shift (2u, u), with u = i - k
+    return _shifted_divisor(-j - u, (2 * u, u), params)
+
+
 def _elliptic_power(params: EllipticParams, j: int, n: int) -> complex:
     return _checked_power(elliptic_number(-j, params), n)
 
 
-def _elliptic_explicit_terms(n: int, k: int, params: EllipticParams,
+# the pieces of the explicit sum, each taking params first
+_EXPLICIT_PIECES = (_elliptic_numerator, _elliptic_divisor, _elliptic_power)
+
+
+def _elliptic_explicit_terms(n: int, k: int, numerator, divisor,
                              power) -> list[complex]:
-    # power(j, n) = [-j]^n
+    # the summands over j of the explicit entry (n, k): the pieces of
+    # _EXPLICIT_PIECES with params bound
+    d = n - k
     terms = []
     for j in range(k + 1):
         ratio = complex(1.0)
-        for i in range(n + 1):
-            if i != k - j:
-                u = i - k
-                ratio *= elliptic_number_shifted(n - i + 1, (2 * u, u), params)
-                ratio /= _shifted_divisor(k - j - i, (2 * u, u), params)
+        for u in range(-k, d + 1):
+            if u != -j:
+                ratio *= numerator(d, u)
+                ratio /= divisor(j, u)
         terms.append(ratio * power(j, n))
     return terms
 
@@ -525,7 +576,8 @@ def elliptic_eulerian_scaled(n: int, k: int,
     _check_entry(n, k)
     if k > n:
         return complex(0.0), 1.0
-    terms = _elliptic_explicit_terms(n, k, params, partial(_elliptic_power, params))
+    terms = _elliptic_explicit_terms(
+        n, k, *(partial(piece, params) for piece in _EXPLICIT_PIECES))
     return sum(terms, complex(0.0)), max(1.0, *(abs(t) for t in terms))
 
 

@@ -48,11 +48,16 @@ DEFAULT_MIN_DENOMINATOR raises DegenerateParameters naming the factor.
 Values are memoized per parameter set, keyed by the integer (alpha, beta)
 exponent pair of the shift a -> a q^alpha, b -> b q^beta.
 
-Two caches sit under those values, and neither changes a result by a
+Three caches sit under those values, and none changes a result by a
 bit.  Each parameter set memoizes theta(x; p) per argument, so no theta
-value is evaluated twice for one set; the key carries the signs of both
-zero parts, so 0.3+0j and 0.3-0j (equal under ==) never share an entry,
-and every miss calls ``theta``.  The sampler's window check
+value is evaluated twice for one set, and every miss calls ``theta``.
+The key (``_memo_key``) is x itself when both parts are nonzero, where
+== is bit equality, and else x with the signs of both parts, so 0.3+0j
+and 0.3-0j (equal under ==) never share an entry.  Each parameter set
+also keeps, per shifted a and under the same key, the guarded leading
+product theta(q) theta(a q) of the denominator of [z]: it is the first
+product of that left-to-right chain, so it has the same bits at every
+z.  The sampler's window check
 (``EllipticParams.window_ok``) certifies first, then scans.  The
 certificate evaluates no theta value: with x = p^k y reduced as above
 and r = |p|, the product gives |theta(y)| >= |1 - y| (r^(1/2); r)_inf^2
@@ -68,8 +73,8 @@ and theta(a q^(k+1) / b) per index k, each looked up and guarded once.
 It refuses an index whose number or weight denominator product is not
 finite and range-checks the numerator arguments without evaluating
 them.  Neither caches a number or weight.
-``theta`` reads the constants of its nome from a bounded cache keyed the
-same way: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
+``theta`` reads the constants of its nome from a bounded cache keyed on
+p with the signs of both its parts: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
 each rounded once from exact integer arithmetic and grown on demand.  In
 front of that cache sits the last (p, policy) pair resolved, matched by
 identity, so the calls of one parameter set, which pass the same two
@@ -128,6 +133,8 @@ def qpow(base: complex, z) -> complex:
 
     An integer power that leaves double range raises DegenerateParameters.
     """
+    if isinstance(z, int):
+        return _checked_power(base, z)
     if isinstance(z, complex):
         if z.imag == 0:
             z = z.real
@@ -433,6 +440,9 @@ class EllipticParams:
     _theta_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
+    _lead_cache: dict = field(
+        default_factory=dict, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         for name in ("a", "b", "q", "p"):
@@ -532,8 +542,8 @@ class EllipticParams:
             if self.p == 0:
                 for z in range(lo, hi + 1):
                     u = qpow(q, z)
-                    _finite_den(_number_den(u, a, b, self, z), f"[{z}]")
-                    _finite_den(_weight_den(u, a, b, self, z), f"W({z})")
+                    _finite_den(_number_den(u, a, b, self, z), "[{}]", z)
+                    _finite_den(_weight_den(u, a, b, self, z), "W({})", z)
                 return None
             memo = self._theta
 
@@ -569,11 +579,20 @@ class EllipticParams:
 
     def _theta(self, x: complex) -> complex:
         """theta(x; p), memoized per argument; see the module docstring."""
-        key = (x, math.copysign(1, x.real), math.copysign(1, x.imag))
+        key = _memo_key(x)
         value = self._theta_cache.get(key)
         if value is None:
             value = self._theta_cache[key] = theta(x, self.p, self.policy)
         return value
+
+
+def _memo_key(x: complex):
+    """The memo key of x: x itself when both parts are nonzero, where == is
+    bit equality; else x with the signs of both parts, so that 0.3+0j and
+    0.3-0j, equal under ==, never share an entry."""
+    if x.real and x.imag:
+        return x
+    return (x, math.copysign(1, x.real), math.copysign(1, x.imag))
 
 
 def _guard(value: complex, label: str, z=None) -> complex:
@@ -649,9 +668,15 @@ def _number_den(u, a, b, params: EllipticParams, z=None) -> complex:
             * _guard(1 - a * u / b, "(1 - a q^z / b)", z)
         )
     th = params._theta
+    # theta(q) theta(a q) is the first product of the chain, the same for
+    # every z at one shift, so it is formed once per a
+    key = _memo_key(a)
+    lead = params._lead_cache.get(key)
+    if lead is None:
+        lead = params._lead_cache[key] = (_guard(th(q), "theta(q)")
+                                          * _guard(th(a * q), "theta(a q)"))
     return (
-        _guard(th(q), "theta(q)")
-        * _guard(th(a * q), "theta(a q)")
+        lead
         * _guard(th(b * u), "theta(b q^z)")
         * _guard(th(a * u / b), "theta(a q^z / b)")
     )
@@ -684,10 +709,14 @@ def _weight_den(u, a, b, params: EllipticParams, z=None) -> complex:
     )
 
 
-def _finite_den(den: complex, label: str) -> complex:
+def _finite_den(den: complex, label: str, z=None) -> complex:
     """The denominator product of a number or weight, refused once it leaves
-    double range: a finite numerator over it would come out as an exact 0."""
+    double range: a finite numerator over it would come out as an exact 0.
+    The refusal names ``label``, formatted with the index z when one is
+    given, so no label is built for a finite product."""
     if not cmath.isfinite(den):
+        if z is not None:
+            label = label.format(z)
         raise DegenerateParameters(
             f"denominator of {label} is {den}, outside double range"
         )
@@ -700,7 +729,7 @@ def _number_raw(z, a, b, params: EllipticParams) -> complex:
         return complex(z)
     u = qpow(q, z)
     if p == 0:
-        den = _finite_den(_number_den(u, a, b, params), f"[{z}]")
+        den = _finite_den(_number_den(u, a, b, params), "[{}]", z)
         if a == 0 and b == 0:
             return (1 - u) / den
         if a == 0:
@@ -710,7 +739,7 @@ def _number_raw(z, a, b, params: EllipticParams) -> complex:
     num = 1 + 0j
     for x in (u, a * u, b * q, a * q / b):
         num *= th(x)
-    return num / _finite_den(_number_den(u, a, b, params), f"[{z}]")
+    return num / _finite_den(_number_den(u, a, b, params), "[{}]", z)
 
 
 def _weight_raw(k, a, b, params: EllipticParams) -> complex:
@@ -719,7 +748,7 @@ def _weight_raw(k, a, b, params: EllipticParams) -> complex:
     if p == 0:
         if a == 0 and b == 0:
             return u
-        den = _finite_den(_weight_den(u, a, b, params), f"W({k})")
+        den = _finite_den(_weight_den(u, a, b, params), "W({})", k)
         if a == 0:
             return (1 - b) * (1 - b * q) / den * u
         num = (
@@ -734,7 +763,7 @@ def _weight_raw(k, a, b, params: EllipticParams) -> complex:
     num = 1 + 0j
     for x in (a * q * u * u, b, b * q, a / b, a * q / b):
         num *= th(x)
-    return num / _finite_den(_weight_den(u, a, b, params), f"W({k})") * u
+    return num / _finite_den(_weight_den(u, a, b, params), "W({})", k) * u
 
 
 def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -> complex:
@@ -758,6 +787,9 @@ def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -
 
 def elliptic_number(z, params: EllipticParams) -> complex:
     """The elliptic number [z]_{a,b;q,p}."""
+    cached = params._num_cache.get((0, 0, z))
+    if cached is not None:
+        return cached
     return elliptic_number_shifted(z, (0, 0), params)
 
 

@@ -1,6 +1,7 @@
 """Eulerian triangles: route agreement, specializations, and the
 interpolation identity they are defined by."""
 
+import importlib
 import math
 import random
 import struct
@@ -45,6 +46,9 @@ from qelliptic.scalars import (
     residual,
 )
 from qelliptic.theta import EllipticParams, sample_elliptic_params
+
+# the module, which the package's function of the same name shadows
+eulerian_module = importlib.import_module("qelliptic.eulerian")
 
 
 def fixed_params(seed):
@@ -224,6 +228,37 @@ def test_elliptic_eulerian_routes(seed):
             assert abs(rec - exp) / max(1.0, abs(rec), s_exp) <= 1e-12
             assert abs(rec - eng) / max(1.0, abs(rec), s_eng) <= 1e-12
             assert abs(rec - rows[n][k]) / max(1.0, abs(rec), abs(rows[n][k])) <= 1e-7
+
+
+def test_elliptic_explicit_table_looks_each_shifted_number_up_once(monkeypatch):
+    # the numerator [n - i + 1] and the divisor [k - j - i], both at shift
+    # (2u, u) with u = i - k, depend on (n - k, u) and (j, u) only
+    calls = []
+    lookup = eulerian_module.elliptic_number_shifted
+
+    def counting(z, shift, params):
+        calls.append((z, shift))
+        return lookup(z, shift, params)
+
+    monkeypatch.setattr(eulerian_module, "elliptic_number_shifted", counting)
+    N = 8
+    elliptic_eulerian_rows(N, fixed_params(4), "explicit")
+    factors = [(n, k, j, i - k) for n in range(N + 1) for k in range(n + 1)
+               for j in range(k + 1) for i in range(n + 1) if i != k - j]
+    numerators = {(n - k, u) for n, k, _, u in factors}
+    divisors = {(j, u) for _, _, j, u in factors}
+    assert len(calls) == len(set(calls)) == len(numerators) + len(divisors)
+    assert len(calls) < len(factors) // 5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_elliptic_explicit_table_is_bit_identical_to_the_scaled_entries(seed):
+    params = fixed_params(seed)
+    rows = elliptic_eulerian_rows(8, params, "explicit")
+    fresh = params.with_ab()
+    for n, row in enumerate(rows):
+        scaled = [elliptic_eulerian_scaled(n, k, fresh)[0] for k in range(n + 1)]
+        assert _bits(row) == _bits(scaled)
 
 
 def test_elliptic_eulerian_q_degeneration():
@@ -424,6 +459,33 @@ def test_engine_names_the_first_close_pair_of_the_first_refusing_row():
         outcomes.add(None if got is None else got.split()[3] != "0")
     # acceptances, and refusals at pairs (0, j) and (i, 2n+2) with i > 0
     assert outcomes == {None, False, True}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_explicit_r_whitney_rows_name_the_pair_of_a_whole_window_scan(seed):
+    # a = 1 brings elliptic nodes together, at rows 0 to 3 depending on
+    # (m, r); the explicit route scans only each row's new pairs, and must
+    # refuse with the pair that a full scan of each window, row by row,
+    # names first
+    params = fixed_params(seed).with_ab(a=1)
+    rows_refused = set()
+    for m in (1, 2, 3):
+        for r in range(5):
+            seq = EllipticSequence(params, scale=m, offset=-r)
+            want = None
+            try:
+                for n in range(9):
+                    newton._numeric_pair_scan(seq.window(-n, n + 2))
+            except DegenerateSequence as exc:
+                want = str(exc)
+                rows_refused.add(n)
+            try:
+                elliptic_r_whitney_eulerian_rows(8, m, r, params, "explicit")
+                got = None
+            except DegenerateSequence as exc:
+                got = str(exc)
+            assert got == want, (m, r)
+    assert rows_refused == {0, 1, 2, 3}
 
 
 def test_engine_domain():

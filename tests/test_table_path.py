@@ -154,10 +154,20 @@ def test_guard_scans_each_node_window_once_per_table(capsys, monkeypatch,
     argv = ["table", "--family", family, "--route", route, *size, "--seed", "1"]
     assert main(argv) == 0, capsys.readouterr().err
     assert len(scanned) == len(set(scanned)) == len(set(guarded))
-    # the estirling oracle rows, the erwhitneyeulerian explicit rows and the
-    # eshifted h columns guard each window once; the lah oracle guards per
-    # entry, and the memo is what keeps its scans to one per window
+    # the estirling oracle rows and the eshifted h columns guard each window
+    # once; the lah oracle guards per entry, and the memo is what keeps its
+    # scans to one per window.  The erwhitneyeulerian explicit rows scan
+    # only each row's new node pairs, outside the guard
     assert (len(guarded) > len(scanned)) == (family == "lah")
+    assert (not guarded) == (family == "erwhitneyeulerian")
+
+
+def test_explicit_r_whitney_table_leaves_the_window_memo_alone(capsys):
+    memo = dict(newton._ACCEPTED_WINDOWS)
+    argv = ["table", "--family", "erwhitneyeulerian", "--route", "explicit",
+            "--n", "8", "--m", "2", "--r", "1", "--seed", "1"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert newton._ACCEPTED_WINDOWS == memo
 
 
 def test_guard_refusal_repeats_its_message():

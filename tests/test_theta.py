@@ -21,6 +21,7 @@ from qelliptic.theta import (
     SERIES_MAX_NOME,
     _check_arguments,
     _finite_den,
+    _memo_key,
     _nome,
     _number_den,
     _weight_den,
@@ -518,6 +519,21 @@ def test_caches_keep_signed_zeros_apart():
     assert signs == {1.0, -1.0}
 
 
+def test_memo_keys_keep_signed_zeros_apart():
+    # an argument with two nonzero parts is its own key; one with a zero
+    # part carries the signs of both, so x == y does not merge the entries
+    params = EllipticParams(a=0.5, b=0.7, q=0.6, p=0.2)
+    xs = [complex(0.6, 0.0), complex(0.6, -0.0),
+          complex(0.0, 0.6), complex(-0.0, 0.6), complex(0.6, 0.1)]
+    assert _memo_key(xs[-1]) == xs[-1]
+    for x in xs:
+        assert _same_bits(params._theta(x), theta(x, params.p, params.policy))
+    assert len(params._theta_cache) == len(xs)
+    for x in xs:
+        assert _same_bits(params._theta_cache[_memo_key(x)],
+                          theta(x, params.p, params.policy))
+
+
 def test_cached_numbers_and_weights_bit_identical_complex():
     rng = random.Random(2024)
     for _ in range(6):
@@ -721,8 +737,7 @@ def test_window_decides_finiteness_in_denominator_product_order():
             for x in (q, a * q, b * u, a * u / b, b * q * u, a * q * u / b):
                 big = z == z0 and x not in (q, a * q) and rng.random() < 0.5
                 size = 10 ** (rng.uniform(145, 160) if big else rng.uniform(-5, 3))
-                key = (x, math.copysign(1, x.real), math.copysign(1, x.imag))
-                planted.setdefault(key, sample_annulus(rng, size, size))
+                planted.setdefault(_memo_key(x), sample_annulus(rng, size, size))
         verdicts = []
         for window in (_scan_ok, _per_call_window):
             fresh = params.with_ab()
