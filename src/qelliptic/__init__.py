@@ -71,7 +71,6 @@ from .scalars import (
 )
 from .theta import (
     EllipticParams,
-    ThetaPolicy,
     elliptic_number,
     elliptic_number_shifted,
     elliptic_weight,

@@ -51,7 +51,13 @@ from .families import (
 from .newton import ClassicalSequence, connection_recurrence
 from .scalars import ExactScalar, residual
 from .suites import SUITE_NAMES, run_suites
-from .theta import EllipticParams, sample_annulus, sample_elliptic_params
+from .theta import (
+    EllipticParams,
+    _SAMPLE_RETRIES,
+    _SAMPLE_WINDOW,
+    sample_annulus,
+    sample_elliptic_params,
+)
 
 __all__ = ["main", "SCHEMA_VERSION"]
 
@@ -185,18 +191,18 @@ def _resolve_params(args, rng: random.Random) -> tuple[EllipticParams, bool]:
                               q=given["q"], p=given["p"]), False
     if not given:
         return sample_elliptic_params(rng), True
-    for _ in range(100):
+    for _ in range(_SAMPLE_RETRIES):
         a = given.get("a", sample_annulus(rng, 0.4, 0.9))
         b = given.get("b", sample_annulus(rng, 0.4, 0.9))
         q = given.get("q", sample_annulus(rng, 0.4, 0.9))
         p = given.get("p", complex(rng.uniform(0.05, 0.5)))
         params = EllipticParams(a=a, b=b, q=q, p=p)
-        refusal = params.window_refusal(-8, 10)
+        refusal = params.window_refusal(*_SAMPLE_WINDOW)
         if refusal is None:
             return params, True
     raise DegenerateParameters(
-        "no generic completion of the given parameters found in 100 "
-        f"attempts; the last one was refused: {refusal}"
+        "no generic completion of the given parameters found in "
+        f"{_SAMPLE_RETRIES} attempts; the last one was refused: {refusal}"
     )
 
 

@@ -44,6 +44,7 @@ from .newton import (
     h_explicit_rows,
     h_recurrence_rows,
     newton_oracle_scaled,
+    pairwise_distinct_guard,
 )
 from .scalars import (
     EXACT_Q,
@@ -468,8 +469,12 @@ def elliptic_rook_row(board: FerrersBoard, params: EllipticParams,
         seq = EllipticSequence(params)
         c0, cs = _rook_oracle_nodes(board, params)
         numerator, denominator = map(cache, _connection_factors(seq, cs))
-        return [_connection_sum(c0, seq, n, n - j, numerator, denominator)[0]
-                * weight_product(n - j, params) for j in range(n + 1)]
+        row = []
+        for k in range(n, -1, -1):  # r_j from the coefficient (n, n - j)
+            pairwise_distinct_guard(seq.window(0, k), seq.field)
+            row.append(_connection_sum(c0, seq, n, k, numerator, denominator)[0]
+                       * weight_product(k, params))
+        return row
     raise _bad_route(route, ("explicit", "oracle"))
 
 
@@ -521,9 +526,13 @@ def elliptic_lah_rows(N: int, params: EllipticParams,
         rows = []
         for n in range(N + 1):
             cs.window(0, n - 1)  # each entry of row n forms these first
-            rows.append([_connection_sum(complex(1.0), seq, n, k,
-                                         numerator, denominator)[0]
-                         for k in range(n + 1)])
+            row = [_connection_sum(complex(1.0), seq, n, k,
+                                   numerator, denominator)[0] for k in range(n)]
+            # entry (n, n) is the first to use the nodes a_0..a_n
+            pairwise_distinct_guard(seq.window(0, n), seq.field)
+            row.append(_connection_sum(complex(1.0), seq, n, n,
+                                       numerator, denominator)[0])
+            rows.append(row)
         return rows
     raise _bad_route(route, ("recurrence", "explicit", "oracle"))
 

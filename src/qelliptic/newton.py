@@ -83,11 +83,9 @@ class ValueSequence:
 
 
 class ClassicalSequence(ValueSequence):
-    """a_i = i, exact rationals by default."""
+    """a_i = i, exact rationals."""
 
-    def __init__(self, field: ScalarField = RATIONAL):
-        super().__init__()
-        self.field = field
+    field = RATIONAL
 
     def _value(self, i: int):
         return self.field.from_int(i)
@@ -103,13 +101,14 @@ class QNumberSequence(ValueSequence):
 
 
 class AffineWhitneySequence(ValueSequence):
-    """a_i = m*i - r, exact rationals by default."""
+    """a_i = m*i - r, exact rationals."""
 
-    def __init__(self, m: int, r: int, field: ScalarField = RATIONAL):
+    field = RATIONAL
+
+    def __init__(self, m: int, r: int):
         super().__init__()
         self.m = m
         self.r = r
-        self.field = field
 
     def _value(self, i: int):
         return self.field.from_int(self.m * i - self.r)
@@ -184,19 +183,13 @@ class ExplicitSequence(ValueSequence):
         return self.values[j]
 
 
-# numeric node windows that passed the guard, keyed on the values; the
-# explicit and oracle routes guard the same window once per table entry,
-# so a table scans each distinct window once.  Only acceptances are kept,
-# so a refusal is re-derived, message and all, on every call.
-_ACCEPTED_WINDOWS: dict[tuple, None] = {}
-_ACCEPTED_WINDOWS_MAX = 256
-
-
 def pairwise_distinct_guard(values: Sequence, field: ScalarField) -> None:
     """Reject node lists with coincident entries.
 
     Exact fields compare structurally; numeric ones require
-    |a_i - a_j| >= DISTINCTNESS_REL * max(1, |a_i|, |a_j|).
+    |a_i - a_j| >= DISTINCTNESS_REL * max(1, |a_i|, |a_j|), scanning every
+    pair on each call.  Nothing is remembered between calls: a table
+    builder guards each node window it uses once.
     """
     if field.exact:
         n = len(values)
@@ -207,15 +200,7 @@ def pairwise_distinct_guard(values: Sequence, field: ScalarField) -> None:
                         f"coincident nodes at positions {i} and {j}"
                     )
         return
-    # the scan's outcome depends only on the values up to ==, so a window
-    # equal to an accepted one (0.0 and -0.0 included) is accepted too
-    key = tuple(values)
-    if key in _ACCEPTED_WINDOWS:
-        return
     _numeric_pair_scan(values)
-    if len(_ACCEPTED_WINDOWS) >= _ACCEPTED_WINDOWS_MAX:
-        _ACCEPTED_WINDOWS.clear()
-    _ACCEPTED_WINDOWS[key] = None
 
 
 def _numeric_pair_scan(values: Sequence, pairs=None) -> None:
@@ -471,9 +456,9 @@ def _connection_factors(seq: ValueSequence, cs: Sequence):
 def _connection_sum(c0, seq: ValueSequence, n: int, k: int,
                     numerator, denominator):
     """C_{n,k} = c0 sum_j numerator(n, j) / denominator(k, j) over the
-    guarded nodes a_0..a_k, and its summands (before the factor c0)."""
+    nodes a_0..a_k, and its summands (before the factor c0); the caller
+    guards the nodes first."""
     field = seq.field
-    pairwise_distinct_guard(seq.window(0, k), field)
     terms = [_div_gap_product(field, numerator(n, j), denominator(k, j))
              for j in range(k + 1)]
     total = field.zero
@@ -498,11 +483,12 @@ def connection_explicit_scaled(c0, cs: Sequence, seq: ValueSequence,
         raise DomainError("connection coefficient needs 0 <= k <= n")
     if len(cs) < n:
         raise DomainError(f"need n = {n} interior nodes, got {len(cs)}")
+    nodes = seq.window(0, k)
+    pairwise_distinct_guard(nodes, seq.field)
     value, terms = _connection_sum(
         c0, seq, n, k, *_connection_factors(seq, cs))
     if seq.field.exact:
         return value, 1.0
-    nodes = seq.window(0, k)
     amp = 1.0
     for j, aj in enumerate(nodes):
         for u in nodes[:j] + nodes[j + 1:] + list(cs[:n]):

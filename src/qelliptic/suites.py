@@ -19,7 +19,6 @@ The functions here never print; the CLI renders the reports.
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
@@ -117,6 +116,8 @@ DEFAULT_TRIALS = {
     "elliptic-identities": 50,
 }
 FALLBACK_TRIALS = 25
+# most trials one check may run: about 10 s of --suite all at 10 ms a trial
+_MAX_TRIALS = 1000
 
 # draws discarded by degeneracy guards before a suite gives up
 RESAMPLE_LIMIT = 500
@@ -673,6 +674,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
         trials = DEFAULT_TRIALS.get(name, FALLBACK_TRIALS)
     if trials < 0:
         raise DomainError("trials must be >= 0")
+    if trials > _MAX_TRIALS:
+        raise DomainError(f"trials must be <= {_MAX_TRIALS}")
     if tol is None:
         tol = DEFAULT_TOLERANCES[name]
     if not tol > 0:

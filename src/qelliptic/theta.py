@@ -25,7 +25,7 @@ method of the nome's cached constants:
 
   with b_m = b_(-m) the tails of the first sum's coefficients.  Two
   Horner loops, one in y and one in 1/y, take the terms down to
-  target_eps: 8 and 7 terms at p = 0.3, 11 and 10 at p = 0.5.
+  1e-16: 8 and 7 terms at p = 0.3, 11 and 10 at p = 0.5.
 - Undo.  theta(p x) = -theta(x) / x, applied once per power with one
   finite factor, p^i / (-x) or -x p^i.  No prefactor like p^(-k(k-1)/2)
   is formed, so a value in double range is not lost to an overflow on
@@ -76,15 +76,16 @@ them.  Neither caches a number or weight.
 ``theta`` reads the constants of its nome from a bounded cache keyed on
 p with the signs of both its parts: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
 each rounded once from exact integer arithmetic and grown on demand.  In
-front of that cache sits the last (p, policy) pair resolved, matched by
-identity, so the calls of one parameter set, which pass the same two
-objects, skip the checks on p and the cache key.  Every entry is a fixed
-function of p's bits, so results do not depend on cache state, and
-concurrent readers are safe.
+front of that cache sits the last p resolved, matched by identity, so the
+calls of one parameter set, which pass the same p object, skip the checks
+on p and the cache key.  Every entry is a fixed function of p's bits, so
+results do not depend on cache state, and concurrent readers are safe.
 
-Truncation orders above MAX_TRUNCATION_ORDER (|p| above about 0.991 at
-the default target_eps) and non-finite parameters raise DomainError, so
-no input asks for unbounded work.
+The truncation order, the number of factors of the product, depends on
+p alone: max(24, ceil(log 1e-16 / log |p|)), and 24 at p = 0, so the
+dropped tail of the product stays below 1e-16.  An order above
+MAX_TRUNCATION_ORDER (|p| above about 0.991), |p| >= 1 and a non-finite
+p raise DomainError, so no input asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ from .errors import DegenerateParameters, DomainError
 from .scalars import _checked_power
 
 __all__ = [
-    "ThetaPolicy",
     "EllipticParams",
     "theta",
     "theta_product",
@@ -117,9 +117,10 @@ __all__ = [
 ]
 
 DEFAULT_MIN_DENOMINATOR = 1e-6
-# Most factors one theta product may take; at the default target_eps this
-# admits |p| up to about 0.991.
+# Most factors one theta product may take; this admits |p| up to about 0.991.
 MAX_TRUNCATION_ORDER = 4096
+# Bound on the dropped tail of the product and on the dropped series terms.
+_TARGET_EPS = 1e-16
 # Largest |p| evaluated by the series.  Its worst relative error measured
 # 1.4e-14 at |p| = 0.6, 1.1e-12 at 0.7 and 51 at 0.9, against 9e-15 for
 # the product up to 0.95, so above this modulus the product is the route.
@@ -128,118 +129,80 @@ _POWER_BITS = 120
 _TWO_PI = 2 * math.pi
 
 
-def qpow(base: complex, z) -> complex:
-    """base ** z: repeated multiplication for integer z, principal branch else.
-
-    An integer power that leaves double range raises DegenerateParameters.
-    """
-    if isinstance(z, int):
-        return _checked_power(base, z)
-    if isinstance(z, complex):
-        if z.imag == 0:
-            z = z.real
-        else:
-            return cmath.exp(z * cmath.log(base))
-    if isinstance(z, float) and z.is_integer():
-        z = int(z)
-    if isinstance(z, int):
-        return _checked_power(base, z)
-    return cmath.exp(z * cmath.log(base))
-
-
-@dataclass(frozen=True)
-class ThetaPolicy:
-    """Accuracy policy for theta.
-
-    target_eps bounds the dropped terms of the series.  The invariant
-    truncation_order >= ceil(log(target_eps) / log(|p|)) keeps the dropped
-    tail of the product below target_eps; `for_nome` constructs the
-    smallest compliant order but never less than 24 factors.  An order
-    above MAX_TRUNCATION_ORDER is refused, which caps |p| for both.
-    """
-
-    truncation_order: int
-    target_eps: float = 1e-16
-
-    def __post_init__(self):
-        if self.truncation_order < 1:
-            raise DomainError("truncation order must be positive")
-        if self.truncation_order > MAX_TRUNCATION_ORDER:
-            raise DomainError(
-                f"theta truncation order {self.truncation_order} exceeds the "
-                f"limit {MAX_TRUNCATION_ORDER}; use a nome with |p| <= 0.99"
-            )
-        if not 0 < self.target_eps < 1:
-            raise DomainError("target_eps must lie in (0, 1)")
-
-    @classmethod
-    def for_nome(cls, p: complex, target_eps: float = 1e-16) -> "ThetaPolicy":
-        if not cmath.isfinite(p):
-            raise DomainError(f"nome must be finite, got {p}")
-        if abs(p) >= 1:
-            raise DomainError("nome needs |p| < 1")
-        if p == 0:
-            return cls(24, target_eps)
-        needed = math.ceil(math.log(target_eps) / math.log(abs(p)))
-        return cls(max(24, needed), target_eps)
+def _truncation_order(p: complex) -> int:
+    """The number of factors of the theta product over p: the smallest
+    order >= ceil(log(_TARGET_EPS) / log(|p|)), never less than 24.
+    A nome that is not finite, has |p| >= 1 or needs an order above
+    MAX_TRUNCATION_ORDER is refused."""
+    if not cmath.isfinite(p):
+        raise DomainError(f"nome must be finite, got {p}")
+    if abs(p) >= 1:
+        raise DomainError("nome needs |p| < 1")
+    if p == 0:
+        return 24
+    order = max(24, math.ceil(math.log(_TARGET_EPS) / math.log(abs(p))))
+    if order > MAX_TRUNCATION_ORDER:
+        raise DomainError(
+            f"theta truncation order {order} exceeds the "
+            f"limit {MAX_TRUNCATION_ORDER}; use a nome with |p| <= 0.99"
+        )
+    return order
 
 
-def theta(x: complex, p: complex, policy: ThetaPolicy | None = None) -> complex:
+def theta(x: complex, p: complex) -> complex:
     """Modified Jacobi theta function; exactly 1 - x when p = 0.
 
     Reduces x into the annulus, evaluates the reduced argument by the
     triple-product series (by the product when |p| > SERIES_MAX_NOME),
     and undoes the reduction; see the module docstring.
     """
-    nome = _nome_for(x, p, policy)
+    nome = _nome_for(x, p)
     return 1 - x if nome is None else nome.evaluate(x, nome.terms is None)
 
 
-def theta_product(x: complex, p: complex, policy: ThetaPolicy | None = None) -> complex:
+def theta_product(x: complex, p: complex) -> complex:
     """theta(x; p) as the truncated product over the reduced argument.
 
     The second route of the ``theta`` suite: it shares the reduction with
     ``theta`` and none of the series.
     """
-    nome = _nome_for(x, p, policy)
+    nome = _nome_for(x, p)
     return 1 - x if nome is None else nome.evaluate(x, True)
 
 
-# (p, policy, constants) of the last nome resolved: a parameter set passes
-# the same p and policy objects on every call, so one identity check
-# replaces the checks on p and the cache lookup; one tuple, so a
-# concurrent reader sees a consistent entry
-_last_nome: tuple = (None, None, None)
+# (p, constants) of the last nome resolved: a parameter set passes the
+# same p object on every call, so one identity check replaces the checks
+# on p and the cache lookup; one tuple, so a concurrent reader sees a
+# consistent entry
+_last_nome: tuple = (None, None)
 
 
-def _nome_for(x: complex, p: complex, policy: ThetaPolicy | None):
+def _nome_for(x: complex, p: complex):
     """The cached constants of p, or None for p = 0; checks x and p."""
     global _last_nome
     if x == 0:
         raise DomainError("theta argument must be nonzero")
-    last_p, last_policy, nome = _last_nome
-    if p is not last_p or policy is not last_policy:
+    last_p, nome = _last_nome
+    if p is not last_p:
         if abs(p) >= 1:
             raise DomainError("theta nome needs |p| < 1")
         nome = None
         if p != 0:
-            resolved = ThetaPolicy.for_nome(p) if policy is None else policy
-            nome = _nome(p, resolved.truncation_order, resolved.target_eps,
-                         math.copysign(1, p.real), math.copysign(1, p.imag))
-        _last_nome = (p, policy, nome)
+            nome = _nome(p, math.copysign(1, p.real), math.copysign(1, p.imag))
+        _last_nome = (p, nome)
     if not cmath.isfinite(x):
         raise DegenerateParameters(f"theta argument {x} is not finite")
     return nome
 
 
 @functools.lru_cache(maxsize=16)
-def _nome(p: complex, order: int, target_eps: float, re_sign: float,
-          im_sign: float) -> "_Nome":
-    """The constants of one nome.  The zero signs are part of the cache key
-    only, so every entry is built from the bits of the p it serves: p =
-    -0.3+0j and -0.3-0j compare equal, and constants built from one by
-    complex arithmetic need not carry the zero signs of the other."""
-    return _Nome(p, order, target_eps)
+def _nome(p: complex, re_sign: float, im_sign: float) -> "_Nome":
+    """The constants of one nome, which ``_truncation_order`` may refuse.
+    The zero signs are part of the cache key only, so every entry is built
+    from the bits of the p it serves: p = -0.3+0j and -0.3-0j compare
+    equal, and constants built from one by complex arithmetic need not
+    carry the zero signs of the other."""
+    return _Nome(p, _truncation_order(p))
 
 
 class _Nome:
@@ -260,7 +223,7 @@ class _Nome:
     __slots__ = ("log_modulus", "order", "terms", "inv_terms", "inv_euler",
                  "c", "k_max", "_exact", "_table")
 
-    def __init__(self, p: complex, order: int, target_eps: float):
+    def __init__(self, p: complex, order: int):
         self.log_modulus = math.log(abs(p))
         self.order = order
         (re, re_den), (im, im_den) = (p.real.as_integer_ratio(),
@@ -292,8 +255,8 @@ class _Nome:
             self.k_max = math.isqrt(math.floor(1 + 2 * budget)) - 1
         # c_n = (-1)^n p^(n(n-1)/2) and b_m = -(c_(m+1) + c_(m+2) + ...);
         # in the reduced annulus the terms b_m y^(+-m) are below
-        # |p|^(m^2 / 2), which is <= target_eps for every dropped m > top
-        top = math.ceil(math.sqrt(2 * math.log(target_eps) / self.log_modulus)) - 1
+        # |p|^(m^2 / 2), which is <= _TARGET_EPS for every dropped m > top
+        top = math.ceil(math.sqrt(2 * math.log(_TARGET_EPS) / self.log_modulus)) - 1
         c, pn = [1 + 0j], 1 + 0j
         for _ in range(top + 3):
             c.append(-c[-1] * pn)
@@ -406,13 +369,12 @@ class _Nome:
         return value
 
 
-def theta_multi(xs, p: complex, policy: ThetaPolicy | None = None) -> complex:
+def theta_multi(xs, p: complex) -> complex:
     """Product of theta(x; p) over the given arguments (1 for an empty list)."""
-    if p != 0 and policy is None:
-        policy = ThetaPolicy.for_nome(p)
+    _truncation_order(p)
     acc = 1 + 0j
     for x in xs:
-        acc *= theta(x, p, policy)
+        acc *= theta(x, p)
     return acc
 
 
@@ -430,7 +392,6 @@ class EllipticParams:
     b: complex
     q: complex
     p: complex
-    policy: ThetaPolicy | None = None
     _num_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -460,12 +421,7 @@ class EllipticParams:
             raise DomainError("b = 0 requires a = 0 first")
         if self.q == 1 and not (self.p == 0 and self.a == 0 and self.b == 0):
             raise DomainError("q = 1 is only legal on the fully degenerate chain")
-        if self.policy is None:
-            object.__setattr__(self, "policy", ThetaPolicy.for_nome(self.p))
-
-    @property
-    def degenerate(self) -> bool:
-        return self.p == 0
+        _truncation_order(self.p)
 
     def with_ab(self, a: complex | None = None, b: complex | None = None) -> "EllipticParams":
         return EllipticParams(
@@ -473,15 +429,6 @@ class EllipticParams:
             b=self.b if b is None else b,
             q=self.q,
             p=self.p,
-            policy=self.policy,
-        )
-
-    def shifted(self, alpha: int, beta: int) -> "EllipticParams":
-        """Replace (a, b) by (a q^alpha, b q^beta)."""
-        if alpha == 0 and beta == 0:
-            return self
-        return self.with_ab(
-            self.a * qpow(self.q, alpha), self.b * qpow(self.q, beta)
         )
 
     def window_ok(self, lo: int, hi: int) -> bool:
@@ -503,24 +450,23 @@ class EllipticParams:
     def _window_certified(self, lo: int, hi: int) -> bool:
         """True when every theta argument of [z] and W(z) over [lo, hi] is
         nonzero and finite and ``_Nome.certifies`` every guarded factor;
-        only for p != 0 evaluated by the series under the policy
-        ``ThetaPolicy.for_nome`` gives p, whose error the bound covers."""
+        only for p != 0 evaluated by the series, whose error the bound
+        covers."""
         p = self.p
-        if (p == 0 or abs(p) > SERIES_MAX_NOME
-                or self.policy != ThetaPolicy.for_nome(p)):
+        if p == 0 or abs(p) > SERIES_MAX_NOME:
             return False
         a, b, q = self.a, self.b, self.q
         dens = [q, a * q]
         nums = [b * q, a * q / b, b, a / b]
         try:
             for z in range(lo, hi + 1):
-                u = qpow(q, z)
+                u = _checked_power(q, z)
                 nums += (u, a * u, a * q * u * u)
                 dens += (b * u, a * u / b, b * q * u, a * q * u / b)
         except DegenerateParameters:
             return False
         return (all(x != 0 and cmath.isfinite(x) for x in nums)
-                and _nome_for(q, p, self.policy).certifies(dens))
+                and _nome_for(q, p).certifies(dens))
 
     def _window_scan(self, lo: int, hi: int) -> str | None:
         """``window_refusal`` by evaluation.
@@ -541,7 +487,7 @@ class EllipticParams:
         try:
             if self.p == 0:
                 for z in range(lo, hi + 1):
-                    u = qpow(q, z)
+                    u = _checked_power(q, z)
                     _finite_den(_number_den(u, a, b, self, z), "[{}]", z)
                     _finite_den(_weight_den(u, a, b, self, z), "W({})", z)
                 return None
@@ -553,7 +499,7 @@ class EllipticParams:
             # the numerator arguments of _number_raw and _weight_raw
             _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
             for z in range(lo, hi + 1):
-                u = qpow(q, z)
+                u = _checked_power(q, z)
                 _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
                 if z == lo:
                     th_q = factor(q, "theta(q)")
@@ -582,7 +528,7 @@ class EllipticParams:
         key = _memo_key(x)
         value = self._theta_cache.get(key)
         if value is None:
-            value = self._theta_cache[key] = theta(x, self.p, self.policy)
+            value = self._theta_cache[key] = theta(x, self.p)
         return value
 
 
@@ -626,7 +572,7 @@ def _refused_argument(z, a, b, q) -> str | None:
     """The refusal naming the first theta argument of [z] or W(z) that is 0
     or not finite, or None.  Only asked after a check failed or theta
     raised DomainError, so no evaluation pays for the scan."""
-    u = qpow(q, z)
+    u = _checked_power(q, z)
     for name, x in (("q^z", u), ("a q^z", a * u), ("b q", b * q),
                     ("a q / b", a * q / b), ("q", q), ("a q", a * q),
                     ("b q^z", b * u), ("a q^z / b", a * u / b),
@@ -727,7 +673,7 @@ def _number_raw(z, a, b, params: EllipticParams) -> complex:
     q, p = params.q, params.p
     if p == 0 and a == 0 and b == 0 and q == 1:
         return complex(z)
-    u = qpow(q, z)
+    u = _checked_power(q, z)
     if p == 0:
         den = _finite_den(_number_den(u, a, b, params), "[{}]", z)
         if a == 0 and b == 0:
@@ -744,7 +690,7 @@ def _number_raw(z, a, b, params: EllipticParams) -> complex:
 
 def _weight_raw(k, a, b, params: EllipticParams) -> complex:
     q, p = params.q, params.p
-    u = qpow(q, k)
+    u = _checked_power(q, k)
     if p == 0:
         if a == 0 and b == 0:
             return u
@@ -774,8 +720,8 @@ def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -
     if cached is not None:
         return cached
     q = params.q
-    a = params.a * qpow(q, alpha) if alpha else params.a
-    b = params.b * qpow(q, beta) if beta else params.b
+    a = params.a * _checked_power(q, alpha) if alpha else params.a
+    b = params.b * _checked_power(q, beta) if beta else params.b
     try:
         value = _number_raw(z, a, b, params)
     except DomainError:
@@ -801,8 +747,8 @@ def elliptic_weight_shifted(k, shift: tuple[int, int], params: EllipticParams) -
     if cached is not None:
         return cached
     q = params.q
-    a = params.a * qpow(q, alpha) if alpha else params.a
-    b = params.b * qpow(q, beta) if beta else params.b
+    a = params.a * _checked_power(q, alpha) if alpha else params.a
+    b = params.b * _checked_power(q, beta) if beta else params.b
     try:
         value = _weight_raw(k, a, b, params)
     except DomainError:
@@ -818,7 +764,7 @@ def elliptic_weight(k, params: EllipticParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# seeded sampling policy
+# seeded sampling
 # ---------------------------------------------------------------------------
 
 def sample_annulus(rng: random.Random, lo: float, hi: float) -> complex:
@@ -841,30 +787,31 @@ def sample_route_argument(rng: random.Random, n: int = 18) -> complex:
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
-def sample_elliptic_params(
-    rng: random.Random,
-    window: tuple[int, int] = (-8, 10),
-    retries: int = 100,
-) -> EllipticParams:
+# the index window a sampled parameter set clears, and the draws allowed
+_SAMPLE_WINDOW = (-8, 10)
+_SAMPLE_RETRIES = 100
+
+
+def sample_elliptic_params(rng: random.Random) -> EllipticParams:
     """Draw generic parameters: |p| in [0.05, 0.5], moduli of q, a, b in
-    [0.4, 0.9] with random phase.  Resamples (at most `retries` times) until
-    every guarded denominator over the index window clears
-    DEFAULT_MIN_DENOMINATOR,
-    every denominator product there is finite, and every numerator theta
-    argument there is nonzero and finite (``EllipticParams.window_ok``).
+    [0.4, 0.9] with random phase.  Resamples (at most _SAMPLE_RETRIES
+    times) until every guarded denominator over _SAMPLE_WINDOW clears
+    DEFAULT_MIN_DENOMINATOR, every denominator product there is finite,
+    and every numerator theta argument there is nonzero and finite
+    (``EllipticParams.window_ok``).
     Most draws pass the window's closed-form certificate, which evaluates
     no theta value; the rest are scanned, at 4 theta values per index and
     2 more.  Either way the returned parameters have no number or weight
     cached.
     """
-    for _ in range(retries):
+    for _ in range(_SAMPLE_RETRIES):
         p = rng.uniform(0.05, 0.5)
         q = sample_annulus(rng, 0.4, 0.9)
         a = sample_annulus(rng, 0.4, 0.9)
         b = sample_annulus(rng, 0.4, 0.9)
         params = EllipticParams(a=a, b=b, q=q, p=p)
-        if params.window_ok(*window):
+        if params.window_ok(*_SAMPLE_WINDOW):
             return params
     raise DegenerateParameters(
-        f"no generic parameter tuple found in {retries} attempts"
+        f"no generic parameter tuple found in {_SAMPLE_RETRIES} attempts"
     )

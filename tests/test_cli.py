@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from qelliptic import cli, intpoly
+from qelliptic import cli, intpoly, suites
 from qelliptic.cli import (
     _DEGENERATE,
     _FAMILIES,
@@ -210,6 +210,20 @@ def test_check_zero_trials_vacuous(capsys):
                            "--trials", "0")
     assert code == 0
     assert "overall PASS" in out
+
+
+@pytest.mark.parametrize("suite", ["theta", "all"])
+def test_check_trials_above_the_limit_exit_2(capsys, monkeypatch, suite):
+    # refused before any trial runs, so a huge count returns at once
+    ran = []
+    monkeypatch.setattr(suites, "_SUITES", {
+        name: lambda *args: ran.append(args) for name in suites._SUITES})
+    for trials in (suites._MAX_TRIALS + 1, 10**9):
+        code, out, err = run_cli(capsys, "check", "--suite", suite,
+                                 "--trials", str(trials))
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be <= {suites._MAX_TRIALS}\n"
+    assert ran == []
 
 
 def test_check_failure_exit_code(capsys):

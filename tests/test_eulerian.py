@@ -427,11 +427,21 @@ def test_lagrange_delta_scale_bound_raises():
     assert abs(lagrange_delta(6, 2, 1, seq)) <= 1e-6
 
 
-def test_engine_names_the_first_close_pair_of_the_first_refusing_row():
+def test_engine_names_the_first_close_pair_of_the_first_refusing_row(monkeypatch):
     # general_eulerian_rows scans only the pairs that the new nodes -n and
     # n+2 of window n form; it must refuse with the pair that a full scan
-    # of each window [-n, n+2], row by row, names first, and leave the
-    # accepted-window memo alone
+    # of each window [-n, n+2], row by row, names first, and scan no pair
+    # of nodes twice
+    scanned = []
+    scan = newton._numeric_pair_scan
+
+    def recording_scan(values, pairs):
+        n = (len(values) - 3) // 2
+        for i, j in pairs:
+            scanned.append((i - n, j - n))
+            scan(values, [(i, j)])
+
+    monkeypatch.setattr(eulerian_module, "_numeric_pair_scan", recording_scan)
     rng = random.Random(43)
     N = 7
     outcomes = set()
@@ -448,14 +458,16 @@ def test_engine_names_the_first_close_pair_of_the_first_refusing_row():
                 newton._numeric_pair_scan(seq.window(-n, n + 2))
         except DegenerateSequence as exc:
             want = str(exc)
-        memo = dict(newton._ACCEPTED_WINDOWS)
+        scanned.clear()
         try:
             general_eulerian_rows(seq, N)
             got = None
         except DegenerateSequence as exc:
             got = str(exc)
         assert got == want, values
-        assert newton._ACCEPTED_WINDOWS == memo
+        assert len(scanned) == len(set(scanned)), values
+        if got is None:
+            assert len(scanned) == (2 * N + 3) * (N + 1), values
         outcomes.add(None if got is None else got.split()[3] != "0")
     # acceptances, and refusals at pairs (0, j) and (i, 2n+2) with i > 0
     assert outcomes == {None, False, True}

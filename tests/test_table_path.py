@@ -127,47 +127,61 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 # one pair scan per distinct node window
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family,route,size", [
-    ("estirling", "oracle", ("--n", "6")),
-    ("lah", "oracle", ("--n", "6")),
-    ("erwhitneyeulerian", "explicit", ("--n", "6")),
-    ("eshifted", "explicit", ("--n", "6")),
+@pytest.mark.parametrize("family,route,size,guards", [
+    ("estirling", "oracle", ("--n", "6"), 7),
+    ("lah", "oracle", ("--n", "6"), 7),
+    ("erwhitneyeulerian", "explicit", ("--n", "6"), 0),
+    ("eshifted", "explicit", ("--n", "6"), 6),
 ])
 def test_guard_scans_each_node_window_once_per_table(capsys, monkeypatch,
-                                                     family, route, size):
-    monkeypatch.setattr(newton, "_ACCEPTED_WINDOWS", {})
+                                                     family, route, size, guards):
+    # no memo outlives a call: each builder guards each window it uses once
     scanned, guarded = [], []
     scan, guard = newton._numeric_pair_scan, newton.pairwise_distinct_guard
+    eulerian = importlib.import_module("qelliptic.eulerian")
 
-    def counting_scan(values):
+    def counting_scan(values, pairs=None):
         scanned.append(tuple(values))
-        scan(values)
+        scan(values, pairs)
 
     def counting_guard(values, *args, **kwargs):
         guarded.append(tuple(values))
         guard(values, *args, **kwargs)
 
-    monkeypatch.setattr(newton, "_numeric_pair_scan", counting_scan)
+    for module in (newton, eulerian):
+        monkeypatch.setattr(module, "_numeric_pair_scan", counting_scan)
     monkeypatch.setattr(newton, "pairwise_distinct_guard", counting_guard)
-    monkeypatch.setattr(importlib.import_module("qelliptic.eulerian"),
+    monkeypatch.setattr(eulerian, "pairwise_distinct_guard", counting_guard)
+    monkeypatch.setattr(importlib.import_module("qelliptic.families"),
                         "pairwise_distinct_guard", counting_guard)
     argv = ["table", "--family", family, "--route", route, *size, "--seed", "1"]
     assert main(argv) == 0, capsys.readouterr().err
-    assert len(scanned) == len(set(scanned)) == len(set(guarded))
-    # the estirling oracle rows and the eshifted h columns guard each window
-    # once; the lah oracle guards per entry, and the memo is what keeps its
-    # scans to one per window.  The erwhitneyeulerian explicit rows scan
-    # only each row's new node pairs, outside the guard
-    assert (len(guarded) > len(scanned)) == (family == "lah")
-    assert (not guarded) == (family == "erwhitneyeulerian")
+    # the oracles guard a_0..a_n once per row n, 7 guards at n = 6 (a guard
+    # per lah entry would make 28), and the eshifted h columns a_0..a_k once per
+    # column k >= 1.  The erwhitneyeulerian explicit rows scan only each
+    # row's new node pairs, outside the guard, once per row
+    assert len(guarded) == len(set(guarded)) == guards
+    assert len(scanned) == len(set(scanned)) == (guards or 7)
 
 
-def test_explicit_r_whitney_table_leaves_the_window_memo_alone(capsys):
-    memo = dict(newton._ACCEPTED_WINDOWS)
+def test_explicit_r_whitney_table_scans_each_node_pair_once(capsys, monkeypatch):
+    # row n scans the pairs that the nodes -n and n+2 form with the rest of
+    # the window [-n, n+2]: over the table, every pair of the last window
+    # once
+    pairs = []
+    scan = newton._numeric_pair_scan
+
+    def counting_scan(values, new_pairs):
+        n = (len(values) - 3) // 2
+        pairs.extend((i - n, j - n) for i, j in new_pairs)
+        scan(values, new_pairs)
+
+    monkeypatch.setattr(importlib.import_module("qelliptic.eulerian"),
+                        "_numeric_pair_scan", counting_scan)
     argv = ["table", "--family", "erwhitneyeulerian", "--route", "explicit",
             "--n", "8", "--m", "2", "--r", "1", "--seed", "1"]
     assert main(argv) == 0, capsys.readouterr().err
-    assert newton._ACCEPTED_WINDOWS == memo
+    assert sorted(pairs) == [(i, j) for i in range(-8, 11) for j in range(i + 1, 11)]
 
 
 def test_guard_refusal_repeats_its_message():

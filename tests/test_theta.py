@@ -14,7 +14,7 @@ import struct
 import pytest
 
 from qelliptic.errors import DegenerateParameters, DomainError, QEllipticError
-from qelliptic.scalars import q_number
+from qelliptic.scalars import _checked_power, q_number
 from qelliptic.theta import (
     DEFAULT_MIN_DENOMINATOR,
     MAX_TRUNCATION_ORDER,
@@ -24,14 +24,13 @@ from qelliptic.theta import (
     _memo_key,
     _nome,
     _number_den,
+    _truncation_order,
     _weight_den,
     EllipticParams,
-    ThetaPolicy,
     elliptic_number,
     elliptic_number_shifted,
     elliptic_weight,
     elliptic_weight_shifted,
-    qpow,
     sample_annulus,
     sample_elliptic_params,
     sample_route_argument,
@@ -44,8 +43,8 @@ from qelliptic.theta import (
 from qelliptic.scalars import residual as rel_err
 
 
-def fixed_params(seed: int = 0, window=(-8, 10)) -> EllipticParams:
-    return sample_elliptic_params(random.Random(seed), window=window)
+def fixed_params(seed: int = 0) -> EllipticParams:
+    return sample_elliptic_params(random.Random(seed))
 
 
 # -- theta basics -------------------------------------------------------------
@@ -85,18 +84,16 @@ def test_theta_domain_errors():
         theta(0.5, 1.3)
 
 
-def test_theta_policy():
-    pol = ThetaPolicy.for_nome(0.5)
-    assert pol.truncation_order >= 24
-    assert pol.truncation_order >= math.ceil(math.log(pol.target_eps) / math.log(0.5))
-    assert ThetaPolicy.for_nome(0.05).truncation_order == 24
-    assert ThetaPolicy.for_nome(0).truncation_order == 24
-    with pytest.raises(DomainError):
-        ThetaPolicy(0)
-    with pytest.raises(DomainError):
-        ThetaPolicy(24, target_eps=2.0)
-    short = ThetaPolicy(5, target_eps=1e-16)
-    assert short.truncation_order < math.ceil(math.log(short.target_eps) / math.log(0.5))
+def test_truncation_order_rule():
+    # max(24, ceil(log 1e-16 / log |p|)) factors, 24 at p = 0 and wherever
+    # 24 factors already reach 1e-16
+    for p in (0.5, complex(-0.3, 0.6), 0.9, 0.99, -0.05):
+        order = _nome_entry(p).order
+        assert order == max(24, math.ceil(math.log(1e-16) / math.log(abs(p)))), p
+    assert _nome_entry(0.5).order == 54
+    assert _nome_entry(0.05).order == 24
+    assert _nome_entry(0.2).order == 24
+    assert _truncation_order(0) == 24
 
 
 def test_theta_inversion_frozen_example():
@@ -318,7 +315,8 @@ def test_weight_shift_frozen_example():
 
 def test_shifted_params_equal_explicit_construction():
     params = fixed_params(6)
-    moved = params.shifted(2, 1)
+    q = params.q
+    moved = params.with_ab(params.a * q * q, params.b * q)
     for z in range(-2, 4):
         direct = elliptic_number_shifted(z, (2, 1), params)
         assert rel_err(direct, elliptic_number(z, moved)) < 1e-12
@@ -328,27 +326,35 @@ def test_shifted_params_equal_explicit_construction():
 
 
 def test_truncation_order_cap():
-    assert ThetaPolicy(MAX_TRUNCATION_ORDER).truncation_order == MAX_TRUNCATION_ORDER
-    with pytest.raises(DomainError, match="exceeds the limit"):
-        ThetaPolicy(MAX_TRUNCATION_ORDER + 1)
-    assert ThetaPolicy.for_nome(0.99).truncation_order <= MAX_TRUNCATION_ORDER
+    assert _nome_entry(0.99).order <= MAX_TRUNCATION_ORDER
+    EllipticParams(a=0.5, b=0.7, q=0.6, p=0.99)
     for p in (0.99999, 0.992j, -0.999999):
-        with pytest.raises(DomainError, match="exceeds the limit"):
-            ThetaPolicy.for_nome(p)
-    with pytest.raises(DomainError):
-        EllipticParams(a=0.5, b=0.7, q=0.6, p=0.99999)
+        order = math.ceil(math.log(1e-16) / math.log(abs(p)))
+        assert order > MAX_TRUNCATION_ORDER
+        want = (f"theta truncation order {order} exceeds the limit "
+                f"{MAX_TRUNCATION_ORDER}; use a nome with |p| <= 0.99")
+        for refused in (lambda: theta(0.5, p), lambda: theta_product(0.5, p),
+                        lambda: theta_multi([], p),
+                        lambda: EllipticParams(a=0.5, b=0.7, q=0.6, p=p)):
+            with pytest.raises(DomainError) as exc:
+                refused()
+            assert str(exc.value) == want, p
 
 
 @pytest.mark.parametrize("p", [1.0, -1.0, 2.0, 1j, 1e300])
-def test_policy_rejects_nome_outside_unit_disc(p):
-    with pytest.raises(DomainError, match=r"nome needs \|p\| < 1"):
-        ThetaPolicy.for_nome(p)
+def test_nome_outside_unit_disc_rejected(p):
+    with pytest.raises(DomainError, match=r"^nome needs \|p\| < 1$"):
+        EllipticParams(a=0.5, b=0.7, q=0.6, p=p)
+    with pytest.raises(DomainError, match=r"^nome needs \|p\| < 1$"):
+        theta_multi([0.5], p)
+    with pytest.raises(DomainError, match=r"^theta nome needs \|p\| < 1$"):
+        theta(0.5, p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.2, math.nan)])
 def test_non_finite_parameters_rejected(bad):
-    with pytest.raises(DomainError, match="finite"):
-        ThetaPolicy.for_nome(bad)
+    with pytest.raises(DomainError, match=r"^nome must be finite, got "):
+        theta_multi([0.5], bad)
     good = dict(a=0.5, b=0.7, q=0.6, p=0.2)
     for name in good:
         with pytest.raises(DomainError, match="finite"):
@@ -361,11 +367,11 @@ def test_non_finite_parameters_rejected(bad):
 def _reference(kind, z, shift, params):
     """[z] or W(z), every theta factor from a fresh theta() call, in the
     same order as the memoized evaluation."""
-    q, p, pol = params.q, params.p, params.policy
+    q, p = params.q, params.p
     alpha, beta = shift
-    a = params.a * qpow(q, alpha) if alpha else params.a
-    b = params.b * qpow(q, beta) if beta else params.b
-    u = qpow(q, z)
+    a = params.a * _checked_power(q, alpha) if alpha else params.a
+    b = params.b * _checked_power(q, beta) if beta else params.b
+    u = _checked_power(q, z)
     if kind == "number":
         num_args = [u, a * u, b * q, a * q / b]
         den_args = [q, a * q, b * u, a * u / b]
@@ -374,10 +380,10 @@ def _reference(kind, z, shift, params):
         den_args = [a * q, b * u, b * q * u, a * u / b, a * q * u / b]
     num = 1 + 0j
     for x in num_args:
-        num *= theta(x, p, pol)
+        num *= theta(x, p)
     den = None
     for x in den_args:
-        value = theta(x, p, pol)
+        value = theta(x, p)
         if abs(value) < DEFAULT_MIN_DENOMINATOR:
             raise DegenerateParameters(f"theta({x}) near zero")
         den = value if den is None else den * value
@@ -414,9 +420,7 @@ def _assert_bit_identical(params):
 
 
 def _nome_entry(p):
-    pol = ThetaPolicy.for_nome(p)
-    return _nome(p, pol.truncation_order, pol.target_eps,
-                 math.copysign(1, p.real), math.copysign(1, p.imag))
+    return _nome(p, math.copysign(1, p.real), math.copysign(1, p.imag))
 
 
 def test_nome_cache_is_bit_identical_to_a_fresh_build():
@@ -480,22 +484,24 @@ def test_theta_bits_are_pinned(p, digest):
     assert sha.hexdigest()[:16] == digest
 
 
-def test_nome_resolution_follows_the_objects_passed():
-    # the last (p, policy) resolved is reused only for the same objects:
-    # an equal p with the other zero sign, another policy, or p = 0 in
+def test_nome_resolution_follows_the_object_passed():
+    # the last p resolved is reused only for the same object: an equal p
+    # with the other zero sign, an equal p in another object, or p = 0 in
     # between each give the values of a fresh resolution
     plus, minus = complex(-0.3, 0.0), complex(-0.3, -0.0)
-    coarse = ThetaPolicy(30, 1e-8)
+    again = complex(-0.3, 0.0)
+    assert again is not plus
     xs = _pinned_arguments()[:12]
-    cases = [(plus, None), (minus, None), (plus, coarse), (0, None)]
+    cases = [plus, minus, again, 0]
     want = []
-    for p, policy in cases:
+    for p in cases:
         _nome.cache_clear()
-        want.append([theta(x, p, policy) for x in xs])
+        want.append([theta(x, p) for x in xs])
     for i, x in enumerate(xs):
         for c in (2, 3, 1, 0):
-            p, policy = cases[c]
-            assert _same_bits(theta(x, p, policy), want[c][i]), (x, p, policy)
+            p = cases[c]
+            assert _same_bits(theta(x, p), want[c][i]), (x, p)
+            assert importlib.import_module("qelliptic.theta")._last_nome[0] is p
     with pytest.raises(DomainError):
         theta(0.5, complex(1.5, 0.0))
     with pytest.raises(DegenerateParameters):
@@ -527,11 +533,10 @@ def test_memo_keys_keep_signed_zeros_apart():
           complex(0.0, 0.6), complex(-0.0, 0.6), complex(0.6, 0.1)]
     assert _memo_key(xs[-1]) == xs[-1]
     for x in xs:
-        assert _same_bits(params._theta(x), theta(x, params.p, params.policy))
+        assert _same_bits(params._theta(x), theta(x, params.p))
     assert len(params._theta_cache) == len(xs)
     for x in xs:
-        assert _same_bits(params._theta_cache[_memo_key(x)],
-                          theta(x, params.p, params.policy))
+        assert _same_bits(params._theta_cache[_memo_key(x)], theta(x, params.p))
 
 
 def test_cached_numbers_and_weights_bit_identical_complex():
@@ -592,8 +597,8 @@ def _near_zero(rng, a, b, q, unit):
     if target == 1:
         return near / q, b, q
     if target == 2:
-        return a, near * qpow(q, -z0), q
-    return near * b * qpow(q, -z0), b, q
+        return a, near * _checked_power(q, -z0), q
+    return near * b * _checked_power(q, -z0), b, q
 
 
 def _near_zero_draws(seed, count):
@@ -644,7 +649,7 @@ def _per_call_window(params, lo=-8, hi=10):
         if params.p != 0:
             _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
         for z in range(lo, hi + 1):
-            u = qpow(q, z)
+            u = _checked_power(q, z)
             if params.p != 0:
                 _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
             _finite_den(_number_den(u, a, b, params), f"[{z}]")
@@ -733,7 +738,7 @@ def test_window_decides_finiteness_in_denominator_product_order():
         z0 = rng.randint(-8, 10)
         planted = {}
         for z in range(-8, 11):
-            u = qpow(q, z)
+            u = _checked_power(q, z)
             for x in (q, a * q, b * u, a * u / b, b * q * u, a * q * u / b):
                 big = z == z0 and x not in (q, a * q) and rng.random() < 0.5
                 size = 10 ** (rng.uniform(145, 160) if big else rng.uniform(-5, 3))
