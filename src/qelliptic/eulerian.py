@@ -29,13 +29,14 @@ import math
 from functools import cache, lru_cache, partial
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
-from .families import _bad_route, _check_entry, _entry_rows, _grow_rows
+from .families import _bad_route, _check_entry, _entry_rows
 from .newton import (
     AffineWhitneySequence,
     EllipticSequence,
     QNumberSequence,
     QWhitneySequence,
     ValueSequence,
+    _grow_rows,
     _numeric_pair_scan,
     pairwise_distinct_guard,
 )

@@ -40,6 +40,7 @@ from .newton import (
     _connection_factors,
     _connection_sum,
     _divided_differences,
+    _grow_rows,
     connection_explicit_scaled,
     h_explicit_rows,
     h_recurrence_rows,
@@ -100,25 +101,6 @@ def _nonzero(divisor: complex, what: str) -> complex:
             "its denominator vanishes"
         )
     return divisor
-
-
-def _grow_rows(N: int, one, zero, left, right) -> list[list]:
-    """Rows 0..N of T(n+1, k) = left(n, k, T(n, k-1)) + right(n, k, T(n, k)),
-    with T(0, 0) = one.  Each caller forms its two terms itself, so the
-    order of its floating-point operations is its own."""
-    rows = [[one]]
-    for n in range(N):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            acc = zero
-            if k >= 1:
-                acc = acc + left(n, k, prev[k - 1])
-            if k <= n:
-                acc = acc + right(n, k, prev[k])
-            row.append(acc)
-        rows.append(row)
-    return rows
 
 
 def _entry_rows(N: int, entry) -> list[list]:

@@ -408,26 +408,32 @@ def h_explicit_rows(N: int, seq: ValueSequence) -> list[list]:
 # connection coefficients
 # ---------------------------------------------------------------------------
 
+def _grow_rows(N: int, one, zero, left, right) -> list[list]:
+    """Rows 0..N of T(n+1, k) = left(n, k, T(n, k-1)) + right(n, k, T(n, k)),
+    with T(0, 0) = one.  Each caller forms its two terms itself, so the
+    order of its floating-point operations is its own."""
+    rows = [[one]]
+    for n in range(N):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 2):
+            acc = zero
+            if k >= 1:
+                acc = acc + left(n, k, prev[k - 1])
+            if k <= n:
+                acc = acc + right(n, k, prev[k])
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
 def connection_recurrence(c0, cs: Sequence, seq: ValueSequence) -> list[list]:
     """Rows C_{n,k} expanding c_0 prod_{i=1}^n (z - c_i) in the a-basis.
 
     C_{0,0} = c_0 and C_{n+1,k} = C_{n,k-1} + (a_k - c_{n+1}) C_{n,k}.
     """
-    field = seq.field
-    rows = [[c0]]
-    for n in range(len(cs)):
-        cnext = cs[n]
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            acc = field.zero
-            if 1 <= k:
-                acc = acc + prev[k - 1]
-            if k <= n:
-                acc = acc + (seq[k] - cnext) * prev[k]
-            row.append(acc)
-        rows.append(row)
-    return rows
+    return _grow_rows(len(cs), c0, seq.field.zero, lambda n, k, x: x,
+                      lambda n, k, x: (seq[k] - cs[n]) * x)
 
 
 def _connection_factors(seq: ValueSequence, cs: Sequence):

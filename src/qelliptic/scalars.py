@@ -98,8 +98,8 @@ class LaurentPoly:
         return cls({1: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
+    def monomial(cls, exponent: int) -> "LaurentPoly":
+        return cls({exponent: 1})
 
     @classmethod
     def from_dense(cls, offset: int, coeffs: list[int]) -> "LaurentPoly":
@@ -114,10 +114,6 @@ class LaurentPoly:
     def items(self) -> list[tuple[int, int]]:
         off = self._off
         return [(off + i, v) for i, v in enumerate(self._co) if v]
-
-    def coefficient(self, exponent: int) -> int:
-        i = exponent - self._off
-        return self._co[i] if 0 <= i < len(self._co) else 0
 
     def as_dense(self) -> tuple[int, list[int]]:
         """Return (offset, coefficients) with a nonzero constant slot."""
@@ -163,11 +159,6 @@ class LaurentPoly:
         if not self._co or not other._co:
             return _poly(0, [])
         return _poly(self._off + other._off, intpoly.mul(self._co, other._co))
-
-    def scale(self, k: int) -> "LaurentPoly":
-        if k == 0:
-            return _poly(0, [])
-        return _poly(self._off, [k * v for v in self._co])
 
     def stretch(self, m: int) -> "LaurentPoly":
         """Substitute q -> q^m (a ring map for m >= 1)."""

@@ -7,11 +7,18 @@ identity, and reports a residual.  Draws that trip a degeneracy guard
 are discarded and redrawn, so a suite always runs its full trial count;
 the resample consumes RNG state, which keeps reruns byte-identical.
 
+The suites are one table, ``_SUITES``: per suite its default tolerance,
+its default trials and its checks, each a name and a module-level
+``draw(rng) -> (residual, record)``, in report order.  A suite seeds one
+``random.Random(seed)`` and runs its checks on it in that order.
+
 Residual conventions follow the library: identities with visible
-summands weigh the error against the largest summand, route comparisons
-against each division-bearing route's own conditioning scale.  Exact
-checks report 0.0 on structural equality and 1.0 on mismatch so they
-flow through the same machinery.
+summands weigh the error against the largest summand.  Route comparisons
+go through ``_agreement``, which takes each route as (value, scale), with
+scale 1.0 for a recurrence, and weighs each pair of routes against
+max(1, |first value|, both scales); a NaN value fails the comparison.
+Exact checks report 0.0 on structural equality and 1.0 on mismatch so
+they flow through the same machinery.
 
 The functions here never print; the CLI renders the reports.
 """
@@ -19,6 +26,7 @@ The functions here never print; the CLI renders the reports.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
@@ -79,43 +87,12 @@ from .theta import (
 
 __all__ = [
     "SUITE_NAMES",
-    "DEFAULT_TOLERANCES",
-    "DEFAULT_TRIALS",
     "CheckResult",
     "SuiteReport",
     "run_suite",
     "run_suites",
 ]
 
-SUITE_NAMES = (
-    "theta",
-    "elliptic-identities",
-    "h-routes",
-    "connection",
-    "rook",
-    "lah",
-    "eulerian-routes",
-    "worpitzky",
-    "degeneration",
-)
-
-DEFAULT_TOLERANCES = {
-    "theta": 1e-9,
-    "elliptic-identities": 1e-9,
-    "h-routes": 1e-9,
-    "connection": 1e-9,
-    "rook": 1e-8,
-    "lah": 1e-8,
-    "eulerian-routes": 1e-7,
-    "worpitzky": 1e-8,
-    "degeneration": 1e-8,
-}
-
-DEFAULT_TRIALS = {
-    "theta": 100,
-    "elliptic-identities": 50,
-}
-FALLBACK_TRIALS = 25
 # most trials one check may run: about 10 s of --suite all at 10 ms a trial
 _MAX_TRIALS = 1000
 
@@ -166,12 +143,31 @@ def _run(name, trials, tol, rng, draw):
             if misses > RESAMPLE_LIMIT:
                 raise
             continue
-        worst = max(worst, err)
+        worst = _worst(worst, err)
         if not err <= tol:
             failed += 1
             records.append(record)
         done += 1
     return CheckResult(name, trials, failed, worst, records)
+
+
+def _worst(*errs) -> float:
+    """The largest of errs, or NaN when one is NaN: builtin max keeps the
+    first of two incomparable values, so it would hide a NaN."""
+    if any(err != err for err in errs):
+        return math.nan
+    return max(errs)
+
+
+def _agreement(*routes) -> float:
+    """The worst disagreement among routes given as (value, scale) pairs:
+    each pair i < j gives |x_i - x_j| / max(1, |x_i|, s_i, s_j).  NaN when
+    any value is NaN."""
+    if any(cmath.isnan(x) for x, _ in routes):
+        return math.nan
+    return _worst(*(abs(x - y) / max(1.0, abs(x), sx, sy)
+                    for i, (x, sx) in enumerate(routes)
+                    for y, sy in routes[i + 1:]))
 
 
 def _param_record(params, **extra):
@@ -189,217 +185,177 @@ def _param_record(params, **extra):
 # theta
 # ---------------------------------------------------------------------------
 
-def _suite_theta(trials, seed, tol):
-    rng = random.Random(seed)
+def _inversion(rng):
+    p = rng.uniform(0.05, 0.5)
+    x = sample_annulus(rng, 0.3, 1.8)
+    err = residual(theta(x, p), -x * theta(1 / x, p))
+    return err, f"x={x!r} p={p!r}"
 
-    def inversion(rng):
-        p = rng.uniform(0.05, 0.5)
-        x = sample_annulus(rng, 0.3, 1.8)
-        err = residual(theta(x, p), -x * theta(1 / x, p))
-        return err, f"x={x!r} p={p!r}"
 
-    def quasi_periodicity(rng):
-        p = rng.uniform(0.05, 0.5)
-        x = sample_annulus(rng, 0.3, 1.8)
-        err = residual(theta(p * x, p), -(1 / x) * theta(x, p))
-        return err, f"x={x!r} p={p!r}"
+def _quasi_periodicity(rng):
+    p = rng.uniform(0.05, 0.5)
+    x = sample_annulus(rng, 0.3, 1.8)
+    err = residual(theta(p * x, p), -(1 / x) * theta(x, p))
+    return err, f"x={x!r} p={p!r}"
 
-    def three_term(rng):
-        p = rng.uniform(0.05, 0.5)
-        x, y, u, z = (sample_annulus(rng, 0.45, 1.5) for _ in range(4))
-        lhs = theta_multi([x * y, x / y, u * z, u / z], p)
-        t1 = theta_multi([u * y, u / y, x * z, x / z], p)
-        t2 = (x / z) * theta_multi([z * y, z / y, u * x, u / x], p)
-        err = residual(lhs, t1 + t2, t1, t2)
-        return err, f"x={x!r} y={y!r} u={u!r} z={z!r} p={p!r}"
 
-    def series_vs_product(rng):
-        # the reduced argument by both evaluators, over the arguments the
-        # routes form; a draw whose value leaves double range is redrawn
-        p = rng.uniform(0.05, 0.5)
-        x = sample_route_argument(rng)
-        want = theta_product(x, p)
-        if not cmath.isfinite(want):
-            raise DegenerateParameters(f"theta({x!r}; {p!r}) is outside double range")
-        err = residual(theta(x, p), want)
-        return err, f"x={x!r} p={p!r}"
+def _three_term(rng):
+    p = rng.uniform(0.05, 0.5)
+    x, y, u, z = (sample_annulus(rng, 0.45, 1.5) for _ in range(4))
+    lhs = theta_multi([x * y, x / y, u * z, u / z], p)
+    t1 = theta_multi([u * y, u / y, x * z, x / z], p)
+    t2 = (x / z) * theta_multi([z * y, z / y, u * x, u / x], p)
+    err = residual(lhs, t1 + t2, t1, t2)
+    return err, f"x={x!r} y={y!r} u={u!r} z={z!r} p={p!r}"
 
-    checks = [
-        _run("inversion", trials, tol, rng, inversion),
-        _run("quasi-periodicity", trials, tol, rng, quasi_periodicity),
-        _run("three-term", trials, tol, rng, three_term),
-        _run("series-vs-product", trials, tol, rng, series_vs_product),
-    ]
-    return SuiteReport("theta", seed, tol, checks)
+
+def _series_vs_product(rng):
+    # the reduced argument by both evaluators, over the arguments the
+    # routes form; a draw whose value leaves double range is redrawn
+    p = rng.uniform(0.05, 0.5)
+    x = sample_route_argument(rng)
+    want = theta_product(x, p)
+    if not cmath.isfinite(want):
+        raise DegenerateParameters(f"theta({x!r}; {p!r}) is outside double range")
+    err = residual(theta(x, p), want)
+    return err, f"x={x!r} p={p!r}"
 
 
 # ---------------------------------------------------------------------------
 # elliptic number and weight identities
 # ---------------------------------------------------------------------------
 
-def _suite_elliptic_identities(trials, seed, tol):
-    rng = random.Random(seed)
+def _addition(rng):
+    params = sample_elliptic_params(rng)
+    y = rng.randint(-4, 5)
+    z = rng.randint(-4, 5)
+    lhs = elliptic_number(y + z, params)
+    first = elliptic_number(y, params)
+    second = elliptic_weight(y, params) * elliptic_number_shifted(
+        z, (2 * y, y), params
+    )
+    err = residual(lhs, first + second, first, second)
+    return err, _param_record(params, y=y, z=z)
 
-    def addition(rng):
-        params = sample_elliptic_params(rng)
-        y = rng.randint(-4, 5)
-        z = rng.randint(-4, 5)
-        lhs = elliptic_number(y + z, params)
-        first = elliptic_number(y, params)
-        second = elliptic_weight(y, params) * elliptic_number_shifted(
-            z, (2 * y, y), params
-        )
-        err = residual(lhs, first + second, first, second)
-        return err, _param_record(params, y=y, z=z)
 
-    def weight_shift(rng):
-        params = sample_elliptic_params(rng)
-        k = rng.randint(-3, 5)
-        j = rng.randint(-3, 5)
-        lhs = elliptic_weight(k + j, params)
-        rhs = elliptic_weight(j, params) * elliptic_weight_shifted(
-            k, (2 * j, j), params
-        )
-        return residual(lhs, rhs), _param_record(params, k=k, j=j)
+def _weight_shift(rng):
+    params = sample_elliptic_params(rng)
+    k = rng.randint(-3, 5)
+    j = rng.randint(-3, 5)
+    lhs = elliptic_weight(k + j, params)
+    rhs = elliptic_weight(j, params) * elliptic_weight_shifted(
+        k, (2 * j, j), params
+    )
+    return residual(lhs, rhs), _param_record(params, k=k, j=j)
 
-    def negation(rng):
-        params = sample_elliptic_params(rng)
-        k = rng.randint(1, 6)
-        recip = params.with_ab(1 / params.a, params.b / params.a)
-        lhs = elliptic_number(-k, params)
-        rhs = -elliptic_weight(-1, params) * elliptic_number(k, recip)
-        return residual(lhs, rhs), _param_record(params, k=k)
 
-    def ellipticity_a(rng):
-        params = sample_elliptic_params(rng)
-        z = rng.randint(-3, 5)
-        base = elliptic_number(z, params)
-        moved = elliptic_number(z, params.with_ab(a=params.p * params.a))
-        return residual(base, moved), _param_record(params, z=z)
+def _negation(rng):
+    params = sample_elliptic_params(rng)
+    k = rng.randint(1, 6)
+    recip = params.with_ab(1 / params.a, params.b / params.a)
+    lhs = elliptic_number(-k, params)
+    rhs = -elliptic_weight(-1, params) * elliptic_number(k, recip)
+    return residual(lhs, rhs), _param_record(params, k=k)
 
-    def ellipticity_b(rng):
-        params = sample_elliptic_params(rng)
-        z = rng.randint(-3, 5)
-        base = elliptic_number(z, params)
-        moved = elliptic_number(z, params.with_ab(b=params.p * params.b))
-        return residual(base, moved), _param_record(params, z=z)
 
-    checks = [
-        _run("addition", trials, tol, rng, addition),
-        _run("weight-shift", trials, tol, rng, weight_shift),
-        _run("negation", trials, tol, rng, negation),
-        _run("ellipticity-a", trials, tol, rng, ellipticity_a),
-        _run("ellipticity-b", trials, tol, rng, ellipticity_b),
-    ]
-    return SuiteReport("elliptic-identities", seed, tol, checks)
+def _ellipticity_a(rng):
+    params = sample_elliptic_params(rng)
+    z = rng.randint(-3, 5)
+    base = elliptic_number(z, params)
+    moved = elliptic_number(z, params.with_ab(a=params.p * params.a))
+    return residual(base, moved), _param_record(params, z=z)
+
+
+def _ellipticity_b(rng):
+    params = sample_elliptic_params(rng)
+    z = rng.randint(-3, 5)
+    base = elliptic_number(z, params)
+    moved = elliptic_number(z, params.with_ab(b=params.p * params.b))
+    return residual(base, moved), _param_record(params, z=z)
 
 
 # ---------------------------------------------------------------------------
 # complete homogeneous routes
 # ---------------------------------------------------------------------------
 
-def _suite_h_routes(trials, seed, tol):
-    rng = random.Random(seed)
+def _h_elliptic_routes(rng):
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    seq = EllipticSequence(params)
+    values = seq.window(0, k)
+    field = seq.field
+    rec = h_recurrence(n - k, values, field)
+    explicit = h_explicit_scaled(n - k, values, field)
+    coeffs, s_orc = newton_oracle_scaled(
+        [_checked_power(seq[i], n) for i in range(n + 1)], seq, n
+    )
+    err = _agreement((rec, 1.0), explicit, (coeffs[k], s_orc))
+    return err, _param_record(params, n=n, k=k)
 
-    def elliptic_routes(rng):
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        seq = EllipticSequence(params)
-        values = seq.window(0, k)
-        field = seq.field
-        rec = h_recurrence(n - k, values, field)
-        exp_, s_exp = h_explicit_scaled(n - k, values, field)
-        coeffs, s_orc = newton_oracle_scaled(
-            [_checked_power(seq[i], n) for i in range(n + 1)], seq, n
-        )
-        orc = coeffs[k]
-        err = max(
-            abs(rec - exp_) / max(1.0, abs(rec), s_exp),
-            abs(rec - orc) / max(1.0, abs(rec), s_orc),
-            abs(exp_ - orc) / max(1.0, abs(exp_), s_exp, s_orc),
-        )
-        return err, _param_record(params, n=n, k=k)
 
-    def exact_q_routes(rng):
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        seq = QNumberSequence()
-        values = seq.window(0, k)
-        rec = h_recurrence(n - k, values, seq.field)
-        exp_ = h_explicit_scaled(n - k, values, seq.field)[0]
-        orc = newton_oracle_scaled(
-            [seq[i] ** n for i in range(n + 1)], seq, n
-        )[0][k]
-        ok = rec == exp_ == orc
-        return (0.0 if ok else 1.0), f"n={n} k={k}"
-
-    checks = [
-        _run("elliptic-routes", trials, tol, rng, elliptic_routes),
-        _run("exact-q-routes", trials, tol, rng, exact_q_routes),
-    ]
-    return SuiteReport("h-routes", seed, tol, checks)
+def _exact_q_routes(rng):
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    seq = QNumberSequence()
+    values = seq.window(0, k)
+    rec = h_recurrence(n - k, values, seq.field)
+    exp_ = h_explicit_scaled(n - k, values, seq.field)[0]
+    orc = newton_oracle_scaled(
+        [seq[i] ** n for i in range(n + 1)], seq, n
+    )[0][k]
+    ok = rec == exp_ == orc
+    return (0.0 if ok else 1.0), f"n={n} k={k}"
 
 
 # ---------------------------------------------------------------------------
 # connection coefficients
 # ---------------------------------------------------------------------------
 
-def _suite_connection(trials, seed, tol):
-    rng = random.Random(seed)
-
-    def routes(rng):
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 5)
-        seq = EllipticSequence(params)
-        offset = rng.randint(-2, 2)
-        cs = [elliptic_number(offset - (i - 1), params) for i in range(1, n + 1)]
-        c0 = complex(1.0)
-        rows = connection_recurrence(c0, cs, seq)
-        f_values = []
-        for zi in range(n + 1):
-            acc = c0
-            for c in cs:
-                acc = acc * (seq[zi] - c)
-            f_values.append(acc)
-        coeffs, s_orc = newton_oracle_scaled(f_values, seq, n)
-        worst = 0.0
-        for k in range(n + 1):
-            exp_, s_exp = connection_explicit_scaled(c0, cs, seq, n, k)
-            rec = rows[n][k]
-            worst = max(
-                worst,
-                abs(rec - exp_) / max(1.0, abs(rec), s_exp),
-                abs(rec - coeffs[k]) / max(1.0, abs(rec), s_orc),
-            )
-        return worst, _param_record(params, n=n, offset=offset)
-
-    def newton_expansion(rng):
-        # the defining identity itself, evaluated at one random grid point
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 5)
-        seq = EllipticSequence(params)
-        offset = rng.randint(-2, 2)
-        cs = [elliptic_number(offset - (i - 1), params) for i in range(1, n + 1)]
-        c0 = complex(1.0)
-        rows = connection_recurrence(c0, cs, seq)
-        zi = rng.randint(0, n + 3)
-        z = seq[zi]
-        lhs = c0
+def _connection_routes(rng):
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 5)
+    seq = EllipticSequence(params)
+    offset = rng.randint(-2, 2)
+    cs = [elliptic_number(offset - (i - 1), params) for i in range(1, n + 1)]
+    c0 = complex(1.0)
+    rows = connection_recurrence(c0, cs, seq)
+    f_values = []
+    for zi in range(n + 1):
+        acc = c0
         for c in cs:
-            lhs = lhs * (z - c)
-        terms = [
-            rows[n][k] * falling_factorial(z, seq, k) for k in range(n + 1)
-        ]
-        rhs = sum(terms, complex(0.0))
-        err = residual(lhs, rhs, *terms)
-        return err, _param_record(params, n=n, offset=offset, zi=zi)
+            acc = acc * (seq[zi] - c)
+        f_values.append(acc)
+    coeffs, s_orc = newton_oracle_scaled(f_values, seq, n)
+    worst = 0.0
+    for k in range(n + 1):
+        explicit = connection_explicit_scaled(c0, cs, seq, n, k)
+        rec = (rows[n][k], 1.0)
+        worst = _worst(worst, _agreement(rec, explicit),
+                       _agreement(rec, (coeffs[k], s_orc)))
+    return worst, _param_record(params, n=n, offset=offset)
 
-    checks = [
-        _run("routes", trials, tol, rng, routes),
-        _run("newton-expansion", trials, tol, rng, newton_expansion),
+
+def _newton_expansion(rng):
+    # the defining identity itself, evaluated at one random grid point
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 5)
+    seq = EllipticSequence(params)
+    offset = rng.randint(-2, 2)
+    cs = [elliptic_number(offset - (i - 1), params) for i in range(1, n + 1)]
+    c0 = complex(1.0)
+    rows = connection_recurrence(c0, cs, seq)
+    zi = rng.randint(0, n + 3)
+    z = seq[zi]
+    lhs = c0
+    for c in cs:
+        lhs = lhs * (z - c)
+    terms = [
+        rows[n][k] * falling_factorial(z, seq, k) for k in range(n + 1)
     ]
-    return SuiteReport("connection", seed, tol, checks)
+    rhs = sum(terms, complex(0.0))
+    err = residual(lhs, rhs, *terms)
+    return err, _param_record(params, n=n, offset=offset, zi=zi)
 
 
 # ---------------------------------------------------------------------------
@@ -412,255 +368,243 @@ def _random_board(rng):
     return FerrersBoard(tuple(heights))
 
 
-def _suite_rook(trials, seed, tol):
-    rng = random.Random(seed)
+def _route_agreement(rng):
+    params = sample_elliptic_params(rng)
+    board = _random_board(rng)
+    j = rng.randint(0, len(board.heights))
+    err = _agreement(elliptic_rook_scaled(board, j, params, "explicit"),
+                     elliptic_rook_scaled(board, j, params, "oracle"))
+    return err, _param_record(params, board=board.heights, j=j)
 
-    def route_agreement(rng):
-        params = sample_elliptic_params(rng)
-        board = _random_board(rng)
-        j = rng.randint(0, len(board.heights))
-        exp_, s_exp = elliptic_rook_scaled(board, j, params, "explicit")
-        orc, s_orc = elliptic_rook_scaled(board, j, params, "oracle")
-        err = abs(exp_ - orc) / max(1.0, abs(exp_), s_exp, s_orc)
-        return err, _param_record(params, board=board.heights, j=j)
 
-    def staircase_stirling(rng):
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        board = FerrersBoard.staircase(n)
-        rook, s_rook = elliptic_rook_scaled(board, n - k, params, "explicit")
-        stir, s_stir = elliptic_stirling2_scaled(n, k, params, "explicit")
-        scaled = stir * weight_product(k, params)
-        err = abs(rook - scaled) / max(1.0, abs(rook), s_rook, s_stir)
-        return err, _param_record(params, n=n, k=k)
+def _staircase_stirling(rng):
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    board = FerrersBoard.staircase(n)
+    rook = elliptic_rook_scaled(board, n - k, params, "explicit")
+    stir, s_stir = elliptic_stirling2_scaled(n, k, params, "explicit")
+    err = _agreement(rook, (stir * weight_product(k, params), s_stir))
+    return err, _param_record(params, n=n, k=k)
 
-    def empty_board(rng):
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 5)
-        board = FerrersBoard.empty(n)
-        ok = elliptic_rook_scaled(board, 0, params)[0] == 1.0 and all(
-            elliptic_rook_scaled(board, j, params)[0] == 0.0
-            for j in range(1, n + 1)
-        )
-        return (0.0 if ok else 1.0), _param_record(params, n=n)
 
-    checks = [
-        _run("route-agreement", trials, tol, rng, route_agreement),
-        _run("staircase-stirling", trials, tol, rng, staircase_stirling),
-        _run("empty-board", trials, tol, rng, empty_board),
-    ]
-    return SuiteReport("rook", seed, tol, checks)
+def _empty_board(rng):
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 5)
+    board = FerrersBoard.empty(n)
+    ok = elliptic_rook_scaled(board, 0, params)[0] == 1.0 and all(
+        elliptic_rook_scaled(board, j, params)[0] == 0.0
+        for j in range(1, n + 1)
+    )
+    return (0.0 if ok else 1.0), _param_record(params, n=n)
 
 
 # ---------------------------------------------------------------------------
 # Lah numbers
 # ---------------------------------------------------------------------------
 
-def _suite_lah(trials, seed, tol):
-    rng = random.Random(seed)
+def _lah_routes(rng):
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    rec = elliptic_lah_rows(n, params)[n][k]
+    err = _agreement((rec, 1.0),
+                     elliptic_lah_scaled(n, k, params, "explicit"),
+                     elliptic_lah_scaled(n, k, params, "oracle"))
+    return err, _param_record(params, n=n, k=k)
 
-    def routes(rng):
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        rec = elliptic_lah_rows(n, params)[n][k]
-        exp_, s_exp = elliptic_lah_scaled(n, k, params, "explicit")
-        orc, s_orc = elliptic_lah_scaled(n, k, params, "oracle")
-        err = max(
-            abs(rec - exp_) / max(1.0, abs(rec), s_exp),
-            abs(rec - orc) / max(1.0, abs(rec), s_orc),
-            abs(exp_ - orc) / max(1.0, abs(exp_), s_exp, s_orc),
-        )
-        return err, _param_record(params, n=n, k=k)
 
-    def classical_point(rng):
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        flat = EllipticParams(a=0, b=0, q=1, p=0)
-        got = elliptic_lah_rows(n, flat)[n][k]
-        err = abs(got - lah(n, k))
-        # the same integers must fall out of the connection oracle over
-        # the classical nodes with c_i = -(i - 1)
-        seq = ClassicalSequence()
-        cs = [Fraction(-(i - 1)) for i in range(1, n + 1)]
-        rows = connection_recurrence(Fraction(1), cs, seq)
-        if rows[n][k] != lah(n, k):
-            err = max(err, 1.0)
-        return err, f"n={n} k={k}"
-
-    checks = [
-        _run("routes", trials, tol, rng, routes),
-        _run("classical-point", trials, tol, rng, classical_point),
-    ]
-    return SuiteReport("lah", seed, tol, checks)
+def _lah_classical_point(rng):
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    flat = EllipticParams(a=0, b=0, q=1, p=0)
+    got = elliptic_lah_rows(n, flat)[n][k]
+    err = abs(got - lah(n, k))
+    # the same integers must fall out of the connection oracle over
+    # the classical nodes with c_i = -(i - 1)
+    seq = ClassicalSequence()
+    cs = [Fraction(-(i - 1)) for i in range(1, n + 1)]
+    rows = connection_recurrence(Fraction(1), cs, seq)
+    if rows[n][k] != lah(n, k):
+        err = max(err, 1.0)
+    return err, f"n={n} k={k}"
 
 
 # ---------------------------------------------------------------------------
 # Eulerian routes
 # ---------------------------------------------------------------------------
 
-def _suite_eulerian_routes(trials, seed, tol):
-    rng = random.Random(seed)
+def _eulerian_elliptic_routes(rng):
+    params = sample_elliptic_params(rng)
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    rec = elliptic_eulerian_rows(n, params)[n][k]
+    err = _agreement((rec, 1.0), elliptic_eulerian_scaled(n, k, params),
+                     general_eulerian_scaled(n, k, EllipticSequence(params)))
+    return err, _param_record(params, n=n, k=k)
 
-    def elliptic_routes(rng):
-        params = sample_elliptic_params(rng)
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        rec = elliptic_eulerian_rows(n, params)[n][k]
-        exp_, s_exp = elliptic_eulerian_scaled(n, k, params)
-        eng, s_eng = general_eulerian_scaled(n, k, EllipticSequence(params))
-        err = max(
-            abs(rec - exp_) / max(1.0, abs(rec), s_exp),
-            abs(rec - eng) / max(1.0, abs(rec), s_eng),
-            abs(exp_ - eng) / max(1.0, abs(exp_), s_exp, s_eng),
-        )
-        return err, _param_record(params, n=n, k=k)
 
-    def r_whitney_exact(rng):
-        m = rng.randint(1, 3)
-        r = rng.randint(0, m - 1)
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        direct = r_whitney_eulerian_rows(n, m, r, "direct")[n][k]
-        engine = r_whitney_eulerian_rows(n, m, r, "engine")[n][k]
-        return (0.0 if direct == engine else 1.0), f"m={m} r={r} n={n} k={k}"
+def _r_whitney_exact(rng):
+    m = rng.randint(1, 3)
+    r = rng.randint(0, m - 1)
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    direct = r_whitney_eulerian_rows(n, m, r, "direct")[n][k]
+    engine = r_whitney_eulerian_rows(n, m, r, "engine")[n][k]
+    return (0.0 if direct == engine else 1.0), f"m={m} r={r} n={n} k={k}"
 
-    def q_r_whitney_exact(rng):
-        m = rng.randint(1, 3)
-        r = rng.randint(0, m - 1)
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        rec = q_r_whitney_eulerian_rows(n, m, r, "recurrence")[n][k]
-        exp_ = q_r_whitney_eulerian(n, k, m, r)
-        eng = q_r_whitney_eulerian_rows(n, m, r, "engine")[n][k]
-        ok = rec == exp_ == eng
-        return (0.0 if ok else 1.0), f"m={m} r={r} n={n} k={k}"
 
-    def delta_identity(rng):
-        params = sample_elliptic_params(rng)
-        seq = EllipticSequence(params)
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        l = rng.randint(0, k)
-        got = lagrange_delta(n, k, l, seq, max_scale=1e5)
-        want = 1.0 if k == l else 0.0
-        return abs(got - want), _param_record(params, n=n, k=k, l=l)
+def _q_r_whitney_exact(rng):
+    m = rng.randint(1, 3)
+    r = rng.randint(0, m - 1)
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    rec = q_r_whitney_eulerian_rows(n, m, r, "recurrence")[n][k]
+    exp_ = q_r_whitney_eulerian(n, k, m, r)
+    eng = q_r_whitney_eulerian_rows(n, m, r, "engine")[n][k]
+    ok = rec == exp_ == eng
+    return (0.0 if ok else 1.0), f"m={m} r={r} n={n} k={k}"
 
-    checks = [
-        _run("elliptic-routes", trials, tol, rng, elliptic_routes),
-        _run("r-whitney-exact", trials, tol, rng, r_whitney_exact),
-        _run("q-r-whitney-exact", trials, tol, rng, q_r_whitney_exact),
-        _run("delta-identity", trials, tol, rng, delta_identity),
-    ]
-    return SuiteReport("eulerian-routes", seed, tol, checks)
+
+def _delta_identity(rng):
+    params = sample_elliptic_params(rng)
+    seq = EllipticSequence(params)
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    l = rng.randint(0, k)
+    got = lagrange_delta(n, k, l, seq, max_scale=1e5)
+    want = 1.0 if k == l else 0.0
+    return abs(got - want), _param_record(params, n=n, k=k, l=l)
 
 
 # ---------------------------------------------------------------------------
 # Worpitzky expansion
 # ---------------------------------------------------------------------------
 
-def _suite_worpitzky(trials, seed, tol):
-    rng = random.Random(seed)
+def _exact_families(rng):
+    m = rng.randint(1, 3)
+    r = rng.randint(0, m - 1)
+    factories = (
+        lambda: ClassicalSequence(),
+        lambda: QNumberSequence(),
+        lambda: AffineWhitneySequence(m, r),
+        lambda: QWhitneySequence(m, r),
+    )
+    seq = factories[rng.randrange(len(factories))]()
+    n = rng.randint(1, 6)
+    zis = range(-2, n + 4)
+    sides = worpitzky_check(n, seq, [seq[zi] for zi in zis])
+    for zi, (lhs, rhs, _) in zip(zis, sides):
+        if lhs != rhs:
+            return 1.0, f"seq={type(seq).__name__} m={m} r={r} n={n} zi={zi}"
+    return 0.0, f"seq={type(seq).__name__} m={m} r={r} n={n}"
 
-    def exact_families(rng):
-        m = rng.randint(1, 3)
-        r = rng.randint(0, m - 1)
-        factories = (
-            lambda: ClassicalSequence(),
-            lambda: QNumberSequence(),
-            lambda: AffineWhitneySequence(m, r),
-            lambda: QWhitneySequence(m, r),
-        )
-        seq = factories[rng.randrange(len(factories))]()
-        n = rng.randint(1, 6)
-        zis = range(-2, n + 4)
-        sides = worpitzky_check(n, seq, [seq[zi] for zi in zis])
-        for zi, (lhs, rhs, _) in zip(zis, sides):
-            if lhs != rhs:
-                return 1.0, f"seq={type(seq).__name__} m={m} r={r} n={n} zi={zi}"
-        return 0.0, f"seq={type(seq).__name__} m={m} r={r} n={n}"
 
-    def elliptic(rng):
-        params = sample_elliptic_params(rng)
-        seq = EllipticSequence(params)
-        n = rng.randint(1, 6)
-        # the row first: its node guard may refuse the draw before the
-        # points take their random numbers
-        row = general_eulerian_rows(seq, n)[n]
-        points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                  for _ in range(20)]
-        worst = 0.0
-        for lhs, rhs, terms in worpitzky_check(n, seq, points, row=row):
-            worst = max(worst, residual(lhs, rhs, *terms))
-        return worst, _param_record(params, n=n)
-
-    checks = [
-        _run("exact-families", trials, tol, rng, exact_families),
-        _run("elliptic", trials, tol, rng, elliptic),
-    ]
-    return SuiteReport("worpitzky", seed, tol, checks)
+def _worpitzky_elliptic(rng):
+    params = sample_elliptic_params(rng)
+    seq = EllipticSequence(params)
+    n = rng.randint(1, 6)
+    # the row first: its node guard may refuse the draw before the
+    # points take their random numbers
+    row = general_eulerian_rows(seq, n)[n]
+    points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+              for _ in range(20)]
+    worst = 0.0
+    for lhs, rhs, terms in worpitzky_check(n, seq, points, row=row):
+        worst = _worst(worst, residual(lhs, rhs, *terms))
+    return worst, _param_record(params, n=n)
 
 
 # ---------------------------------------------------------------------------
 # degeneration lattice
 # ---------------------------------------------------------------------------
 
-def _suite_degeneration(trials, seed, tol):
-    rng = random.Random(seed)
-
-    def stirling_chain(rng):
-        qv = sample_annulus(rng, 0.4, 0.9)
-        flat = EllipticParams(a=0, b=0, q=qv, p=0)
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        got = elliptic_stirling2_rows(n, flat)[n][k]
-        want = q_stirling2_rows(n)[n][k].evaluate(qv)
-        return residual(got, want), f"q={qv!r} n={n} k={k}"
-
-    def eulerian_chain(rng):
-        qv = sample_annulus(rng, 0.4, 0.9)
-        flat = EllipticParams(a=0, b=0, q=qv, p=0)
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        got = elliptic_eulerian_rows(n, flat)[n][k]
-        want = q_eulerian_rows(n)[n][k].evaluate(qv)
-        return residual(got, want), f"q={qv!r} n={n} k={k}"
-
-    def lah_chain(rng):
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        flat = EllipticParams(a=0, b=0, q=1, p=0)
-        got = elliptic_lah_rows(n, flat)[n][k]
-        return abs(got - lah(n, k)), f"n={n} k={k}"
-
-    def classical_point(rng):
-        n = rng.randint(1, 6)
-        k = rng.randint(0, n)
-        s_err = abs(q_stirling2_rows(n)[n][k].evaluate(1.0) - stirling2_rows(n)[n][k])
-        e_err = abs(q_eulerian_rows(n)[n][k].evaluate(1.0) - eulerian_rows(n)[n][k])
-        return max(s_err, e_err), f"n={n} k={k}"
-
-    checks = [
-        _run("stirling-chain", trials, tol, rng, stirling_chain),
-        _run("eulerian-chain", trials, tol, rng, eulerian_chain),
-        _run("lah-chain", trials, tol, rng, lah_chain),
-        _run("classical-point", trials, tol, rng, classical_point),
-    ]
-    return SuiteReport("degeneration", seed, tol, checks)
+def _stirling_chain(rng):
+    qv = sample_annulus(rng, 0.4, 0.9)
+    flat = EllipticParams(a=0, b=0, q=qv, p=0)
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    got = elliptic_stirling2_rows(n, flat)[n][k]
+    want = q_stirling2_rows(n)[n][k].evaluate(qv)
+    return residual(got, want), f"q={qv!r} n={n} k={k}"
 
 
+def _eulerian_chain(rng):
+    qv = sample_annulus(rng, 0.4, 0.9)
+    flat = EllipticParams(a=0, b=0, q=qv, p=0)
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    got = elliptic_eulerian_rows(n, flat)[n][k]
+    want = q_eulerian_rows(n)[n][k].evaluate(qv)
+    return residual(got, want), f"q={qv!r} n={n} k={k}"
+
+
+def _lah_chain(rng):
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    flat = EllipticParams(a=0, b=0, q=1, p=0)
+    got = elliptic_lah_rows(n, flat)[n][k]
+    return abs(got - lah(n, k)), f"n={n} k={k}"
+
+
+def _degeneration_classical_point(rng):
+    n = rng.randint(1, 6)
+    k = rng.randint(0, n)
+    s_err = abs(q_stirling2_rows(n)[n][k].evaluate(1.0) - stirling2_rows(n)[n][k])
+    e_err = abs(q_eulerian_rows(n)[n][k].evaluate(1.0) - eulerian_rows(n)[n][k])
+    return max(s_err, e_err), f"n={n} k={k}"
+
+
+# suite -> (default tolerance, default trials, its checks in report order)
 _SUITES = {
-    "theta": _suite_theta,
-    "elliptic-identities": _suite_elliptic_identities,
-    "h-routes": _suite_h_routes,
-    "connection": _suite_connection,
-    "rook": _suite_rook,
-    "lah": _suite_lah,
-    "eulerian-routes": _suite_eulerian_routes,
-    "worpitzky": _suite_worpitzky,
-    "degeneration": _suite_degeneration,
+    "theta": (1e-9, 100, (
+        ("inversion", _inversion),
+        ("quasi-periodicity", _quasi_periodicity),
+        ("three-term", _three_term),
+        ("series-vs-product", _series_vs_product),
+    )),
+    "elliptic-identities": (1e-9, 50, (
+        ("addition", _addition),
+        ("weight-shift", _weight_shift),
+        ("negation", _negation),
+        ("ellipticity-a", _ellipticity_a),
+        ("ellipticity-b", _ellipticity_b),
+    )),
+    "h-routes": (1e-9, 25, (
+        ("elliptic-routes", _h_elliptic_routes),
+        ("exact-q-routes", _exact_q_routes),
+    )),
+    "connection": (1e-9, 25, (
+        ("routes", _connection_routes),
+        ("newton-expansion", _newton_expansion),
+    )),
+    "rook": (1e-8, 25, (
+        ("route-agreement", _route_agreement),
+        ("staircase-stirling", _staircase_stirling),
+        ("empty-board", _empty_board),
+    )),
+    "lah": (1e-8, 25, (
+        ("routes", _lah_routes),
+        ("classical-point", _lah_classical_point),
+    )),
+    "eulerian-routes": (1e-7, 25, (
+        ("elliptic-routes", _eulerian_elliptic_routes),
+        ("r-whitney-exact", _r_whitney_exact),
+        ("q-r-whitney-exact", _q_r_whitney_exact),
+        ("delta-identity", _delta_identity),
+    )),
+    "worpitzky": (1e-8, 25, (
+        ("exact-families", _exact_families),
+        ("elliptic", _worpitzky_elliptic),
+    )),
+    "degeneration": (1e-8, 25, (
+        ("stirling-chain", _stirling_chain),
+        ("eulerian-chain", _eulerian_chain),
+        ("lah-chain", _lah_chain),
+        ("classical-point", _degeneration_classical_point),
+    )),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0,
@@ -670,17 +614,20 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
         raise DomainError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
+    default_tol, default_trials, checks = _SUITES[name]
     if trials is None:
-        trials = DEFAULT_TRIALS.get(name, FALLBACK_TRIALS)
+        trials = default_trials
     if trials < 0:
         raise DomainError("trials must be >= 0")
     if trials > _MAX_TRIALS:
         raise DomainError(f"trials must be <= {_MAX_TRIALS}")
     if tol is None:
-        tol = DEFAULT_TOLERANCES[name]
+        tol = default_tol
     if not tol > 0:
         raise DomainError("tol must be positive")
-    return _SUITES[name](trials, seed, tol)
+    rng = random.Random(seed)
+    return SuiteReport(name, seed, tol, [_run(check, trials, tol, rng, draw)
+                                         for check, draw in checks])
 
 
 def run_suites(name: str, trials: int | None = None, seed: int = 0,

@@ -66,13 +66,13 @@ on the annulus, and each undo step keeps at least r^(1/2) of it, so
 whose guarded factors all have c |1 - y| >= 2 DEFAULT_MIN_DENOMINATOR and
 |k| <= k_max (each factor at most 1e60, so every denominator product is
 finite) is accepted, with this memo left empty.  Any other window,
-p = 0 and |p| > SERIES_MAX_NOME among them, goes to the scan, which puts
-only the guarded denominator factors in this memo: theta(q) and
-theta(a q) once, then theta(b q^k), theta(a q^k / b), theta(b q^(k+1))
-and theta(a q^(k+1) / b) per index k, each looked up and guarded once.
-It refuses an index whose number or weight denominator product is not
-finite and range-checks the numerator arguments without evaluating
-them.  Neither caches a number or weight.
+p = 0 and |p| > SERIES_MAX_NOME among them, goes to the scan: one
+``_number_den`` and one ``_weight_den`` call per index z, whose guard
+labels name z (theta(b q^z), theta(a q^(z+1) / b), ...).  It puts only
+the guarded denominator factors in this memo, may leave the leading
+product in its cache, refuses an index whose number or weight
+denominator product is not finite and range-checks the numerator
+arguments without evaluating them.  Neither caches a number or weight.
 ``theta`` reads the constants of its nome from a bounded cache keyed on
 p with the signs of both its parts: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
 each rounded once from exact integer arithmetic and grown on demand.  In
@@ -178,14 +178,13 @@ _last_nome: tuple = (None, None)
 
 
 def _nome_for(x: complex, p: complex):
-    """The cached constants of p, or None for p = 0; checks x and p."""
+    """The cached constants of p, or None for p = 0; checks x, and p
+    through ``_truncation_order``."""
     global _last_nome
     if x == 0:
         raise DomainError("theta argument must be nonzero")
     last_p, nome = _last_nome
     if p is not last_p:
-        if abs(p) >= 1:
-            raise DomainError("theta nome needs |p| < 1")
         nome = None
         if p != 0:
             nome = _nome(p, math.copysign(1, p.real), math.copysign(1, p.imag))
@@ -469,51 +468,29 @@ class EllipticParams:
                 and _nome_for(q, p).certifies(dens))
 
     def _window_scan(self, lo: int, hi: int) -> str | None:
-        """``window_refusal`` by evaluation.
-
-        Only the guarded denominator factors of [z] and W(z) are evaluated,
-        through the theta memo, each distinct one once and in the order in
-        which ``_number_den`` and ``_weight_den`` first ask for it.  Their
-        products, formed in the same order, must be finite, as
-        ``_finite_den`` demands of them later.  Each numerator argument is
-        range-checked instead of evaluated: one that is 0 or not finite
-        fails the window, as its theta would raise.  A denominator argument
-        that underflows to 0 fails it too.  Every refusal names its argument
-        or factor and the index z.
+        """``window_refusal`` by evaluation: one ``_number_den`` and one
+        ``_weight_den`` call per index, each product refused by
+        ``_finite_den`` as a number or weight would refuse it, so only the
+        guarded denominator factors are evaluated, through the theta memo.
+        Each numerator argument is range-checked instead of evaluated: one
+        that is 0 or not finite fails the window, as its theta would raise.
+        A denominator argument that underflows to 0 fails it too.  Every
+        refusal names its argument or factor and the index z.
         """
         if self.q == 1:
             return None  # the classical end: [z] = z and W(k) = 1, no guard
         a, b, q = self.a, self.b, self.q
+        elliptic = self.p != 0
         try:
-            if self.p == 0:
-                for z in range(lo, hi + 1):
-                    u = _checked_power(q, z)
-                    _finite_den(_number_den(u, a, b, self, z), "[{}]", z)
-                    _finite_den(_weight_den(u, a, b, self, z), "W({})", z)
-                return None
-            memo = self._theta
-
-            def factor(x, label):
-                return _guard(memo(x), label, z)
-
-            # the numerator arguments of _number_raw and _weight_raw
-            _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
+            if elliptic:
+                # the numerator arguments of _number_raw and _weight_raw
+                _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
             for z in range(lo, hi + 1):
                 u = _checked_power(q, z)
-                _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
-                if z == lo:
-                    th_q = factor(q, "theta(q)")
-                    th_aq = factor(a * q, "theta(a q)")
-                th_bu = factor(b * u, "theta(b q^z)")
-                th_aub = factor(a * u / b, "theta(a q^z / b)")
-                den = th_q * th_aq * th_bu * th_aub
-                if not cmath.isfinite(den):
-                    return f"denominator of [{z}] is {den}, outside double range"
-                th_bqu = factor(b * q * u, "theta(b q^(z+1))")
-                th_aqub = factor(a * q * u / b, "theta(a q^(z+1) / b)")
-                den = th_aq * th_bu * th_bqu * th_aub * th_aqub
-                if not cmath.isfinite(den):
-                    return f"denominator of W({z}) is {den}, outside double range"
+                if elliptic:
+                    _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
+                _finite_den(_number_den(u, a, b, self, z), "[{}]", z)
+                _finite_den(_weight_den(u, a, b, self, z), "W({})", z)
         except DegenerateParameters as exc:
             return str(exc)
         except DomainError:
@@ -599,7 +576,7 @@ def _refuse_bad_argument(z, shift, a, b, q) -> None:
 
 def _number_den(u, a, b, params: EllipticParams, z=None) -> complex:
     """The guarded denominator of [z] at u = q^z (off the classical end);
-    at p = 0 a refusal names the index z when one is given."""
+    a refusal names the index z when one is given."""
     q = params.q
     if params.p == 0:
         if a == 0 and b == 0:
@@ -619,18 +596,18 @@ def _number_den(u, a, b, params: EllipticParams, z=None) -> complex:
     key = _memo_key(a)
     lead = params._lead_cache.get(key)
     if lead is None:
-        lead = params._lead_cache[key] = (_guard(th(q), "theta(q)")
-                                          * _guard(th(a * q), "theta(a q)"))
+        lead = params._lead_cache[key] = (_guard(th(q), "theta(q)", z)
+                                          * _guard(th(a * q), "theta(a q)", z))
     return (
         lead
-        * _guard(th(b * u), "theta(b q^z)")
-        * _guard(th(a * u / b), "theta(a q^z / b)")
+        * _guard(th(b * u), "theta(b q^z)", z)
+        * _guard(th(a * u / b), "theta(a q^z / b)", z)
     )
 
 
 def _weight_den(u, a, b, params: EllipticParams, z=None) -> complex:
-    """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k.  At
-    p = 0 a refusal names the index, given as z, when one is given."""
+    """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k.  A
+    refusal names the index, given as z, when one is given."""
     q = params.q
     if params.p == 0:
         if a == 0 and b == 0:
@@ -647,11 +624,11 @@ def _weight_den(u, a, b, params: EllipticParams, z=None) -> complex:
         )
     th = params._theta
     return (
-        _guard(th(a * q), "theta(a q)")
-        * _guard(th(b * u), "theta(b q^k)")
-        * _guard(th(b * q * u), "theta(b q^(k+1))")
-        * _guard(th(a * u / b), "theta(a q^k / b)")
-        * _guard(th(a * q * u / b), "theta(a q^(k+1) / b)")
+        _guard(th(a * q), "theta(a q)", z)
+        * _guard(th(b * u), "theta(b q^z)", z)
+        * _guard(th(b * q * u), "theta(b q^(z+1))", z)
+        * _guard(th(a * u / b), "theta(a q^z / b)", z)
+        * _guard(th(a * q * u / b), "theta(a q^(z+1) / b)", z)
     )
 
 
@@ -773,14 +750,18 @@ def sample_annulus(rng: random.Random, lo: float, hi: float) -> complex:
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
-def sample_route_argument(rng: random.Random, n: int = 18) -> complex:
-    """A theta argument as the routes at size n form it.
+# the largest size the elliptic tables are checked at
+_ROUTE_N = 18
+
+
+def sample_route_argument(rng: random.Random) -> complex:
+    """A theta argument as the routes at size n = _ROUTE_N (18) form it.
 
     |x| is log-uniform between |q|^(2n+2) m and its inverse, with |q| and
     m = min(|a|, |b|) stand-ins drawn from [0.4, 0.9] as the sampler
     draws moduli; the phase is uniform.
     """
-    log_lo = (2 * n + 2) * math.log(rng.uniform(0.4, 0.9)) + math.log(
+    log_lo = (2 * _ROUTE_N + 2) * math.log(rng.uniform(0.4, 0.9)) + math.log(
         rng.uniform(0.4, 0.9))
     r = math.exp(rng.uniform(log_lo, -log_lo))
     phi = rng.uniform(0.0, _TWO_PI)

@@ -216,8 +216,7 @@ def test_check_zero_trials_vacuous(capsys):
 def test_check_trials_above_the_limit_exit_2(capsys, monkeypatch, suite):
     # refused before any trial runs, so a huge count returns at once
     ran = []
-    monkeypatch.setattr(suites, "_SUITES", {
-        name: lambda *args: ran.append(args) for name in suites._SUITES})
+    monkeypatch.setattr(suites, "_run", lambda *args: ran.append(args))
     for trials in (suites._MAX_TRIALS + 1, 10**9):
         code, out, err = run_cli(capsys, "check", "--suite", suite,
                                  "--trials", str(trials))
@@ -279,14 +278,68 @@ def test_degenerate_n_stops_where_classical_entries_leave_exact_doubles(capsys, 
         assert err.startswith(f"error: --n {n} is past {limit} for {family}")
 
 
+# suite -> (default tolerance, default trials, check names in report order)
+SUITE_LAYOUT = {
+    "theta": (1e-9, 100, ["inversion", "quasi-periodicity", "three-term",
+                          "series-vs-product"]),
+    "elliptic-identities": (1e-9, 50, ["addition", "weight-shift", "negation",
+                                       "ellipticity-a", "ellipticity-b"]),
+    "h-routes": (1e-9, 25, ["elliptic-routes", "exact-q-routes"]),
+    "connection": (1e-9, 25, ["routes", "newton-expansion"]),
+    "rook": (1e-8, 25, ["route-agreement", "staircase-stirling", "empty-board"]),
+    "lah": (1e-8, 25, ["routes", "classical-point"]),
+    "eulerian-routes": (1e-7, 25, ["elliptic-routes", "r-whitney-exact",
+                                   "q-r-whitney-exact", "delta-identity"]),
+    "worpitzky": (1e-8, 25, ["exact-families", "elliptic"]),
+    "degeneration": (1e-8, 25, ["stirling-chain", "eulerian-chain", "lah-chain",
+                                "classical-point"]),
+}
+
+
 def test_suite_reports_structure():
-    rep = run_suite("rook", trials=5, seed=2)
-    assert rep.suite == "rook"
-    assert [c.name for c in rep.checks] == [
-        "route-agreement", "staircase-stirling", "empty-board",
-    ]
-    assert all(c.trials == 5 for c in rep.checks)
-    assert rep.passed
+    assert list(suites.SUITE_NAMES) == list(SUITE_LAYOUT)
+    for name, (tol, trials, checks) in SUITE_LAYOUT.items():
+        rep = run_suite(name, seed=2)
+        assert (rep.suite, rep.seed, rep.tol) == (name, 2, tol)
+        assert [c.name for c in rep.checks] == checks
+        assert all(c.trials == trials for c in rep.checks), name
+        assert rep.passed, name
+
+
+@pytest.mark.parametrize("suite, patched, check", [
+    ("lah", "elliptic_lah_scaled", "routes"),
+    ("rook", "elliptic_rook_scaled", "route-agreement"),
+])
+def test_a_nan_route_fails_its_check(monkeypatch, suite, patched, check):
+    # builtin max keeps the first of two incomparable values, so a NaN
+    # route used to pass (lah) or fail with worst 0 (rook)
+    route = getattr(suites, patched)
+
+    def nan_oracle(*args):
+        value, scale = route(*args)
+        return (complex(math.nan, 0.0) if args[-1] == "oracle" else value), scale
+
+    monkeypatch.setattr(suites, patched, nan_oracle)
+    result = {c.name: c for c in run_suite(suite, trials=25, seed=1).checks}[check]
+    assert result.failed == 25
+    assert math.isnan(result.worst)
+    assert f"worst {result.worst:.3e}" == "worst nan"
+
+
+def test_a_nan_point_fails_the_elliptic_worpitzky_check(monkeypatch):
+    # the check's worst over its 20 points is kept NaN-aware too
+    check = suites.worpitzky_check
+
+    def nan_first_point(n, seq, points, row=None):
+        sides = check(n, seq, points, row=row)
+        if row is not None:
+            sides[0] = (complex(math.nan, 0.0), *sides[0][1:])
+        return sides
+
+    monkeypatch.setattr(suites, "worpitzky_check", nan_first_point)
+    exact, elliptic = run_suite("worpitzky", trials=25, seed=1).checks
+    assert exact.passed
+    assert elliptic.failed == 25 and math.isnan(elliptic.worst)
 
 
 def run_cli_exit(capsys, *argv):

@@ -26,3 +26,13 @@ def test_check_reports_keep_their_bytes(capsys, seed):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED[seed]
+
+
+def test_failing_check_report_keeps_its_bytes(capsys):
+    # a tolerance below the double error fails checks in most suites, so
+    # the failing records and their order are pinned too
+    code = main(["check", "--suite", "all", "--trials", "25", "--seed", "1",
+                 "--tol", "1e-16"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "e633acc209bf5b71"

@@ -347,14 +347,17 @@ def test_nome_outside_unit_disc_rejected(p):
         EllipticParams(a=0.5, b=0.7, q=0.6, p=p)
     with pytest.raises(DomainError, match=r"^nome needs \|p\| < 1$"):
         theta_multi([0.5], p)
-    with pytest.raises(DomainError, match=r"^theta nome needs \|p\| < 1$"):
-        theta(0.5, p)
+    for evaluate in (theta, theta_product):
+        with pytest.raises(DomainError, match=r"^nome needs \|p\| < 1$"):
+            evaluate(0.5, p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.2, math.nan)])
 def test_non_finite_parameters_rejected(bad):
     with pytest.raises(DomainError, match=r"^nome must be finite, got "):
         theta_multi([0.5], bad)
+    with pytest.raises(DomainError, match=r"^nome must be finite, got "):
+        theta(0.5, bad)
     good = dict(a=0.5, b=0.7, q=0.6, p=0.2)
     for name in good:
         with pytest.raises(DomainError, match="finite"):
@@ -915,7 +918,7 @@ def test_theta_against_mpmath_qpochhammer():
     with mpmath.workdps(50):
         while compared < 100:
             p = sample_annulus(rng, 0.05, 0.5)
-            x = sample_route_argument(rng, _N)
+            x = sample_route_argument(rng)
             want = mpmath.qp(x, p) * mpmath.qp(p / mpmath.mpc(x), p)
             if not 1e-300 < abs(want) < 1e300:
                 continue
