@@ -225,20 +225,24 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
 
     Returns one (lhs, rhs, terms) per point, where lhs = z^n and rhs =
     sum(terms); exact callers assert lhs == rhs, numeric ones weigh
-    |lhs - rhs| against the term magnitudes.  Pass a precomputed triangle
-    row to amortize table construction over several calls.
+    |lhs - rhs| against the term magnitudes; terms is empty over an exact
+    field.  Pass a precomputed triangle row to amortize table
+    construction over several calls.
 
     The node gaps a_{n-k+1} - a_{i-k} do not depend on z and are formed
-    once.  Over an exact field the coefficient A(n, k) / prod_i gap is
-    formed once too.  The window of column k, z - a_j for j in
-    [1 - k, n - k], is the last k of the first n differences z - a_j
-    (j in [1 - n, 0]) and the first n - k of the last n (j in [1, n]), so
-    a point costs one running product over each half, from the middle
-    outwards, and at most two products per column: about 4n ring products
-    instead of n(n + 1), and none past a difference that is 0.  Results
-    are canonical, so they equal the point-by-point quotients.  A float
-    summand keeps the order A(n, k) prod_i ((z - a_{i-k}) / gap) of a
-    point-by-point evaluation, bit for bit.
+    once.  The window of column k, z - a_j for j in [1 - k, n - k], is
+    the last k of the first n differences z - a_j (j in [1 - n, 0]) and
+    the first n - k of the last n (j in [1, n]), so a point costs one
+    running product over each half, from the middle outwards, and at
+    most two products per column: about 4n ring products instead of
+    n(n + 1), and none past a difference that is 0.  Over an exact field
+    ``reciprocals`` puts each column's 1 / prod_i gap over one common
+    denominator as c_k / common; a point sums A(n, k) c_k head tail with
+    no normalization and divides by common once, or not at all when the
+    sum is lhs common.  Results are canonical, so they equal the
+    point-by-point quotients.  A float summand keeps the order
+    A(n, k) prod_i ((z - a_{i-k}) / gap) of a point-by-point
+    evaluation, bit for bit.
     """
     if n < 0:
         raise DomainError("need n >= 0")
@@ -248,41 +252,38 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
     gaps = [[seq[n - k + 1] - seq[i - k] for i in range(1, n + 1)]
             for k in range(n + 1)]
     if field.exact:
-        coefficients = []
-        for k in range(n + 1):
-            den = field.one
-            for gap in gaps[k]:
-                den = den * gap
-            coefficients.append(field.div(row[k], den))
+        cs, common = field.reciprocals(
+            [math.prod(column, start=field.one) for column in gaps])
+        coefficients = [r * c for r, c in zip(row, cs)]
     results = []
     for z in points:
         # z - a_j for j in [1 - n, n], at index j + n - 1
         diffs = [z - seq[j] for j in range(1 - n, n + 1)]
+        lhs = z ** n
         if field.exact:
             # head[k]: the last k of the first n; tail[m]: the first m of
             # the last n
             head = _running_products(diffs[n - 1::-1], field)
             tail = _running_products(diffs[n:], field)
+            total = field.zero
+            for k in range(n + 1):
+                lo = n - k  # diffs index of a_{1-k}
+                if not (field.is_zero(head[k]) or field.is_zero(tail[lo])):
+                    total = total + coefficients[k] * head[k] * tail[lo]
+            rhs = lhs if total == lhs * common else field.div(total, common)
+            results.append((lhs, rhs, ()))
+            continue
         terms = []
         for k in range(n + 1):
-            lo = n - k  # diffs index of a_{1-k}
-            if field.exact:
-                factor = field.zero
-                if not (field.is_zero(head[k]) or field.is_zero(tail[lo])):
-                    factor = coefficients[k]
-                    if k:
-                        factor = factor * head[k]
-                    if lo:
-                        factor = factor * tail[lo]
-            else:
-                factor = row[k]
-                for i, gap in enumerate(gaps[k]):
-                    factor = factor * field.div(diffs[lo + i], gap)
+            lo = n - k
+            factor = row[k]
+            for i, gap in enumerate(gaps[k]):
+                factor = factor * field.div(diffs[lo + i], gap)
             terms.append(factor)
         rhs = field.zero
         for t in terms:
             rhs = rhs + t
-        results.append((z ** n, rhs, terms))
+        results.append((lhs, rhs, terms))
     return results
 
 

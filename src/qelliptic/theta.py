@@ -57,22 +57,25 @@ and 0.3-0j (equal under ==) never share an entry.  Each parameter set
 also keeps, per shifted a and under the same key, the guarded leading
 product theta(q) theta(a q) of the denominator of [z]: it is the first
 product of that left-to-right chain, so it has the same bits at every
-z.  The sampler's window check
-(``EllipticParams.window_ok``) certifies first, then scans.  The
-certificate evaluates no theta value: with x = p^k y reduced as above
-and r = |p|, the product gives |theta(y)| >= |1 - y| (r^(1/2); r)_inf^2
-on the annulus, and each undo step keeps at least r^(1/2) of it, so
-|theta(x)| >= c |1 - y| with c = r^(1/2) (r^(1/2); r)_inf^2.  A window
-whose guarded factors all have c |1 - y| >= 2 DEFAULT_MIN_DENOMINATOR and
-|k| <= k_max (each factor at most 1e60, so every denominator product is
-finite) is accepted, with this memo left empty.  Any other window,
-p = 0 and |p| > SERIES_MAX_NOME among them, goes to the scan: one
-``_number_den`` and one ``_weight_den`` call per index z, whose guard
-labels name z (theta(b q^z), theta(a q^(z+1) / b), ...).  It puts only
-the guarded denominator factors in this memo, may leave the leading
-product in its cache, refuses an index whose number or weight
-denominator product is not finite and range-checks the numerator
-arguments without evaluating them.  Neither caches a number or weight.
+z.  The sampler's window check (``EllipticParams.window_ok``) certifies
+first, then scans.  The certificate evaluates no theta value: with
+x = p^k y reduced as above and r = |p|, the product gives
+|theta(y)| >= |1 - y| (r^(1/2); r)_inf^2 on the annulus, and each undo
+step keeps at least r^(1/2) of it, so |theta(x)| >= c |1 - y| with
+c = r^(1/2) (r^(1/2); r)_inf^2.  Each guarded factor is C q^m with C in
+{1, a, b, a / b}, so the moduli of a, b and q give k and |y|, and
+c (1 - e^-|log |y||) <= |theta(x)|; y is formed only for a factor that
+bound leaves open.  A window whose guarded factors all reach
+2 DEFAULT_MIN_DENOMINATOR with |k| <= k_max (each factor at most 1e60,
+so every denominator product is finite) is accepted, with this memo
+left empty.  Any other window, p = 0 and |p| > SERIES_MAX_NOME among
+them, goes to the scan: one ``_number_den`` and one ``_weight_den``
+call per index z, whose guard labels name z (theta(b q^z),
+theta(a q^(z+1) / b), ...).  It puts only the guarded denominator
+factors in this memo, may leave the leading product in its cache,
+refuses an index whose number or weight denominator product is not
+finite and range-checks the numerator arguments without evaluating
+them.  Neither caches a number or weight.
 ``theta`` reads the constants of its nome from a bounded cache keyed on
 p with the signs of both its parts: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
 each rounded once from exact integer arithmetic and grown on demand.  In
@@ -126,6 +129,10 @@ _TARGET_EPS = 1e-16
 # the product up to 0.95, so above this modulus the product is the route.
 SERIES_MAX_NOME = 0.6
 _POWER_BITS = 120
+# Bound on the log |x| the window's certificate forms (e^700 is about
+# 1e304, a normal double), and its margin for their rounding.
+_LOG_RANGE = 700.0
+_LOG_SLACK = 1e-9
 _TWO_PI = 2 * math.pi
 
 
@@ -315,6 +322,21 @@ class _Nome:
                 return False
         return True
 
+    def open_factors(self, logs) -> list:
+        """The indices i of the factors theta(x_i), log |x_i| = logs[i],
+        that need y.  With l = log |y| = log |x| - k log |p|,
+        |theta(x)| >= c |1 - y| >= c (1 - e^-|l|); a factor clears when
+        that reaches 2 DEFAULT_MIN_DENOMINATOR and |log |x|| <=
+        (k_max + 1/2) |log |p||, so |k| <= k_max, both with the margin
+        _LOG_SLACK: logs within _LOG_RANGE formed from those of a, b and
+        q are off by under 1e-11.  Where that moves k, y is on the
+        annulus edge either way."""
+        lr, c, least = self.log_modulus, self.c, 2 * DEFAULT_MIN_DENOMINATOR
+        edge = (self.k_max + 0.5) * -lr - _LOG_SLACK
+        floor = _LOG_SLACK - math.log1p(-least / c) if least < c else math.inf
+        return [i for i, t in enumerate(logs)
+                if abs(t) > edge or abs(math.remainder(t, lr)) < floor]
+
     def evaluate(self, x: complex, product: bool) -> complex:
         """theta(x) by the three steps of the module docstring: reduce x to
         y, evaluate theta(y) by the series or, with ``product``, by the
@@ -439,7 +461,7 @@ class EllipticParams:
         """None when numbers and weights over [lo, hi] clear the guards,
         else the reason for the first refusal.
 
-        A window whose guarded factors ``_Nome.certifies`` bounds clear of
+        A window whose guarded factors the certificate bounds clear of
         the guards is accepted without a theta value; any other goes to
         ``_window_scan``, which decides it.  No number or weight is
         formed, so their caches stay empty.
@@ -447,25 +469,42 @@ class EllipticParams:
         return None if self._window_certified(lo, hi) else self._window_scan(lo, hi)
 
     def _window_certified(self, lo: int, hi: int) -> bool:
-        """True when every theta argument of [z] and W(z) over [lo, hi] is
-        nonzero and finite and ``_Nome.certifies`` every guarded factor;
-        only for p != 0 evaluated by the series, whose error the bound
-        covers."""
+        """True when ``_Nome.open_factors`` clears every guarded factor of
+        [z] and W(z) over [lo, hi] or ``_Nome.certifies`` each it leaves
+        open; only for p != 0 evaluated by the series.  Every theta
+        argument, and every product on the way to one, is C q^m with C in
+        {1, a, b, a / b} and |m| <= max(1, |2 lo + 1|, |2 hi + 1|), so the
+        range bound on log |C| and log |q| makes each a normal double, as
+        the scan checks; the logs of the guarded factors q, a q, then b q^m
+        and a q^m / b for m in [lo, hi + 1] are linear forms in m."""
         p = self.p
         if p == 0 or abs(p) > SERIES_MAX_NOME:
             return False
-        a, b, q = self.a, self.b, self.q
-        dens = [q, a * q]
-        nums = [b * q, a * q / b, b, a / b]
-        try:
-            for z in range(lo, hi + 1):
-                u = _checked_power(q, z)
-                nums += (u, a * u, a * q * u * u)
-                dens += (b * u, a * u / b, b * q * u, a * q * u / b)
-        except DegenerateParameters:
+        la, lb, lq = (cmath.log(x).real for x in (self.a, self.b, self.q))
+        lab = la - lb
+        reach = max(1, abs(2 * lo + 1), abs(2 * hi + 1))
+        if max(abs(la), abs(lb), abs(lab)) + reach * abs(lq) > _LOG_RANGE:
             return False
-        return (all(x != 0 and cmath.isfinite(x) for x in nums)
-                and _nome_for(q, p).certifies(dens))
+        logs = [lq, la + lq]
+        for m in range(lo, hi + 2):
+            t = m * lq
+            logs += (lb + t, lab + t)
+        nome = _nome_for(self.q, p)
+        left = nome.open_factors(logs)
+        return not left or nome.certifies(
+            [x for i, x in self._window_factors(lo, hi) if i in left])
+
+    def _window_factors(self, lo: int, hi: int) -> list:
+        """(i, x) per guarded factor x as the scan forms it, i the index of
+        its log in ``_window_certified``."""
+        a, b, q = self.a, self.b, self.q
+        factors = [(0, q), (1, a * q)]
+        for z in range(lo, hi + 1):
+            u = q ** z
+            i = 2 + 2 * (z - lo)
+            factors += ((i, b * u), (i + 1, a * u / b),
+                        (i + 2, b * q * u), (i + 3, a * q * u / b))
+        return factors
 
     def _window_scan(self, lo: int, hi: int) -> str | None:
         """``window_refusal`` by evaluation: one ``_number_den`` and one
@@ -780,10 +819,10 @@ def sample_elliptic_params(rng: random.Random) -> EllipticParams:
     DEFAULT_MIN_DENOMINATOR, every denominator product there is finite,
     and every numerator theta argument there is nonzero and finite
     (``EllipticParams.window_ok``).
-    Most draws pass the window's closed-form certificate, which evaluates
-    no theta value; the rest are scanned, at 4 theta values per index and
-    2 more.  Either way the returned parameters have no number or weight
-    cached.
+    Nearly every draw passes the window's certificate on the moduli of a,
+    b and q, which evaluates no theta value; the rest are scanned, at 4
+    theta values per index and 2 more.  Either way the returned
+    parameters have no number or weight cached.
     """
     for _ in range(_SAMPLE_RETRIES):
         p = rng.uniform(0.05, 0.5)

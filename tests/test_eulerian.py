@@ -362,8 +362,58 @@ def test_worpitzky_check_equals_the_per_point_loop_exact(factory):
         points = [seq[zi] for zi in range(-2, n + 4)] + off_nodes
         got = worpitzky_check(n, seq, points, row=row)
         assert len(got) == len(points)
-        for z, sides in zip(points, got):
-            assert sides == _worpitzky_point(n, seq, z, row), (n, z)
+        for z, (lhs, rhs, terms) in zip(points, got):
+            # exact summands are not returned
+            assert (lhs, rhs) == _worpitzky_point(n, seq, z, row)[:2], (n, z)
+            assert terms == ()
+
+
+def _off_nodes(seq):
+    """Points off the node set of an exact sequence, polynomial or not."""
+    if seq.field is RATIONAL:
+        return [Fraction(1, 2), Fraction(-7, 3)]
+    return [q_number(5) / q_number(3), ExactScalar(1, 2), ExactScalar.from_int(-7)]
+
+
+@pytest.mark.parametrize("factory", EXACT_SEQS)
+def test_worpitzky_check_finds_a_row_entry_off_by_one(factory):
+    # A(n, k) + 1 adds prod_i (z - a_{i-k}) / gap to the right side, which
+    # vanishes only on the nodes
+    seq = factory()
+    points = _off_nodes(seq)
+    for n in range(1, 7):
+        row = general_eulerian_rows(seq, n)[n]
+        assert all(lhs == rhs for lhs, rhs, _ in worpitzky_check(n, seq, points, row=row))
+        for k in range(n + 1):
+            wrong = list(row)
+            wrong[k] = wrong[k] + 1
+            sides = worpitzky_check(n, seq, points, row=wrong)
+            assert all(lhs != rhs for lhs, rhs, _ in sides), (n, k)
+
+
+@pytest.mark.parametrize("factory", [f for f in EXACT_SEQS if f().field is EXACT_Q])
+def test_worpitzky_check_normalizes_once_per_point(factory, monkeypatch):
+    # at polynomial points, as the suite takes them: one division by the
+    # common denominator per point, and none for the columns, whose
+    # reciprocals share it and need no gcd
+    scalars_module = importlib.import_module("qelliptic.scalars")
+    calls = []
+    normalized = scalars_module._normalized
+
+    def counting(num, den):
+        calls.append(1)
+        return normalized(num, den)
+
+    seq = factory()
+    for n in range(7):
+        row = general_eulerian_rows(seq, n)[n]
+        points = [seq[zi] for zi in range(-2, n + 4)] + [ExactScalar.from_int(-7)]
+        worpitzky_check(n, seq, points, row=row)  # the nodes' own caches
+        monkeypatch.setattr(scalars_module, "_normalized", counting)
+        del calls[:]
+        worpitzky_check(n, seq, points, row=row)
+        monkeypatch.setattr(scalars_module, "_normalized", normalized)
+        assert len(calls) <= len(points) + n + 1, (n, len(calls))
 
 
 def _bits(values):

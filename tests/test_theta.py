@@ -890,6 +890,8 @@ def test_certificate_bounds_theta(p):
         y, k = _reduced(x, nome)
         value = abs(theta(x, p))
         assert nome.c * abs(1 - y) <= value, (x, p)
+        # the bound the moduli step takes, |1 - y| >= ||y| - 1|
+        assert nome.c * abs(abs(y) - 1) <= value, (x, p)
         if abs(1 - y) > 0:
             tightest = min(tightest, value / (nome.c * abs(1 - y)))
         if abs(k) <= nome.k_max:
@@ -901,6 +903,117 @@ def test_certificate_bounds_theta(p):
     assert nome.certifies([-(p ** nome.k_max)])
     assert not nome.certifies([-(p ** (nome.k_max + 1))])
     assert not nome.certifies([-(p ** -(nome.k_max + 1))])
+
+
+def _sampler_draws(seed, count):
+    """Parameter sets from the sampler's distribution, before its window."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.uniform(0.05, 0.5)
+        q, a, b = (sample_annulus(rng, 0.4, 0.9) for _ in range(3))
+        yield EllipticParams(a=a, b=b, q=q, p=p)
+
+
+def test_factors_the_moduli_clear_are_clear_of_the_guards(monkeypatch):
+    # every guarded factor the moduli step clears, without the y-based
+    # test, evaluates to a modulus in [2 DEFAULT_MIN_DENOMINATOR, 1e60];
+    # the near-zero draws put factors next to the zeros p^k, k in -1..1
+    theta_module = importlib.import_module("qelliptic.theta")
+    open_factors = theta_module._Nome.open_factors
+    seen = []
+
+    def recording(self, logs):
+        seen.append(open_factors(self, logs))
+        return seen[-1]
+
+    monkeypatch.setattr(theta_module._Nome, "open_factors", recording)
+    cleared = 0
+    for params in itertools.chain(_certificate_cases(), _sampler_draws(43, 2000)):
+        del seen[:]
+        params.with_ab()._window_certified(-8, 10)
+        if not seen:
+            continue  # p = 0, |p| > SERIES_MAX_NOME or past the range bound
+        for i, x in params._window_factors(-8, 10):
+            if i not in seen[0]:
+                value = abs(theta(x, params.p))
+                assert 2 * DEFAULT_MIN_DENOMINATOR <= value <= 1e60, (params, i, x)
+                cleared += 1
+    assert cleared > 150_000
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3 + 0.2j, -0.5, SERIES_MAX_NOME])
+def test_moduli_step_at_its_thresholds(p):
+    # one factor at a time, at log |x| = k log |p| + l: open within the
+    # margin of either threshold, cleared just outside it
+    nome = _nome_entry(complex(p))
+    # the margin written out, so that a smaller one in the code fails here
+    lr, slack = nome.log_modulus, 1e-9
+    least = 2 * DEFAULT_MIN_DENOMINATOR
+    floor = slack - math.log1p(-least / nome.c)
+
+    def is_open(k, ell):
+        return nome.open_factors([k * lr + ell]) == [0]
+
+    for k in (-2, 0, 1, 3):
+        for sign in (1, -1):
+            assert is_open(k, sign * (floor - slack / 2)), (k, sign)
+            assert not is_open(k, sign * (floor + slack)), (k, sign)
+            # y on the unit circle or next to it: theta(x) may vanish
+            assert is_open(k, 0.0) and is_open(k, sign * 1e-12)
+    # just above the floor the computed theta clears the guard, also on
+    # the positive real axis, where |1 - y| is smallest
+    for k in (-2, 0, 3):
+        x = complex(p) ** k * math.exp(-(floor + slack))
+        assert abs(theta(x, p)) >= least
+    # |k| = k_max clears, k_max + 1 does not, and the edge keeps its margin
+    k_max, ell = nome.k_max, 0.3 * lr
+    for sign in (1, -1):
+        assert not is_open(sign * k_max, sign * ell)
+        assert is_open(sign * (k_max + 1), sign * ell)
+        edge = sign * ((k_max + 0.5) * -lr - slack / 2)
+        assert nome.open_factors([edge]) == [0]
+        assert nome.open_factors([edge - sign * slack]) == []
+
+
+def test_a_factor_on_the_unit_circle_goes_to_the_y_test(monkeypatch):
+    # q = p e^(2i) has |y| = 1 and y != 1: the moduli leave it open, and
+    # the y-based test certifies it, with no other factor; a and b put
+    # every other factor a quarter or half period from the lattice
+    theta_module = importlib.import_module("qelliptic.theta")
+    asked = []
+    certifies = theta_module._Nome.certifies
+
+    def recording(self, xs):
+        asked.append(xs)
+        return certifies(self, xs)
+
+    monkeypatch.setattr(theta_module._Nome, "certifies", recording)
+    p = 0.3
+    q = p * cmath.exp(2j)
+    params = EllipticParams(a=p ** 0.25 * cmath.exp(1j), b=p ** 0.5 * cmath.exp(-0.5j), q=q, p=p)
+    assert params._window_certified(-8, 10)
+    assert asked == [[q]]
+    assert params._window_scan(-8, 10) is None
+
+
+def test_most_draws_need_no_y_test(monkeypatch):
+    # the moduli clear the whole window of at least 99 % of the sampler's
+    # draws, so the y-based test is the rare path
+    theta_module = importlib.import_module("qelliptic.theta")
+    calls = []
+    certifies = theta_module._Nome.certifies
+
+    def counting(self, xs):
+        calls.append(xs)
+        return certifies(self, xs)
+
+    monkeypatch.setattr(theta_module._Nome, "certifies", counting)
+    quick = 0
+    for params in _sampler_draws(47, 2000):
+        del calls[:]
+        if params._window_certified(-8, 10) and not calls:
+            quick += 1
+    assert quick >= 0.99 * 2000
 
 
 # -- independent oracle -------------------------------------------------------------
