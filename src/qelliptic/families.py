@@ -27,10 +27,9 @@ available as weight_product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
-from .errors import DegenerateParameters, DomainError
+from .errors import DegenerateParameters, DomainError, Frozen
 from .newton import (
     EllipticSequence,
     QNumberSequence,
@@ -330,19 +329,29 @@ def weight_product(k: int, params: EllipticParams) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class FerrersBoard:
+class FerrersBoard(Frozen):
     """Column heights of a Ferrers board, weakly increasing left to right."""
 
-    heights: tuple[int, ...]
+    __slots__ = ("heights",)
 
-    def __post_init__(self):
-        hs = tuple(int(h) for h in self.heights)
+    def __init__(self, heights: tuple[int, ...]):
+        hs = tuple(int(h) for h in heights)
         object.__setattr__(self, "heights", hs)
         if any(h < 0 for h in hs):
             raise DomainError("column heights must be >= 0")
         if any(hs[i] > hs[i + 1] for i in range(len(hs) - 1)):
             raise DomainError("column heights must be weakly increasing")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.heights == other.heights
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.heights)
+
+    def __repr__(self) -> str:
+        return f"FerrersBoard(heights={self.heights!r})"
 
     @classmethod
     def staircase(cls, n: int) -> "FerrersBoard":

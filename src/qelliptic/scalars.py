@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import intpoly
 from .errors import DegenerateParameters, DomainError
@@ -496,8 +495,7 @@ def residual(x: complex, y: complex, *terms: complex) -> float:
 # scalar fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(NamedTuple):
     """The operations a generic engine needs, over one scalar realization.
 
     Arithmetic itself goes through the scalars' own operators; the field

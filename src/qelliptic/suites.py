@@ -28,8 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
 from .eulerian import (
@@ -100,21 +100,19 @@ _MAX_TRIALS = 1000
 RESAMPLE_LIMIT = 500
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     trials: int
     failed: int
     worst: float
-    records: list[str] = _field(default_factory=list)
+    records: list[str]
 
     @property
     def passed(self) -> bool:
         return self.failed == 0
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     tol: float
@@ -484,16 +482,20 @@ def _delta_identity(rng):
 def _exact_families(rng):
     m = rng.randint(1, 3)
     r = rng.randint(0, m - 1)
-    factories = (
-        lambda: ClassicalSequence(),
-        lambda: QNumberSequence(),
-        lambda: AffineWhitneySequence(m, r),
-        lambda: QWhitneySequence(m, r),
+    # each sequence with the cached engine triangle over its nodes; i and
+    # [i]_q are the Whitney nodes at m = 1, r = 0
+    kinds = (
+        (ClassicalSequence, r_whitney_eulerian_rows, 1, 0),
+        (QNumberSequence, q_r_whitney_eulerian_rows, 1, 0),
+        (lambda: AffineWhitneySequence(m, r), r_whitney_eulerian_rows, m, r),
+        (lambda: QWhitneySequence(m, r), q_r_whitney_eulerian_rows, m, r),
     )
-    seq = factories[rng.randrange(len(factories))]()
+    make, rows, m_nodes, r_nodes = kinds[rng.randrange(len(kinds))]
+    seq = make()
     n = rng.randint(1, 6)
     zis = range(-2, n + 4)
-    sides = worpitzky_check(n, seq, [seq[zi] for zi in zis])
+    row = rows(n, m_nodes, r_nodes, "engine")[n]
+    sides = worpitzky_check(n, seq, [seq[zi] for zi in zis], row=row)
     for zi, (lhs, rhs, _) in zip(zis, sides):
         if lhs != rhs:
             return 1.0, f"seq={type(seq).__name__} m={m} r={r} n={n} zi={zi}"
@@ -607,6 +609,15 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not positive, or that every finite
+    residual meets."""
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if tol == math.inf:
+        raise DomainError("tol must be finite")
+
+
 def run_suite(name: str, trials: int | None = None, seed: int = 0,
               tol: float | None = None) -> SuiteReport:
     """Run one named suite; None picks the suite's default trials/tol."""
@@ -623,8 +634,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
         raise DomainError(f"trials must be <= {_MAX_TRIALS}")
     if tol is None:
         tol = default_tol
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     rng = random.Random(seed)
     return SuiteReport(name, seed, tol, [_run(check, trials, tol, rng, draw)
                                          for check, draw in checks])

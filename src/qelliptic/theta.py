@@ -97,9 +97,8 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 
-from .errors import DegenerateParameters, DomainError
+from .errors import DegenerateParameters, DomainError, Frozen
 from .scalars import _checked_power
 
 __all__ = [
@@ -399,39 +398,27 @@ def theta_multi(xs, p: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
-class EllipticParams:
+class EllipticParams(Frozen):
     """Parameter pack (a, b; q, p) for elliptic numbers and weights.
 
     Generic use requires a, b, q nonzero and |p| < 1.  The degeneration
     chain is first-class: p = 0 with a, b arbitrary; then a = 0 (only with
     p = 0); then b = 0 (only with a = 0); q = 1 is legal only on the fully
     degenerate end, where the closed forms turn into classical integers.
+    Frozen, and equal only to itself: each pack owns its four caches.
     """
 
-    a: complex
-    b: complex
-    q: complex
-    p: complex
-    _num_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-    _wt_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-    _theta_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-    _lead_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
+    __slots__ = ("a", "b", "q", "p",
+                 "_num_cache", "_wt_cache", "_theta_cache", "_lead_cache")
 
-    def __post_init__(self):
-        for name in ("a", "b", "q", "p"):
-            value = complex(getattr(self, name))
+    def __init__(self, a: complex, b: complex, q: complex, p: complex):
+        for name, value in (("a", a), ("b", b), ("q", q), ("p", p)):
+            value = complex(value)
             if not cmath.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
+        for name in ("_num_cache", "_wt_cache", "_theta_cache", "_lead_cache"):
+            object.__setattr__(self, name, {})
         if self.q == 0:
             raise DomainError("q must be nonzero")
         if abs(self.p) >= 1:
@@ -443,6 +430,9 @@ class EllipticParams:
         if self.q == 1 and not (self.p == 0 and self.a == 0 and self.b == 0):
             raise DomainError("q = 1 is only legal on the fully degenerate chain")
         _truncation_order(self.p)
+
+    def __repr__(self) -> str:
+        return f"EllipticParams(a={self.a!r}, b={self.b!r}, q={self.q!r}, p={self.p!r})"
 
     def with_ab(self, a: complex | None = None, b: complex | None = None) -> "EllipticParams":
         return EllipticParams(

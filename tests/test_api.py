@@ -1,5 +1,6 @@
-"""The library's published names: each module's __all__, and the names the
-benchmark in perfbench/ reaches from outside the package.
+"""The library's published names: each module's __all__, the names the
+benchmark in perfbench/ reaches from outside the package, and the records
+the library hands out.
 
 The benchmark pins library names: its validator reads conditioning scales
 through the *_scaled functions, and its tracer reads counts by function
@@ -11,8 +12,12 @@ import ast
 import importlib
 import inspect
 import pathlib
+from fractions import Fraction
 
 import pytest
+
+from qelliptic.scalars import COMPLEX, EXACT_Q, RATIONAL, ExactScalar, ScalarField
+from qelliptic.suites import CheckResult, SuiteReport
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 MODULES = ("cli", "eulerian", "families", "intpoly", "newton", "scalars",
@@ -67,3 +72,35 @@ def test_benchmark_reaches_only_existing_names(monkeypatch):
     scalars = importlib.import_module("qelliptic.scalars")
     for cls, ops in layertrace.OPERATORS.items():
         assert all(op in vars(getattr(scalars, cls)) for op in ops), cls
+
+
+# -- the records ------------------------------------------------------------
+
+def test_scalar_fields():
+    assert ScalarField._fields == ("name", "zero", "one", "from_int", "is_zero",
+                                   "exact", "reciprocals")
+    assert [(f.name, f.exact) for f in (EXACT_Q, RATIONAL, COMPLEX)] == [
+        ("exact-q", True), ("rational", True), ("complex", False)]
+    assert COMPLEX.reciprocals is None and RATIONAL.reciprocals is not None
+    assert RATIONAL.from_int(3) == RATIONAL.one * 3 and RATIONAL.zero == 0
+    assert RATIONAL.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
+    assert EXACT_Q.div(EXACT_Q.one, EXACT_Q.from_int(2)) == ExactScalar(1, 2)
+    assert COMPLEX.div(1 + 0j, 2j) == -0.5j
+    for field, zero in ((RATIONAL, 0), (EXACT_Q, EXACT_Q.zero), (COMPLEX, 1e-13)):
+        with pytest.raises(ZeroDivisionError,
+                           match=f"^division by zero-tested scalar in {field.name}$"):
+            field.div(field.one, zero)
+
+
+def test_check_results_and_suite_reports():
+    ok = CheckResult("inversion", 5, 0, 1e-16, [])
+    bad = CheckResult("three-term", 5, 2, 1.0, ["a=1", "a=2"])
+    assert (ok.passed, bad.passed) == (True, False)
+    assert (bad.name, bad.trials, bad.failed, bad.worst, bad.records) == (
+        "three-term", 5, 2, 1.0, ["a=1", "a=2"])
+    report = SuiteReport("theta", 1, 1e-9, [ok, bad])
+    assert (report.suite, report.seed, report.tol) == ("theta", 1, 1e-9)
+    assert (report.failures, report.passed) == (2, False)
+    clean = SuiteReport("theta", 1, 1e-9, [ok, ok])
+    assert (clean.failures, clean.passed) == (0, True)
+    assert SuiteReport("theta", 1, 1e-9, []).passed

@@ -3,9 +3,12 @@
 import json
 import io
 import math
+import os
 import pathlib
 import random
 import struct
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -57,10 +60,8 @@ from qelliptic.scalars import EXACT_Q, ExactScalar, q_number
 from qelliptic.suites import run_suite
 from qelliptic.theta import EllipticParams, sample_elliptic_params
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).parent.parent / "schema"
-     / "table_document.schema.json").read_text()
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schema" / "table_document.schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -332,7 +333,7 @@ def test_a_nan_point_fails_the_elliptic_worpitzky_check(monkeypatch):
 
     def nan_first_point(n, seq, points, row=None):
         sides = check(n, seq, points, row=row)
-        if row is not None:
+        if not seq.field.exact:
             sides[0] = (complex(math.nan, 0.0), *sides[0][1:])
         return sides
 
@@ -340,6 +341,80 @@ def test_a_nan_point_fails_the_elliptic_worpitzky_check(monkeypatch):
     exact, elliptic = run_suite("worpitzky", trials=25, seed=1).checks
     assert exact.passed
     assert elliptic.failed == 25 and math.isnan(elliptic.worst)
+
+
+def test_exact_worpitzky_builds_each_engine_triangle_once(monkeypatch):
+    # each exact-families trial reads the cached engine triangle of its
+    # nodes instead of building rows on a fresh sequence
+    builds = []
+
+    def counted(seq, N):
+        builds.append((type(seq).__name__, N))
+        return general_eulerian_rows(seq, N)
+
+    # the package's eulerian() hides the module of that name
+    monkeypatch.setattr(sys.modules["qelliptic.eulerian"], "general_eulerian_rows",
+                        counted)
+    r_whitney_eulerian_rows.cache_clear()
+    q_r_whitney_eulerian_rows.cache_clear()
+    rng = random.Random(7)
+    records = [suites._exact_families(rng) for _ in range(100)]
+    assert all(err == 0.0 for err, _ in records)
+    assert 0 < len(builds) <= len({record for _, record in records}) < 100
+
+
+def test_an_off_by_one_engine_row_fails_the_exact_worpitzky_check(monkeypatch):
+    def off_by_one(rows):
+        def builder(N, m, r, route):
+            got = [list(row) for row in rows(N, m, r, route)]
+            got[N][N] = got[N][N] + 1
+            return got
+        return builder
+
+    for name in ("r_whitney_eulerian_rows", "q_r_whitney_eulerian_rows"):
+        monkeypatch.setattr(suites, name, off_by_one(getattr(suites, name)))
+    exact, _ = run_suite("worpitzky", trials=25, seed=1).checks
+    assert (exact.failed, exact.worst) == (25, 1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--suite", "theta", "--trials", "2", "--tol", "inf"),
+    ("check", "--suite", "all", "--tol", "inf"),
+    ("degenerate", "--family", "lah", "--tol", "inf"),
+])
+def test_an_infinite_tolerance_exits_2(capsys, monkeypatch, argv):
+    # every finite residual meets tol = inf, so a PASS would say nothing
+    ran = []
+    monkeypatch.setattr(suites, "_run", lambda *args: ran.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: tol must be finite\n")
+    assert ran == []
+
+
+def test_run_suite_refuses_an_infinite_tolerance():
+    with pytest.raises(DomainError, match="^tol must be finite$"):
+        run_suite("theta", trials=2, tol=math.inf)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv(capsys):
+    # against the interpreter's own modules at start-up, so a site hook
+    # that loads one of them does not count
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import qelliptic.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - bare)))\n"
+        "sys.exit(qelliptic.cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["table", "--family", "qeulerian", "--n", "3", "--format", "csv"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    fresh = subprocess.run([sys.executable, "-c", script, *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    code, out, err = run_cli(capsys, *argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, "[]\n" + out, err)
+    assert code == 0 and out.startswith("n,k,value\n")
 
 
 def run_cli_exit(capsys, *argv):

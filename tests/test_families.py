@@ -280,6 +280,23 @@ def test_staircase_is_stirling():
         assert abs(got - want) / scale <= 1e-12
 
 
+def test_board_is_a_frozen_value():
+    board = FerrersBoard([0, 1.0, True, 2])
+    assert board.heights == (0, 1, 1, 2) and board.columns == 4
+    assert all(type(h) is int for h in board.heights)
+    assert repr(board) == "FerrersBoard(heights=(0, 1, 1, 2))"
+    same = FerrersBoard((0, 1, 1, 2))
+    assert board == same and hash(board) == hash(same)
+    assert len({board, same, FerrersBoard.staircase(3)}) == 2
+    assert board != FerrersBoard((0, 1, 2)) and board != (0, 1, 1, 2)
+    assert FerrersBoard.empty(2) == FerrersBoard((0, 0))
+    with pytest.raises(AttributeError, match="^cannot assign to field 'heights'$"):
+        board.heights = (0,)
+    with pytest.raises(AttributeError, match="^cannot delete field 'heights'$"):
+        del board.heights
+    assert board.heights == (0, 1, 1, 2)
+
+
 def test_rook_classical_counts():
     # fully degenerate, the values are literal rook placement counts:
     # on the full 2x2 square board r_1 = 4 and r_2 = 2
@@ -292,9 +309,9 @@ def test_rook_classical_counts():
 
 
 def test_board_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^column heights must be weakly increasing$"):
         FerrersBoard((2, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^column heights must be >= 0$"):
         FerrersBoard((-1, 0))
     with pytest.raises(DomainError):
         elliptic_rook_scaled(FerrersBoard((0, 1)), 3, fixed_params(1))

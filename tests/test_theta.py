@@ -151,6 +151,42 @@ def test_params_validation():
     EllipticParams(a=0, b=0, q=1, p=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(a=0.5, b=0.5, q=0, p=0.1), "q must be nonzero"),
+    (dict(a=0.5, b=0.5, q=0.5, p=1.2), r"nome needs \|p\| < 1"),
+    (dict(a=0, b=0.5, q=0.5, p=0.1), "a = 0 or b = 0 requires p = 0 first"),
+    (dict(a=0.5, b=0, q=0.5, p=0), "b = 0 requires a = 0 first"),
+    (dict(a=0.5, b=0.5, q=1, p=0), "q = 1 is only legal on the fully degenerate chain"),
+    (dict(a=0.5, b=math.inf, q=0.5, p=0), r"b must be finite, got \(inf\+0j\)"),
+])
+def test_params_validation_messages(kwargs, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        EllipticParams(**kwargs)
+
+
+def test_params_are_frozen_and_equal_only_to_themselves():
+    params = EllipticParams(a=0.5, b=0.7, q=0.6, p=0.2)
+    twin = EllipticParams(0.5, 0.7, 0.6, 0.2)
+    assert (params.a, params.b, params.q, params.p) == (0.5, 0.7, 0.6, 0.2)
+    assert all(type(x) is complex for x in (params.a, params.b, params.q, params.p))
+    assert repr(params) == repr(twin) == (
+        "EllipticParams(a=(0.5+0j), b=(0.7+0j), q=(0.6+0j), p=(0.2+0j))")
+    assert repr(EllipticParams(a=0, b=0, q=1, p=0)) == (
+        "EllipticParams(a=0j, b=0j, q=(1+0j), p=0j)")
+    # each pack owns its caches, so equal values are still two keys
+    assert params == params and params != twin
+    assert len({params, twin, params}) == 2
+    assert hash(params) == object.__hash__(params)
+    elliptic_number(3, params)
+    assert params._num_cache and not twin._num_cache
+    for name in ("a", "p", "_num_cache", "other"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(params, name, 0.1)
+    with pytest.raises(AttributeError, match="^cannot delete field 'q'$"):
+        del params.q
+    assert params.a == 0.5 and params._num_cache
+
+
 def test_sampling_is_deterministic():
     p1 = fixed_params(9)
     p2 = fixed_params(9)
