@@ -91,14 +91,13 @@ def _bad_route(route: str, allowed: tuple[str, ...]):
     return DomainError(f"unknown route {route!r}, expected one of {allowed}")
 
 
-def _nonzero(divisor: complex, what: str) -> complex:
+def _nonzero(divisor: complex, what: str,
+             cause: str = "an elliptic number or node gap in its denominator") -> complex:
     """divisor where a route divides by it; an exact zero (q = -1 makes every
-    even-indexed elliptic number vanish) is a degeneracy of the parameters."""
+    even-indexed elliptic number vanish, a = q the weight W(-1)) is a
+    degeneracy of the parameters."""
     if divisor == 0:
-        raise DegenerateParameters(
-            f"{what} divides by exactly 0: an elliptic number or node gap in "
-            "its denominator vanishes"
-        )
+        raise DegenerateParameters(f"{what} divides by exactly 0: {cause} vanishes")
     return divisor
 
 
@@ -389,7 +388,9 @@ def _rook_terms(board: FerrersBoard, j: int, params: EllipticParams,
         if t == k:
             coef = complex(1.0)
         else:
-            coef = elliptic_weight(t, params) / elliptic_weight(k, params)
+            coef = elliptic_weight(t, params) / _nonzero(
+                elliptic_weight(k, params),
+                f"explicit coefficient W({t}) / W({k}) of r_{j}", f"the weight W({k})")
         num = numerator(t)
         den = complex(1.0)
         for i in range(k + 1):
@@ -402,15 +403,12 @@ def _rook_terms(board: FerrersBoard, j: int, params: EllipticParams,
 
 def _rook_oracle_nodes(board: FerrersBoard, params: EllipticParams):
     # the board product's leading coefficient and interior nodes
-    n = board.columns
+    nodes = [i - 1 - b for i, b in enumerate(board.heights, 1)]
     c0 = complex(1.0)
-    for i in range(1, n + 1):
-        c0 /= elliptic_weight(i - 1 - board.heights[i - 1], params)
-    cs = [
-        elliptic_number(i - 1 - board.heights[i - 1], params)
-        for i in range(1, n + 1)
-    ]
-    return c0, cs
+    for u in nodes:
+        c0 /= _nonzero(elliptic_weight(u, params),
+                       "the board product's leading coefficient", f"the weight W({u})")
+    return c0, [elliptic_number(u, params) for u in nodes]
 
 
 def elliptic_rook_scaled(board: FerrersBoard, j: int, params: EllipticParams,

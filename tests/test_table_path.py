@@ -1,9 +1,12 @@
 """The `table` path without per-command overhead: the JSON writer, the
-once-built parser, the once-per-window node guard, and fuzzes over the
-`table`, `check` and `degenerate` flag grammars."""
+once-built parser, the parameter set reused by the next command of the
+same draw, the once-per-window node guard, and fuzzes over the `table`,
+`check` and `degenerate` flag grammars."""
 
+import gc
 import importlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -20,6 +23,7 @@ from qelliptic.cli import _DEGENERATE, _ELLIPTIC, _FAMILIES, _degenerate_limit, 
 from qelliptic.errors import DegenerateSequence
 from qelliptic.scalars import COMPLEX
 from qelliptic.suites import SUITE_NAMES
+from qelliptic.theta import EllipticParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "table_document.schema.json").read_text())
@@ -103,24 +107,136 @@ REUSE_ARGV = [
 ]
 
 
-def test_parser_is_built_once_and_keeps_no_state(capsys):
-    cli._build_parser.cache_clear()
-    in_process = []
-    for argv in REUSE_ARGV:
+def _in_process(capsys, argvs):
+    """(exit code, stdout, stderr) of each argv, run one after another here."""
+    runs = []
+    for argv in argvs:
         code = run_exit(*argv)
         captured = capsys.readouterr()
-        in_process.append((code, captured.out, captured.err))
-    assert cli._build_parser.cache_info().misses == 1
-    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 0, 0, 0, 0]
+        runs.append((code, captured.out, captured.err))
+    return runs
 
+
+def _assert_fresh_processes_agree(argvs, runs):
+    """Each argv run by a fresh ``python -m qelliptic`` gives its run here."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    for argv, got in zip(REUSE_ARGV, in_process):
-        fresh = subprocess.run([sys.executable, "-m", "qelliptic", *argv],
-                               capture_output=True, text=True, env=env,
-                               timeout=60)
-        assert (fresh.returncode, fresh.stdout, fresh.stderr) == got, argv
+    fresh = {}
+    for argv, got in zip(argvs, runs):
+        if tuple(argv) not in fresh:
+            done = subprocess.run([sys.executable, "-m", "qelliptic", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+        assert fresh[tuple(argv)] == got, argv
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli._build_parser.cache_clear()
+    in_process = _in_process(capsys, REUSE_ARGV)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 0, 0, 0, 0]
+    _assert_fresh_processes_agree(REUSE_ARGV, in_process)
+
+
+# ---------------------------------------------------------------------------
+# one parameter set per draw
+# ---------------------------------------------------------------------------
+
+ROUTES_OF_ONE_DRAW = [
+    ["table", "--family", family, "--route", route, "--seed", "5",
+     *(("--board", "1,2,3") if family == "rook" else ("--n", "6"))]
+    for family in ("estirling", "lah", "eeulerian", "rook")
+    for route in _FAMILIES[family].routes
+]
+# at --a 1 and seed 1 estirling and lah answer and every eeulerian route
+# refuses: refusals between warm commands of one parameter set
+REFUSING_DRAW = [
+    ["table", "--family", family, "--route", route, "--n", "6", "--seed", "1",
+     "--a", "1"]
+    for family, route in (("estirling", "recurrence"), ("eeulerian", "recurrence"),
+                          ("lah", "oracle"), ("eeulerian", "explicit"),
+                          ("estirling", "oracle"), ("eeulerian", "engine"),
+                          ("lah", "explicit"))
+]
+POSITIVE_ZERO_ARGV = [arg.replace("-0.0", "0.0") for arg in NEGATIVE_ZERO_ARGV]
+
+
+@pytest.mark.parametrize("argvs", [
+    ROUTES_OF_ONE_DRAW + ROUTES_OF_ONE_DRAW[::-1],
+    REFUSING_DRAW,
+    [POSITIVE_ZERO_ARGV, NEGATIVE_ZERO_ARGV, POSITIVE_ZERO_ARGV],
+], ids=["routes-forward-then-reversed", "refusing-draw", "signed-zeros"])
+def test_reused_parameter_set_gives_each_commands_fresh_output(capsys, monkeypatch,
+                                                               argvs):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    runs = _in_process(capsys, argvs)
+    codes = {code for code, _, _ in runs}
+    assert codes == ({0, 3} if argvs is REFUSING_DRAW else {0})
+    _assert_fresh_processes_agree(argvs, runs)
+
+
+def _count_theta(monkeypatch):
+    """A list that grows by one per theta value evaluated from now on; the
+    package attribute ``qelliptic.theta`` is the function, so the module
+    comes from ``sys.modules``."""
+    module = sys.modules["qelliptic.theta"]
+    theta = module.theta
+    calls = []
+
+    def counting(x, p):
+        calls.append(x)
+        return theta(x, p)
+
+    monkeypatch.setattr(module, "theta", counting)
+    return calls
+
+
+def test_identical_table_command_evaluates_no_theta(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    calls = _count_theta(monkeypatch)
+    first = _in_process(capsys, [POSITIVE_ZERO_ARGV])
+    kept = cli._last_params[1]
+    assert calls and first[0][0] == 0
+    # the same command, and the same again after another route of the draw
+    for argvs in ([], [[*POSITIVE_ZERO_ARGV, "--route", "oracle"]]):
+        assert all(code == 0 for code, _, _ in _in_process(capsys, argvs))
+        del calls[:]
+        assert _in_process(capsys, [POSITIVE_ZERO_ARGV]) == first
+        assert calls == [] and cli._last_params[1] is kept
+
+
+def test_a_signed_zero_part_gets_a_fresh_parameter_set(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    calls = _count_theta(monkeypatch)
+    positive, negative = _in_process(capsys, [POSITIVE_ZERO_ARGV, NEGATIVE_ZERO_ARGV])
+    kept = cli._last_params[1]
+    assert math.copysign(1, kept.a.imag) == -1
+    del calls[:]
+    again = _in_process(capsys, [POSITIVE_ZERO_ARGV])
+    assert again == [positive] and positive != negative
+    # a fresh set: every theta value of the table is evaluated again
+    assert calls and cli._last_params[1] is not kept
+
+
+def test_slot_holds_only_the_newest_parameter_set(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    gc.collect()
+    live = sum(isinstance(obj, EllipticParams) for obj in gc.get_objects())
+    # a family without (a, b, q, p) leaves the slot alone
+    runs = _in_process(capsys, [
+        ["table", "--family", family, "--n", "3", "--seed", str(seed)]
+        for seed in range(6) for family in ("lah", "estirling", "stshifted")])
+    assert {code for code, _, _ in runs} == {0}
+    doc = json.loads(runs[-2][1])
+    kept = cli._last_params[1]
+    assert [getattr(kept, name) for name in _ELLIPTIC] == [
+        complex(doc["params"][name]["re"], doc["params"][name]["im"])
+        for name in _ELLIPTIC]
+    assert kept._num_cache and kept._theta_cache
+    gc.collect()
+    assert sum(isinstance(obj, EllipticParams) for obj in gc.get_objects()) == live + 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +370,9 @@ def table_argv(draw):
 # and so did a power [k-j]^n of the estirling explicit sum
 @example(argv=["table", "--family", "estirling", "--route", "explicit",
                "--n", "12", "--seed", "2", "--p=0.9"])
+# and a = q, where the rook oracle divided by W(-1) = 0 as a ZeroDivisionError
+@example(argv=["table", "--family", "rook", "--route", "oracle", "--board", "1",
+               "--a=0.5", "--q=0.5", "--seed", "0"])
 def test_table_flag_grammar_fuzz(capsys, argv):
     start = time.perf_counter()
     code = run_exit(*argv)
@@ -266,6 +385,22 @@ def test_table_flag_grammar_fuzz(capsys, argv):
         jsonschema.validate(doc, SCHEMA)
     else:
         assert out == ""
+
+
+# a weight W(k) = 0 that a rook route divides by: W(-1) at a = q for the
+# oracle's leading coefficient, W(1) at a = q^-3 for the explicit sum's
+@pytest.mark.parametrize("route,board,a,message", [
+    ("oracle", "1", "0.5", "the board product's leading coefficient divides by "
+                           "exactly 0: the weight W(-1) vanishes"),
+    ("explicit", "0", "8", "explicit coefficient W(0) / W(1) of r_0 divides by "
+                           "exactly 0: the weight W(1) vanishes"),
+])
+def test_rook_weight_divisor_zero_exits_3(capsys, route, board, a, message):
+    code = run_exit("table", "--family", "rook", "--route", route, "--board", board,
+                    f"--a={a}", "--q=0.5", "--seed", "0")
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"degenerate: {message}\n"
 
 
 # (s, t) flags far from the unit circle: the node [m i + r]_{s,t} or its
