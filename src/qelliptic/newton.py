@@ -341,10 +341,12 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
     The gap products prod_{i != j} (a_j - a_i) do not depend on n and are
     formed once for all degrees.  Over an exact field their reciprocals
     are written over one common denominator L, the lcm of the products
-    (``ScalarField.reciprocals``), as c_j / L; a degree then costs the
-    ring sum sum_j a_j^(n+k) c_j and one division by L.  Exact results are
-    canonical, so they equal the term-by-term quotients.  A float degree
-    keeps the order a_j^(n+k) / prod_j of a single-degree sum, bit for bit.
+    (``ScalarField.reciprocals``), as c_j / L.  The weights c_j a_j^(n+k)
+    are carried from degree to degree, so a degree costs one product by a
+    power of a_j per node, the ring sum of the weights and one division by
+    L.  Exact results are canonical, so they equal the term-by-term
+    quotients.  A float degree keeps the order a_j^(n+k) / prod_j of a
+    single-degree sum, bit for bit.
     """
     if any(n < 0 for n in degrees):
         raise DomainError("h needs n >= 0")
@@ -361,18 +363,15 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
     if k == 0:
         return [(_checked_power(values[0], n), 1.0) for n in degrees]
     coefficients, common = field.reciprocals(_gap_products(values, field))
-    # a_j^reached for every j, raised from degree to degree
-    powers, reached = [field.one] * (k + 1), 0
+    # the weights c_j a_j^reached, raised from degree to degree
+    weights, reached = coefficients, 0
     results = []
     for n in degrees:
         if n + k < reached:
-            powers, reached = [field.one] * (k + 1), 0
+            weights, reached = coefficients, 0
         step, reached = n + k - reached, n + k
-        total = field.zero
-        for j, aj in enumerate(values):
-            powers[j] = powers[j] * _checked_power(aj, step)
-            total = total + powers[j] * coefficients[j]
-        results.append((_div_gap_product(field, total, common), 1.0))
+        weights = [w * _checked_power(aj, step) for w, aj in zip(weights, values)]
+        results.append((_div_gap_product(field, sum(weights, field.zero), common), 1.0))
     return results
 
 

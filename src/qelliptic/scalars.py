@@ -40,7 +40,7 @@ __all__ = [
 
 def _poly(offset: int, coeffs: list[int]) -> "LaurentPoly":
     # trusted constructor: coeffs is empty (offset 0) or has nonzero ends,
-    # and is never mutated afterwards
+    # and is never mutated afterwards, so polynomials may share it
     out = LaurentPoly.__new__(LaurentPoly)
     out._off = offset
     out._co = coeffs
@@ -66,7 +66,8 @@ class LaurentPoly:
     The coefficients of q^offset, q^(offset+1), ... are kept in a list whose
     first and last entries are nonzero (the zero polynomial is offset 0 and
     an empty list), so structural equality is list equality and the
-    canonical printed form is unique.
+    canonical printed form is unique.  No list is changed once a polynomial
+    holds it, so polynomials share lists freely (a product by q^e does).
     """
 
     __slots__ = ("_off", "_co")
@@ -155,9 +156,18 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._co or not other._co:
+        a, b = self._co, other._co
+        if not a or not b:
             return _poly(0, [])
-        return _poly(self._off + other._off, intpoly.mul(self._co, other._co))
+        off = self._off + other._off
+        if len(a) == 1:
+            a, b = b, a
+        # a one-term factor c q^e shifts the other's offset and scales its
+        # list, or at c = 1 shares it, as coefficient lists never change
+        if len(b) == 1:
+            c = b[0]
+            return _poly(off, a if c == 1 else [c * x for x in a])
+        return _poly(off, intpoly.mul(a, b))
 
     def stretch(self, m: int) -> "LaurentPoly":
         """Substitute q -> q^m (a ring map for m >= 1)."""
@@ -450,11 +460,19 @@ class ExactScalar:
 
 
 def _normalized(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The canonical (numerator, denominator) of num / den: the exact
+    quotient over 1 when den divides num over Z[q], and only otherwise the
+    gcd of their primitive parts."""
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return _POLY_ZERO, _POLY_ONE
     nd, dd = num._co, den._co
+    if 1 < len(dd) <= len(nd):
+        try:
+            return _poly(num._off - den._off, intpoly.divexact(nd, dd)), _POLY_ONE
+        except ArithmeticError:
+            pass
     cn, cd = intpoly.content(nd), intpoly.content(dd)
     c = math.gcd(cn, cd)
     # a monomial shares no polynomial factor with a polynomial whose
@@ -529,8 +547,9 @@ def _exact_reciprocals(xs: list) -> tuple[list, ExactScalar]:
     1 / (q^o P / D) = D q^(-o) / P.  Each P is split into a signed integer
     content and a primitive part with positive constant term; the common
     denominator is the lcm of the contents times the lcm of the primitive
-    parts, built one gcd at a time, and each numerator takes the cofactor
-    of its own P in it.
+    parts, built one part at a time (a part that divides the lcm so far
+    leaves it as it is, and any other takes a gcd), and each numerator
+    takes the cofactor of its own P in it.
     """
     parts = []
     for x in xs:
@@ -545,8 +564,11 @@ def _exact_reciprocals(xs: list) -> tuple[list, ExactScalar]:
     common = parts[0][2]
     for _, _, prim in parts[1:]:
         if len(prim) > 1:
-            _, _, cofactor = intpoly.gcd_cofactors(common, prim)
-            common = intpoly.mul(common, cofactor)
+            try:
+                intpoly.divexact(common, prim)
+            except ArithmeticError:
+                _, _, cofactor = intpoly.gcd_cofactors(common, prim)
+                common = intpoly.mul(common, cofactor)
     if common[0] < 0:
         common = [-v for v in common]
     scale = math.lcm(*(c for _, c, _ in parts))

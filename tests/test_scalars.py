@@ -105,8 +105,12 @@ def test_poly_mul_matches_schoolbook():
     rng = random.Random(20)
     for _ in range(300):
         a, b = _random_dense_poly(rng), _random_dense_poly(rng)
-        assert a * b == _reference_product(a, b)
-        assert a * a == _reference_product(a, a)
+        # a one-term factor c q^e shifts the other operand: c = 1 shares its
+        # list, any other c scales it
+        c = rng.choice([1, -1, rng.randint(2, 9), -(2**70) - 1])
+        mono = LaurentPoly.from_dense(rng.randint(-20, 20), [c])
+        for x, y in ((a, b), (a, a), (a, mono), (mono, a)):
+            assert x * y == _reference_product(x, y)
 
 
 @pytest.mark.parametrize("m", [1, 11, 127, 128, 2**15, 2**31 - 1, 2**63, 2**200])
@@ -119,6 +123,23 @@ def test_dense_mul_at_digit_boundaries(m, n):
     for a, b in ((same, same), (same, [-m] * n), (alternating, alternating),
                  (alternating, same), (same[:2], alternating)):
         assert intpoly.mul(a, b) == intpoly.mul_schoolbook(a, b)
+
+
+def test_shared_coefficient_lists_never_change():
+    p = LaurentPoly.from_dense(-2, [3, -1, 4, 1, -5])
+    shifted = p * LaurentPoly.monomial(3)
+    negated = LaurentPoly.from_dense(4, [-1]) * p
+    assert shifted._co is p._co
+    derived = (-shifted, shifted + negated, shifted - p, shifted * p)
+    assert p.as_dense() == (-2, [3, -1, 4, 1, -5])
+    assert shifted.as_dense() == (1, [3, -1, 4, 1, -5])
+    assert negated.as_dense() == (2, [-3, 1, -4, -1, 5])
+    assert derived == (
+        _reference_product(p, LaurentPoly({3: -1})),
+        _reference_product(p, LaurentPoly({3: 1, 4: -1})),
+        _reference_product(p, LaurentPoly({3: 1, 0: -1})),
+        _reference_product(_reference_product(p, p), LaurentPoly({3: 1})),
+    )
 
 
 # -- canonical quotients ----------------------------------------------------
@@ -226,6 +247,83 @@ def test_prs_fallback_gives_the_same_canonical_form(monkeypatch):
     monkeypatch.setattr(intpoly, "gcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
     assert [str(ExactScalar(num, den)) for num, den in cases] == heuristic
     assert len(fallbacks) > 40
+
+
+def test_divexact_inverts_mul():
+    rng = random.Random(30)
+    for _ in range(300):
+        a, b = (_dense(rng, rng.randint(1, 40), rng.choice([1, 6, 31, 63, 200]))
+                for _ in range(2))
+        f = intpoly.mul(a, b)
+        assert intpoly.divexact(f, b) == a == intpoly.divexact_long(f, b)
+
+
+@pytest.mark.parametrize("n, j, long_divisions", [
+    (12, 5, 0),   # the second digit width holds the quotient
+    (20, 6, 0),   # the third does
+    (30, 12, 0),
+    (40, 16, 1),  # none of the three does: long division decides
+])
+def test_divexact_quotients_above_the_input_norms(monkeypatch, n, j, long_divisions):
+    # (1 - q^n)^j / (1 - q)^j = [n]_q^j, whose coefficients are far larger
+    # than any of the two inputs', so the first digit width misreads it
+    f = g = [1]
+    for _ in range(j):
+        f = intpoly.mul(f, [1] + [0] * (n - 1) + [-1])
+        g = intpoly.mul(g, [1, -1])
+    want = intpoly.divexact_long(f, g)
+    first_width = intpoly._digit_bytes(max(map(abs, f + g)))
+    assert max(map(abs, want)) >= 2 ** (8 * first_width - 1)
+    long, calls = intpoly.divexact_long, []
+    monkeypatch.setattr(intpoly, "divexact_long",
+                        lambda f, g: calls.append(1) or long(f, g))
+    assert intpoly.divexact(f, g) == want
+    assert len(calls) == long_divisions
+
+
+def test_divexact_refuses_inexact_division():
+    rng = random.Random(31)
+    for _ in range(200):
+        a = _dense(rng, rng.randint(1, 40), rng.choice([1, 6, 31, 63]))
+        b = _dense(rng, rng.randint(2, 40), rng.choice([1, 6, 31, 63]))
+        f = intpoly.mul(a, b)
+        f[0] += 1
+        for divide in (intpoly.divexact, intpoly.divexact_long):
+            with pytest.raises(ArithmeticError):
+                divide(f, b)
+            # a dividend of lower degree than the divisor
+            with pytest.raises(ArithmeticError):
+                divide(b[:-1], b)
+
+
+def planted_exact_quotient(rng: random.Random) -> tuple[LaurentPoly, LaurentPoly]:
+    """h g / g with offsets on both sides, signs, and an integer content of
+    the denominator that divides the numerator's."""
+    h = _dense(rng, rng.randint(1, 30), rng.choice([1, 3, 10, 40]))
+    g = _dense(rng, rng.randint(2, 30), rng.choice([1, 3, 10, 40]))
+    content = rng.choice([1, 2, 6])
+    top, bottom = content * rng.choice([1, -1, 3]), content * rng.choice([1, -1])
+    num = [top * x for x in intpoly.mul(h, g)]
+    den = [bottom * x for x in g]
+    return (LaurentPoly.from_dense(rng.randint(-6, 6), num),
+            LaurentPoly.from_dense(rng.randint(-6, 6), den))
+
+
+def test_exact_quotients_take_no_gcd(monkeypatch):
+    rng = random.Random(32)
+    cases = [planted_exact_quotient(rng) for _ in range(100)]
+    cofactors, gcds = intpoly.gcd_cofactors, []
+    monkeypatch.setattr(intpoly, "gcd_cofactors",
+                        lambda a, b: gcds.append(1) or cofactors(a, b))
+    fast = [ExactScalar(num, den) for num, den in cases]
+    assert gcds == [] and all(x.is_polynomial for x in fast)
+
+    def inexact(f, g):
+        raise ArithmeticError("exact division patched out")
+
+    monkeypatch.setattr(intpoly, "divexact", inexact)
+    assert [ExactScalar(num, den) for num, den in cases] == fast
+    assert len(gcds) == len(cases)
 
 
 def _lcm_by_prs(polys: list[list[int]]) -> list[int]:
