@@ -9,12 +9,13 @@ Output is a pure function of the parsed configuration: elliptic
 parameters left off the command line are drawn by the seeded sampling
 policy and echoed into the document, so identical invocations yield
 byte-identical bytes.  That holds in one process too: a ``table``
-command whose resolved (a, b, q, p) equal the last such command's bit
-for bit reuses that command's parameter set, and with it its theta,
-number and weight memos.  Each memo entry is a fixed function of the
-bits of the parameters and of its argument, and a number, weight or
-leading product is kept only once it cleared its guards, so a refusal
-repeats its message.
+command whose parameter inputs equal the last such command's (the seed
+when any of a, b, q, p is sampled, and the bits of each given value)
+takes over that command's parameter set without resolving it again,
+and with it its theta, number and weight memos.  Each memo entry is a
+fixed function of the bits of the parameters and of its argument, and
+a number, weight or leading product is kept only once it cleared its
+guards, so a refusal repeats its message.
 
 Exit codes: 0 success, 1 a check or degeneration bound failed, 2 the
 configuration is invalid, 3 the parameters hit a degeneracy guard.
@@ -30,6 +31,8 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import groupby, starmap
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
@@ -172,62 +175,40 @@ def _parse_board(text: str) -> FerrersBoard:
             f"expects comma-separated integers, got {text!r}") from None
 
 
-def _pair(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _fmt_numeric(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def _resolve_params(args, rng: random.Random) -> tuple[EllipticParams, bool]:
-    """Fill omitted elliptic parameters from the sampling policy.
+def _resolve_params(given: tuple, seed: int) -> EllipticParams:
+    """Fill the omitted (None) values of given (a, b, q, p) from the
+    sampling policy seeded by seed.
 
     Fully specified parameters are validated as-is so degenerate chains
     (like --a 0 --b 0 --q 0.5 --p 0) stay expressible.  When anything is
     missing, the absent slots are redrawn until the window guard clears.
     """
-    given = {
-        name: getattr(args, name)
-        for name in _ELLIPTIC
-        if getattr(args, name) is not None
-    }
-    if len(given) == 4:
-        return EllipticParams(a=given["a"], b=given["b"],
-                              q=given["q"], p=given["p"]), False
-    if not given:
-        return sample_elliptic_params(rng), True
+    if None not in given:
+        return EllipticParams(*given)
+    rng = random.Random(seed)
+    if given == (None,) * 4:
+        return sample_elliptic_params(rng)
     for _ in range(_SAMPLE_RETRIES):
-        a = given.get("a", sample_annulus(rng, 0.4, 0.9))
-        b = given.get("b", sample_annulus(rng, 0.4, 0.9))
-        q = given.get("q", sample_annulus(rng, 0.4, 0.9))
-        p = given.get("p", complex(rng.uniform(0.05, 0.5)))
-        params = EllipticParams(a=a, b=b, q=q, p=p)
+        # every attempt draws all four, given or not
+        drawn = (sample_annulus(rng, 0.4, 0.9), sample_annulus(rng, 0.4, 0.9),
+                 sample_annulus(rng, 0.4, 0.9), complex(rng.uniform(0.05, 0.5)))
+        params = EllipticParams(*(d if g is None else g for g, d in zip(given, drawn)))
         refusal = params.window_refusal(*_SAMPLE_WINDOW)
         if refusal is None:
-            return params, True
+            return params
     raise DegenerateParameters(
         "no generic completion of the given parameters found in "
         f"{_SAMPLE_RETRIES} attempts; the last one was refused: {refusal}"
     )
 
 
-# the last table command's parameter set and the memo keys of its (a, b,
-# q, p); one tuple, so a concurrent reader sees a consistent entry
+# the last table command's parameter inputs and the parameter set they
+# resolved to; one tuple, so a concurrent reader sees a consistent entry
 _last_params: tuple = (None, None)
-
-
-def _reuse_params(params: EllipticParams) -> EllipticParams:
-    """The last table command's parameter set when its values equal those
-    of params bit for bit (signed zeros stay apart), else params, which
-    then takes the slot."""
-    global _last_params
-    key = tuple(_memo_key(getattr(params, name)) for name in _ELLIPTIC)
-    last_key, last = _last_params
-    if key == last_key:
-        return last
-    _last_params = (key, params)
-    return params
 
 
 def _document(args) -> dict:
@@ -240,22 +221,21 @@ def _document(args) -> dict:
         if flag == "board":
             value = list(value.heights)
         elif isinstance(value, complex):
-            value = _pair(value)
+            value = {"re": value.real, "im": value.imag}
         echo[flag] = value
     triangle = family.rows[args.route](args)
+    # one (n, k, value) triple per entry; the triangle holds rows
+    # args.n + 1 - len(triangle) .. args.n
     rows = []
-    # the triangle holds rows args.n + 1 - len(triangle) .. args.n
     for n, row in enumerate(triangle, args.n + 1 - len(triangle)):
         for k, value in enumerate(row):
             if isinstance(value, ExactScalar):
                 value = str(value)
-            elif isinstance(value, complex):
-                if not cmath.isfinite(value):
-                    raise DegenerateParameters(
-                        f"entry ({n}, {k}) is {value}, not a finite double"
-                    )
-                value = _pair(value)
-            rows.append({"n": n, "k": k, "value": value})
+            elif isinstance(value, complex) and not cmath.isfinite(value):
+                raise DegenerateParameters(
+                    f"entry ({n}, {k}) is {value}, not a finite double"
+                )
+            rows.append((n, k, value))
     return {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,
@@ -270,7 +250,8 @@ _json_leaf = json.JSONEncoder(allow_nan=False).encode
 
 def _json_value(value, indent: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a
-    value nested at ``indent``; its leaves go through the json encoder."""
+    value nested at ``indent``: float leaves (the echoed parameters, all
+    finite) by float.__repr__, the rest through the json encoder."""
     step = indent + "  "
     if isinstance(value, dict) and value:
         items = [f"{_json_leaf(key)}: {_json_value(value[key], step)}"
@@ -279,32 +260,33 @@ def _json_value(value, indent: str) -> str:
     elif isinstance(value, list) and value:
         items = [_json_value(item, step) for item in value]
         opening, closing = "[", "]"
+    elif isinstance(value, float):
+        return float.__repr__(value)
     else:
         return _json_leaf(value)
     return (f"{opening}\n{step}" + f",\n{step}".join(items)
             + f"\n{indent}{closing}")
 
 
-def _json_row(row: dict) -> str:
-    # every row has this shape; _document refused non-finite entries, so
-    # float.__repr__ writes what the json encoder would
-    value = row["value"]
-    if isinstance(value, dict):
-        value = ('{\n        "im": ' + float.__repr__(value["im"])
-                 + ',\n        "re": ' + float.__repr__(value["re"]) + "\n      }")
-    else:
-        value = _json_leaf(value)
-    return (f'    {{\n      "k": {row["k"]},\n      "n": {row["n"]},\n'
-            f'      "value": {value}\n    }}')
+def _json_row(n: int, k: int, value) -> str:
+    # a complex entry is a {"re", "im"} pair; _document refused non-finite
+    # entries, so repr (float.__repr__) writes each part as json would
+    if isinstance(value, complex):
+        return (f'    {{\n      "k": {k},\n      "n": {n},\n      "value": {{\n'
+                f'        "im": {value.imag!r},\n        "re": {value.real!r}\n'
+                '      }\n    }')
+    return (f'    {{\n      "k": {k},\n      "n": {n},\n'
+            f'      "value": {_json_leaf(value)}\n    }}')
 
 
 def _json_document(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
-    byte for byte, written from the fixed table schema: any ``indent``
-    sends ``json.dumps`` to its pure-Python encoder, which is slow."""
+    byte for byte, each (n, k, value) triple of ``doc["rows"]`` being a
+    {"n", "k", "value"} row, written from the fixed table schema: any
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, which is slow."""
     rows = "[]"
     if doc["rows"]:
-        rows = "[\n" + ",\n".join(map(_json_row, doc["rows"])) + "\n  ]"
+        rows = "[\n" + ",\n".join(starmap(_json_row, doc["rows"])) + "\n  ]"
     return ('{\n  "family": ' + _json_leaf(doc["family"])
             + ',\n  "params": ' + _json_value(doc["params"], "  ")
             + ',\n  "rows": ' + rows
@@ -312,23 +294,20 @@ def _json_document(doc: dict) -> str:
             + "\n}\n")
 
 
+def _flat(value) -> str:
+    return _fmt_numeric(value) if isinstance(value, complex) else str(value)
+
+
 def _render_table(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_document(doc)
-
-    def flat(value):
-        if isinstance(value, dict):
-            return _fmt_numeric(complex(value["re"], value["im"]))
-        return str(value)
-
     if fmt == "csv":
         import csv  # here, so that start-up without --format csv skips it
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "k", "value"])
-        for row in doc["rows"]:
-            writer.writerow([row["n"], row["k"], flat(row["value"])])
+        writer.writerows((n, k, _flat(value)) for n, k, value in doc["rows"])
         return buf.getvalue()
 
     lines = [f"family {doc['family']}"]
@@ -336,23 +315,15 @@ def _render_table(doc: dict, fmt: str) -> str:
         if isinstance(val, dict):
             val = _fmt_numeric(complex(val["re"], val["im"]))
         lines.append(f"  {key} = {val}")
-    current = None
-    values: list[str] = []
-    for row in doc["rows"]:
-        if row["n"] != current:
-            if values:
-                lines.append(f"n={current}: " + " | ".join(values))
-            current = row["n"]
-            values = []
-        values.append(flat(row["value"]))
-    if values:
-        lines.append(f"n={current}: " + " | ".join(values))
+    for n, row in groupby(doc["rows"], itemgetter(0)):
+        lines.append(f"n={n}: " + " | ".join(_flat(value) for _, _, value in row))
     return "\n".join(lines) + "\n"
 
 
 def _resolve_table(args) -> bool:
     """Check the table flags, fill in defaults and sampled parameters, and
     say whether anything was sampled."""
+    global _last_params
     family = _FAMILIES[args.family]
     if args.route is None:
         args.route = family.routes[0]
@@ -382,17 +353,28 @@ def _resolve_table(args) -> bool:
             args.r = 0
         if args.m < 1 or args.r < 0:
             raise DomainError("need m >= 1 and r >= 0")
-    rng = random.Random(args.seed)
     sampled = False
     if "a" in family.flags:
-        params, sampled = _resolve_params(args, rng)
-        args.params = _reuse_params(params)
+        given = tuple(getattr(args, name) for name in _ELLIPTIC)
+        sampled = None in given
+        # the seed counts only when something is drawn; the bits of each
+        # given value count, signed zeros apart
+        key = (args.seed if sampled else None,
+               *(None if value is None else _memo_key(value) for value in given))
+        if _last_params[0] != key:
+            # a refusal raises here and leaves the slot as it was
+            _last_params = (key, _resolve_params(given, args.seed))
+        args.params = _last_params[1]
         for name in _ELLIPTIC:
             setattr(args, name, getattr(args.params, name))
-    for name in _ST:
-        if name in family.flags and getattr(args, name) is None:
-            setattr(args, name, sample_annulus(rng, 0.4, 0.9))
-            sampled = True
+    if "s" in family.flags:
+        # no family takes both (a, b, q, p) and (s, t): the seed's stream
+        # starts here
+        rng = random.Random(args.seed)
+        for name in _ST:
+            if getattr(args, name) is None:
+                setattr(args, name, sample_annulus(rng, 0.4, 0.9))
+                sampled = True
     return sampled
 
 

@@ -304,17 +304,20 @@ def h_explicit_scaled(n: int, values: Sequence, field: ScalarField):
     return h_explicit_degrees([n], values, field)[0]
 
 
-def _gap_products(values: Sequence, field: ScalarField) -> list:
+def _gap_products(values: Sequence, field: ScalarField, previous=None) -> list:
     """prod_{i != j} (a_j - a_i) for each j, once the nodes pass the
-    distinctness guard."""
+    distinctness guard; previous, when given, holds those of a leading
+    part of values.  Each node's product is grown by the nodes after it,
+    one new gap each: the factors come in the order i = 0, 1, ..., so a
+    grown float product has the bits of one formed from scratch."""
     pairwise_distinct_guard(values, field)
-    products = []
-    for j, aj in enumerate(values):
-        denom = field.one
-        for i, ai in enumerate(values):
-            if i != j:
-                denom = denom * (aj - ai)
-        products.append(denom)
+    products = previous or [field.one]
+    for m in range(len(products), len(values)):
+        new = values[m]
+        last = field.one
+        for ai in values[:m]:
+            last = last * (new - ai)
+        products = [p * (aj - new) for p, aj in zip(products, values)] + [last]
     return products
 
 
@@ -334,12 +337,13 @@ def _h_value(n: int, values: Sequence, products, field: ScalarField):
 
 
 def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
-                       field: ScalarField) -> list[tuple]:
+                       field: ScalarField, products=None) -> list[tuple]:
     """h_explicit_scaled at each degree n of the list: one (h_n(values),
     scale) per degree, in order.
 
     The gap products prod_{i != j} (a_j - a_i) do not depend on n and are
-    formed once for all degrees.  Over an exact field their reciprocals
+    formed once for all degrees, or passed in as products by a caller that
+    formed them (guard included).  Over an exact field their reciprocals
     are written over one common denominator L, the lcm of the products
     (``ScalarField.reciprocals``), as c_j / L.  The weights c_j a_j^(n+k)
     are carried from degree to degree, so a degree costs one product by a
@@ -353,8 +357,9 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
     k = len(values) - 1
     if k < 0:
         return [((field.one if n == 0 else field.zero), 1.0) for n in degrees]
+    if k and products is None:
+        products = _gap_products(values, field)
     if not field.exact:
-        products = _gap_products(values, field) if k else None
         results = []
         for n in degrees:
             value, terms = _h_value(n, values, products, field)
@@ -362,7 +367,7 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
         return results
     if k == 0:
         return [(_checked_power(values[0], n), 1.0) for n in degrees]
-    coefficients, common = field.reciprocals(_gap_products(values, field))
+    coefficients, common = field.reciprocals(products)
     # the weights c_j a_j^reached, raised from degree to degree
     weights, reached = coefficients, 0
     results = []
@@ -378,17 +383,22 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
 def h_explicit_rows(N: int, seq: ValueSequence) -> list[list]:
     """Rows 0..N of h_{n-k}(a_0..a_k) by the Lagrange sum.
 
-    Column k's gap products are formed once.  An exact column is one
-    h_explicit_degrees call over its degrees 0..N-k.  A float triangle is
-    built row by row, and column k's nodes, guard and products are formed
-    at its first entry (k, k): a refusal is then the one the per-entry
-    route meets first in (n, k) order.
+    Column k's gap products are formed once, from column k-1's and the
+    gaps to the new node a_k.  An exact column is one h_explicit_degrees
+    call over its degrees 0..N-k.  A float triangle is built row by row,
+    and column k's nodes, guard and products are formed at its first
+    entry (k, k): a refusal is then the one the per-entry route meets
+    first in (n, k) order.
     """
     field = seq.field
     if field.exact:
         rows = [[None] * (n + 1) for n in range(N + 1)]
+        products = None
         for k in range(N + 1):
-            column = h_explicit_degrees(range(N - k + 1), seq.window(0, k), field)
+            nodes = seq.window(0, k)
+            if k:
+                products = _gap_products(nodes, field, products)
+            column = h_explicit_degrees(range(N - k + 1), nodes, field, products)
             for n, (value, _) in enumerate(column, k):
                 rows[n][k] = value
         return rows
@@ -397,7 +407,8 @@ def h_explicit_rows(N: int, seq: ValueSequence) -> list[list]:
     for n in range(N + 1):
         row = [_h_value(n - k, *columns[k], field)[0] for k in range(n)]
         nodes = seq.window(0, n)
-        columns.append((nodes, _gap_products(nodes, field) if n else None))
+        products = _gap_products(nodes, field, columns[-1][1]) if n else None
+        columns.append((nodes, products))
         row.append(_h_value(0, *columns[n], field)[0])
         rows.append(row)
     return rows

@@ -275,7 +275,8 @@ class ExactScalar:
     Canonical means: numerator and denominator share no polynomial factor and
     no integer content, and the denominator is an ordinary polynomial whose
     lowest term has exponent 0 and positive coefficient.  Equality is
-    therefore structural.
+    therefore structural.  A denominator of one is always the shared
+    ``_POLY_ONE``, so the operators test it by identity.
     """
 
     __slots__ = ("_num", "_den")
@@ -325,7 +326,7 @@ class ExactScalar:
 
     @property
     def is_polynomial(self) -> bool:
-        return self._den == _POLY_ONE
+        return self._den is _POLY_ONE
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -350,9 +351,9 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._den is _POLY_ONE is o._den:
+            return ExactScalar._raw(self._num + o._num, _POLY_ONE)
         if self._den == o._den:
-            if self._den == _POLY_ONE:
-                return ExactScalar._raw(self._num + o._num, _POLY_ONE)
             return ExactScalar(self._num + o._num, self._den)
         return ExactScalar(
             self._num * o._den + o._num * self._den, self._den * o._den
@@ -364,9 +365,9 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._den is _POLY_ONE is o._den:
+            return ExactScalar._raw(self._num - o._num, _POLY_ONE)
         if self._den == o._den:
-            if self._den == _POLY_ONE:
-                return ExactScalar._raw(self._num - o._num, _POLY_ONE)
             return ExactScalar(self._num - o._num, self._den)
         return ExactScalar(
             self._num * o._den - o._num * self._den, self._den * o._den
@@ -385,7 +386,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den == _POLY_ONE and o._den == _POLY_ONE:
+        if self._den is _POLY_ONE is o._den:
             return ExactScalar._raw(self._num * o._num, _POLY_ONE)
         return ExactScalar(self._num * o._num, self._den * o._den)
 
@@ -412,11 +413,13 @@ class ExactScalar:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of exact zero")
             return (ExactScalar.from_int(1) / self) ** (-n)
-        result = ExactScalar.from_int(1)
-        base = self
+        if n == 0:
+            return ExactScalar.from_int(1)
+        # the first set bit starts the product, so x ** 1 is x itself
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
@@ -440,7 +443,7 @@ class ExactScalar:
     # -- printing and parsing -----------------------------------------------
 
     def __str__(self) -> str:
-        if self._den == _POLY_ONE:
+        if self._den is _POLY_ONE:
             return str(self._num)
         return f"({self._num})/({self._den})"
 
@@ -489,7 +492,7 @@ def _normalized(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Lauren
     if dd[0] < 0:
         nd = [-x for x in nd]
         dd = [-x for x in dd]
-    return _poly(num._off - den._off, nd), _poly(0, dd)
+    return _poly(num._off - den._off, nd), _POLY_ONE if dd == [1] else _poly(0, dd)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ DEFAULT_MIN_DENOMINATOR raises DegenerateParameters naming the factor.
 Values are memoized per parameter set, keyed by the integer (alpha, beta)
 exponent pair of the shift a -> a q^alpha, b -> b q^beta; callers that
 pass one set to several routes share its memos (the CLI passes the last
-``table`` command's set on to the next one with the same bits).
+``table`` command's set on to the next one with the same parameter
+inputs: the seed when anything is sampled, and each given value's bits).
 
 Three caches sit under those values, and none changes a result by a
 bit.  Each parameter set memoizes theta(x; p) per argument, so no theta

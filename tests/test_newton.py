@@ -20,6 +20,7 @@ from hypothesis import strategies as st_
 from qelliptic.errors import DegenerateSequence, DomainError
 from qelliptic.newton import (
     AffineWhitneySequence,
+    _gap_products,
     ClassicalSequence,
     EllipticSequence,
     ExplicitSequence,
@@ -350,6 +351,35 @@ def test_connection_explicit_domain():
     seq = ClassicalSequence()
     with pytest.raises(DomainError):
         connection_explicit_scaled(Fraction(1), [Fraction(0)], seq, 3, 1)
+
+
+def _fresh_gap_products(values, field):
+    products = []
+    for j, aj in enumerate(values):
+        denom = field.one
+        for i, ai in enumerate(values):
+            if i != j:
+                denom = denom * (aj - ai)
+        products.append(denom)
+    return products
+
+
+@pytest.mark.parametrize("seq", [EllipticSequence(sample_elliptic_params(random.Random(3))),
+                                 QNumberSequence(), ClassicalSequence()],
+                         ids=["elliptic", "q-numbers", "classical"])
+def test_grown_gap_products_equal_fresh_ones(seq):
+    # column k's products grown from column k-1's: the same factors in the
+    # same order, so the same bits over floats
+    grown = None
+    for k in range(1, 9):
+        nodes = seq.window(0, k)
+        grown = _gap_products(nodes, seq.field, grown)
+        fresh = _fresh_gap_products(nodes, seq.field)
+        if seq.field.exact:
+            assert grown == fresh
+        else:
+            assert _bits((v, 0) for v in grown) == _bits((v, 0) for v in fresh)
+        assert _gap_products(nodes, seq.field) == grown
 
 
 def test_newton_oracle_reconstructs():

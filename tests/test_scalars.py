@@ -145,6 +145,30 @@ def test_shared_coefficient_lists_never_change():
 # -- canonical quotients ----------------------------------------------------
 
 
+def test_a_denominator_of_one_is_the_shared_one():
+    # the operators test a denominator of one by identity
+    from qelliptic.scalars import _POLY_ONE
+
+    q = LaurentPoly.var()
+    x = ExactScalar(q * q - LaurentPoly.one(), q - LaurentPoly.one())
+    cases = [ExactScalar(4, 2), ExactScalar(LaurentPoly({1: 6}), LaurentPoly({3: 3})),
+             ExactScalar.parse("(2*q^2)/(q)"), q_factorial(4) / q_number(4),
+             x ** -1 * x, x ** 3, (x - 1) / (x - 1),
+             ExactScalar(1, 2) + ExactScalar(1, 2), (x ** -1) ** -2]
+    for value in cases:
+        assert value.is_polynomial and value.denominator is _POLY_ONE, value
+    assert not (x ** -1).is_polynomial
+
+
+def test_powers_start_from_the_base():
+    x = ExactScalar(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: 3}))
+    assert x ** 1 is x
+    reference = ExactScalar.from_int(1)
+    for n in range(9):
+        assert x ** n == reference and (x ** -n) * reference == 1
+        reference = reference * x
+
+
 def test_normalization_examples():
     q = LaurentPoly.var()
     one = LaurentPoly.one()

@@ -81,6 +81,12 @@ def test_writer_is_byte_identical_to_json_dumps(capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     [(doc, text)] = rendered
     assert text == out
+    # the document keeps each entry as an (n, k, value) triple; the rows
+    # it stands for are {"n", "k", "value"}, a complex value {"re", "im"}
+    doc = {**doc, "rows": [
+        {"n": n, "k": k,
+         "value": {"re": v.real, "im": v.imag} if isinstance(v, complex) else v}
+        for n, k, v in doc["rows"]]}
     assert text == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -177,20 +183,75 @@ def test_reused_parameter_set_gives_each_commands_fresh_output(capsys, monkeypat
     _assert_fresh_processes_agree(argvs, runs)
 
 
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one per call of ``module.name`` from now on."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sampled_routes_of_one_draw_sample_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    samples = _count_calls(monkeypatch, cli, "sample_elliptic_params")
+    runs = _in_process(capsys, ROUTES_OF_ONE_DRAW)
+    assert {code for code, _, _ in runs} == {0}
+    assert len(samples) == 1
+
+
+REFUSED_ARGV = ["table", "--family", "lah", "--n", "3", "--seed", "1", "--p=0.9"]
+
+
+def test_refused_resolution_leaves_the_slot_as_it_was(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    _in_process(capsys, [["table", "--family", "lah", "--n", "3", "--seed", "1"]])
+    slot = cli._last_params
+    refused = _in_process(capsys, [REFUSED_ARGV, REFUSED_ARGV])
+    assert cli._last_params is slot
+    assert refused[0] == refused[1]
+    code, out, err = refused[0]
+    assert code == 3 and out == "" and err.startswith("degenerate: ")
+
+
+def test_a_given_value_is_part_of_the_slot_key(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    resolved = _count_calls(monkeypatch, cli, "_resolve_params")
+    argvs = [["table", "--family", "lah", "--n", "3", "--seed", "1", *more]
+             for more in ([], ["--q", "0.5"])]
+    runs = _in_process(capsys, argvs)
+    assert {code for code, _, _ in runs} == {0}
+    assert len(resolved) == 2
+    assert cli._last_params[1].q == 0.5
+
+
+def test_fully_given_parameters_share_one_set_across_seeds(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_last_params", (None, None))
+    resolved = _count_calls(monkeypatch, cli, "_resolve_params")
+    given = ["--q", "0.5", "--a", "0.3", "--b", "0.7", "--p", "0.2"]
+    first, second = _in_process(capsys, [
+        ["table", "--family", "lah", "--n", "3", "--seed", str(seed), *given]
+        for seed in (1, 2)])
+    assert first == second and first[0] == 0
+    assert len(resolved) == 1
+
+
+def test_no_family_draws_both_elliptic_and_st_parameters():
+    # the slot skips the seed's stream for (a, b, q, p), which a family that
+    # also drew (s, t) from it would need
+    assert not any("a" in record.flags and "s" in record.flags
+                   for record in _FAMILIES.values())
+
+
 def _count_theta(monkeypatch):
     """A list that grows by one per theta value evaluated from now on; the
     package attribute ``qelliptic.theta`` is the function, so the module
     comes from ``sys.modules``."""
-    module = sys.modules["qelliptic.theta"]
-    theta = module.theta
-    calls = []
-
-    def counting(x, p):
-        calls.append(x)
-        return theta(x, p)
-
-    monkeypatch.setattr(module, "theta", counting)
-    return calls
+    return _count_calls(monkeypatch, sys.modules["qelliptic.theta"], "theta")
 
 
 def test_identical_table_command_evaluates_no_theta(capsys, monkeypatch):
