@@ -14,7 +14,6 @@ from .errors import (
 from .eulerian import (
     elliptic_eulerian_rows,
     elliptic_r_whitney_eulerian_rows,
-    eulerian,
     eulerian_rows,
     general_eulerian_rows,
     lagrange_delta,

@@ -14,7 +14,7 @@ when any of a, b, q, p is sampled, and the bits of each given value)
 takes over that command's parameter set without resolving it again,
 and with it its theta, number and weight memos.  Each memo entry is a
 fixed function of the bits of the parameters and of its argument, and
-a number, weight or leading product is kept only once it cleared its
+a number or weight is kept only once it cleared its
 guards, so a refusal repeats its message.
 
 Exit codes: 0 success, 1 a check or degeneration bound failed, 2 the

@@ -6,14 +6,11 @@ multiplicative theta function
     theta(x; p) = prod_{j >= 0} (1 - p^j x) (1 - p^(j+1) / x),
 
 together with the elliptic number [z]_{a,b;q,p} and the elliptic weight
-W_{a,b;q,p}(k) built as quotients of theta values.  Degenerate parameter
-chains (p = 0, then a = 0, then b = 0, finally q = 1) are evaluated
-through closed forms, never as numeric limits, so the same entry points
-cover the elliptic, q-analogue and classical ends of the lattice.
+W_{a,b;q,p}(k), quotients of theta values (Gasper & Rahman, *Basic
+Hypergeometric Series*, 2nd ed., section 1.6 and chapter 11).
 
-``theta`` evaluates in three steps (Gasper & Rahman, *Basic
-Hypergeometric Series*, 2nd ed., section 1.6 and chapter 11), all in one
-method of the nome's cached constants:
+``theta`` evaluates in three steps, all in one method of the nome's
+cached constants:
 
 - Reduce.  x = p^k y with |p|^(1/2) <= |y| <= |p|^(-1/2), k from
   log|x| / log|p| rounded to the nearest integer.  The annulus is one
@@ -27,71 +24,54 @@ method of the nome's cached constants:
   Horner loops, one in y and one in 1/y, take the terms down to
   1e-16: 8 and 7 terms at p = 0.3, 11 and 10 at p = 0.5.
 - Undo.  theta(p x) = -theta(x) / x, applied once per power with one
-  finite factor, p^i / (-x) or -x p^i.  No prefactor like p^(-k(k-1)/2)
-  is formed, so a value in double range is not lost to an overflow on
-  the way.
+  finite factor, p^i / (-x) or -x p^i, so no prefactor like
+  p^(-k(k-1)/2) can overflow on the way.
 
-The factor (1 - y) makes theta exactly 0 when y == 1 after reduction, so
-theta(1; p) == 0 and [0] == 0 exactly.  Over the arguments the routes
-form at n = 18 (|x| from |q|^38 min(|a|, |b|) to its inverse, |p| <= 0.5)
-the result is within about 1e-14 relative of a 50-digit reference; the
-truncated product, evaluated at x directly, was off by up to 4e-2 there.
-The series cancels near y = 1, where terms of modulus about 1 sum to
-(p; p)_inf^3: a loss of about 100 ulps at p = 0.5, and of every digit at
-p = 0.9.  Above |p| = SERIES_MAX_NOME the reduced argument therefore goes
-to the truncated product instead.  ``theta_product`` takes the product for every nome: it
-is the second route of the ``theta`` suite.
-
-A non-finite argument raises DegenerateParameters.  Every theta factor
-that lands in a denominator is guarded: a modulus below
-DEFAULT_MIN_DENOMINATOR raises DegenerateParameters naming the factor.
-Values are memoized per parameter set, keyed by the integer (alpha, beta)
-exponent pair of the shift a -> a q^alpha, b -> b q^beta; callers that
-pass one set to several routes share its memos (the CLI passes the last
-``table`` command's set on to the next one with the same parameter
-inputs: the seed when anything is sampled, and each given value's bits).
-
-Three caches sit under those values, and none changes a result by a
-bit.  Each parameter set memoizes theta(x; p) per argument, so no theta
-value is evaluated twice for one set, and every miss calls ``theta``.
-The key (``_memo_key``) is x itself when both parts are nonzero, where
-== is bit equality, and else x with the signs of both parts, so 0.3+0j
-and 0.3-0j (equal under ==) never share an entry.  Each parameter set
-also keeps, per shifted a and under the same key, the guarded leading
-product theta(q) theta(a q) of the denominator of [z]: it is the first
-product of that left-to-right chain, so it has the same bits at every
-z.  The sampler's window check (``EllipticParams.window_ok``) certifies
-first, then scans.  The certificate evaluates no theta value: with
-x = p^k y reduced as above and r = |p|, the product gives
-|theta(y)| >= |1 - y| (r^(1/2); r)_inf^2 on the annulus, and each undo
-step keeps at least r^(1/2) of it, so |theta(x)| >= c |1 - y| with
-c = r^(1/2) (r^(1/2); r)_inf^2.  Each guarded factor is C q^m with C in
-{1, a, b, a / b}, so the moduli of a, b and q give k and |y|, and
-c (1 - e^-|log |y||) <= |theta(x)|; y is formed only for a factor that
-bound leaves open.  A window whose guarded factors all reach
-2 DEFAULT_MIN_DENOMINATOR with |k| <= k_max (each factor at most 1e60,
-so every denominator product is finite) is accepted, with this memo
-left empty.  Any other window, p = 0 and |p| > SERIES_MAX_NOME among
-them, goes to the scan: one ``_number_den`` and one ``_weight_den``
-call per index z, whose guard labels name z (theta(b q^z),
-theta(a q^(z+1) / b), ...).  It puts only the guarded denominator
-factors in this memo, may leave the leading product in its cache,
-refuses an index whose number or weight denominator product is not
-finite and range-checks the numerator arguments without evaluating
-them.  Neither caches a number or weight.
-``theta`` reads the constants of its nome from a bounded cache keyed on
-p with the signs of both its parts: the series coefficients, 1 / (p; p)_inf, and the powers p^j,
-each rounded once from exact integer arithmetic and grown on demand.  In
-front of that cache sits the last p resolved, matched by identity, so the
-calls of one parameter set, which pass the same p object, skip the checks
-on p and the cache key.  Every entry is a fixed function of p's bits, so
-results do not depend on cache state, and concurrent readers are safe.
-
-The truncation order, the number of factors of the product, depends on
-p alone: max(24, ceil(log 1e-16 / log |p|)), and 24 at p = 0, so the
-dropped tail of the product stays below 1e-16.  An order above
+The factor (1 - y) makes theta(1; p) and [0] exactly 0.  Over the
+arguments the routes form at n = 18 (|x| from |q|^38 min(|a|, |b|) to its
+inverse, |p| <= 0.5) theta is within about 1e-14 relative of a 50-digit
+reference, where the truncated product at x itself was off by up to
+4e-2.  The series cancels near y = 1, losing about 100 ulps at p = 0.5
+and every digit at p = 0.9, so above |p| = SERIES_MAX_NOME the reduced
+argument goes to the truncated product, which ``theta_product`` takes
+for every nome: the second route of the ``theta`` suite.  The product
+keeps max(24, ceil(log 1e-16 / log |p|)) factors; an order above
 MAX_TRUNCATION_ORDER (|p| above about 0.991), |p| >= 1 and a non-finite
-p raise DomainError, so no input asks for unbounded work.
+p raise DomainError, so no input asks for unbounded work.  The constants
+of a nome sit in a bounded cache (``_nome``), each a function of p's bits.
+
+[z] and W(z) are declared once, as tables of numerator and denominator
+rows (``_NUMBER``, ``_WEIGHT``).  A row names a theta argument C q^m, with
+C in {1, a, b, a / b} and m = alpha z + beta, and forms it from a, b, q
+and u = q^z.  Everything reads these tables: the guarded denominators,
+the quotients, the arguments a refusal names, and the window's
+certificate and scan.  At p != 0 a factor is theta(x); at p = 0 it is
+1 - x, computed inline, with no theta call, memo entry or argument check.
+The rungs a = 0 and a = b = 0 of the degeneration chain leave out the
+rows whose C holds a, then a or b, and q = 1 keeps [z] = z: closed
+forms, never numeric limits.  A non-finite theta argument, and a
+denominator factor of modulus below DEFAULT_MIN_DENOMINATOR, raise
+DegenerateParameters naming it.
+
+Numbers and weights are memoized per parameter set, keyed by the index
+and the shift (alpha, beta) of a -> a q^alpha, b -> b q^beta, and so is
+theta(x; p), keyed by ``_memo_key``, which keeps 0.3+0j and 0.3-0j apart.
+No cache changes a result by a bit.  Routes given one set share its
+memos; the CLI passes the last ``table`` command's set on to the next
+one with the same parameter inputs.
+
+The sampler's window check (``EllipticParams.window_ok``) certifies
+first, then scans.  The certificate evaluates no theta value: with
+x = p^k y reduced as above, |theta(x)| >= c |1 - y| (``_Nome``), and
+log |x| = log |C| + m log |q| gives k and |y| from the moduli of a, b
+and q; y is formed only for a factor that bound leaves open.  A window
+whose guarded factors all reach 2 DEFAULT_MIN_DENOMINATOR with
+|k| <= k_max (each at most 1e60, so every denominator product is
+finite) is accepted with the memo left empty.  Any other window, p = 0
+and |p| > SERIES_MAX_NOME among them, goes to the scan, which forms the
+guarded denominators of [z] and W(z) per index, under labels that name
+it, and range-checks the numerator arguments without evaluating them.
+Neither forms a number or weight.
 """
 
 from __future__ import annotations
@@ -408,11 +388,10 @@ class EllipticParams(Frozen):
     chain is first-class: p = 0 with a, b arbitrary; then a = 0 (only with
     p = 0); then b = 0 (only with a = 0); q = 1 is legal only on the fully
     degenerate end, where the closed forms turn into classical integers.
-    Frozen, and equal only to itself: each pack owns its four caches.
+    Frozen, and equal only to itself: each pack owns its three caches.
     """
 
-    __slots__ = ("a", "b", "q", "p",
-                 "_num_cache", "_wt_cache", "_theta_cache", "_lead_cache")
+    __slots__ = ("a", "b", "q", "p", "_num_cache", "_wt_cache", "_theta_cache")
 
     def __init__(self, a: complex, b: complex, q: complex, p: complex):
         for name, value in (("a", a), ("b", b), ("q", q), ("p", p)):
@@ -420,7 +399,7 @@ class EllipticParams(Frozen):
             if not cmath.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        for name in ("_num_cache", "_wt_cache", "_theta_cache", "_lead_cache"):
+        for name in ("_num_cache", "_wt_cache", "_theta_cache"):
             object.__setattr__(self, name, {})
         if self.q == 0:
             raise DomainError("q must be nonzero")
@@ -452,38 +431,27 @@ class EllipticParams(Frozen):
 
     def window_refusal(self, lo: int, hi: int) -> str | None:
         """None when numbers and weights over [lo, hi] clear the guards,
-        else the reason for the first refusal.
-
-        A window whose guarded factors the certificate bounds clear of
-        the guards is accepted without a theta value; any other goes to
-        ``_window_scan``, which decides it.  No number or weight is
-        formed, so their caches stay empty.
-        """
+        else the reason for the first refusal.  The certificate accepts a
+        window without a theta value, and ``_window_scan`` decides any
+        other; neither forms a number or weight."""
         return None if self._window_certified(lo, hi) else self._window_scan(lo, hi)
 
     def _window_certified(self, lo: int, hi: int) -> bool:
-        """True when ``_Nome.open_factors`` clears every guarded factor of
-        [z] and W(z) over [lo, hi] or ``_Nome.certifies`` each it leaves
-        open; only for p != 0 evaluated by the series.  Every theta
-        argument, and every product on the way to one, is C q^m with C in
-        {1, a, b, a / b} and |m| <= max(1, |2 lo + 1|, |2 hi + 1|), so the
-        range bound on log |C| and log |q| makes each a normal double, as
-        the scan checks; the logs of the guarded factors q, a q, then b q^m
-        and a q^m / b for m in [lo, hi + 1] are linear forms in m."""
+        """True when ``_Nome.open_factors`` clears every guarded factor C q^m
+        over [lo, hi], by log |x| = log |C| + m log |q|, or ``_Nome.certifies``
+        each it leaves open; only for p != 0 evaluated by the series.  The
+        range bound keeps every argument C q^m of the tables, and every
+        product on the way to one, a normal double, as the scan checks."""
         p = self.p
         if p == 0 or abs(p) > SERIES_MAX_NOME:
             return False
         la, lb, lq = (cmath.log(x).real for x in (self.a, self.b, self.q))
-        lab = la - lb
-        reach = max(1, abs(2 * lo + 1), abs(2 * hi + 1))
-        if max(abs(la), abs(lb), abs(lab)) + reach * abs(lq) > _LOG_RANGE:
+        logs = {"1": 0.0, "a": la, "b": lb, "a / b": la - lb}
+        slots, _, reach = _window_slots(lo, hi)
+        if max(map(abs, logs.values())) + reach * abs(lq) > _LOG_RANGE:
             return False
-        logs = [lq, la + lq]
-        for m in range(lo, hi + 2):
-            t = m * lq
-            logs += (lb + t, lab + t)
         nome = _nome_for(self.q, p)
-        left = nome.open_factors(logs)
+        left = nome.open_factors([logs[c] + m * lq for c, m in slots])
         return not left or nome.certifies(
             [x for i, x in self._window_factors(lo, hi) if i in left])
 
@@ -491,36 +459,22 @@ class EllipticParams(Frozen):
         """(i, x) per guarded factor x as the scan forms it, i the index of
         its log in ``_window_certified``."""
         a, b, q = self.a, self.b, self.q
-        factors = [(0, q), (1, a * q)]
-        for z in range(lo, hi + 1):
-            u = q ** z
-            i = 2 + 2 * (z - lo)
-            factors += ((i, b * u), (i + 1, a * u / b),
-                        (i + 2, b * q * u), (i + 3, a * q * u / b))
-        return factors
+        return [(i, argument(a, b, q, None if z is None else q ** z))
+                for i, argument, z in _window_slots(lo, hi)[1]]
 
     def _window_scan(self, lo: int, hi: int) -> str | None:
-        """``window_refusal`` by evaluation: one ``_number_den`` and one
-        ``_weight_den`` call per index, each product refused by
-        ``_finite_den`` as a number or weight would refuse it, so only the
-        guarded denominator factors are evaluated, through the theta memo.
-        Each numerator argument is range-checked instead of evaluated: one
-        that is 0 or not finite fails the window, as its theta would raise.
-        A denominator argument that underflows to 0 fails it too.  Every
-        refusal names its argument or factor and the index z.
-        """
+        """``window_refusal`` by evaluation: per index the guarded
+        denominators of [z] and W(z), refused by ``_finite_den`` as a number
+        or weight would be, and at p != 0 a range check of the numerator
+        arguments theta would refuse; each refusal names the index z."""
         if self.q == 1:
             return None  # the classical end: [z] = z and W(k) = 1, no guard
         a, b, q = self.a, self.b, self.q
-        elliptic = self.p != 0
         try:
-            if elliptic:
-                # the numerator arguments of _number_raw and _weight_raw
-                _check_arguments(lo, a, b, q, b * q, a * q / b, b, a / b)
             for z in range(lo, hi + 1):
                 u = _checked_power(q, z)
-                if elliptic:
-                    _check_arguments(z, a, b, q, u, a * u, a * q * u * u)
+                if self.p != 0:
+                    _check_arguments(z, a, b, q, *[f(a, b, q, u) for f in _NUMERATOR])
                 _finite_den(_number_den(u, a, b, self, z), "[{}]", z)
                 _finite_den(_weight_den(u, a, b, self, z), "W({})", z)
         except DegenerateParameters as exc:
@@ -548,6 +502,77 @@ def _memo_key(x: complex):
     if x.real and x.imag:
         return x
     return (x, math.copysign(1, x.real), math.copysign(1, x.imag))
+
+
+# The factor tables of [z] and W(z).  Every theta argument is C q^m with
+# C in {1, a, b, a / b} and m = alpha z + beta, which depends on z when
+# alpha != 0.  A row: name, argument of (a, b, q, u = q^z) in the one
+# operation order, C, alpha, beta.
+_ROWS = {row[0]: row for row in (
+    ("q^z", lambda a, b, q, u: u, "1", 1, 0),
+    ("a q^z", lambda a, b, q, u: a * u, "a", 1, 0),
+    ("b q", lambda a, b, q, u: b * q, "b", 0, 1),
+    ("a q / b", lambda a, b, q, u: a * q / b, "a / b", 0, 1),
+    ("q", lambda a, b, q, u: q, "1", 0, 1),
+    ("a q", lambda a, b, q, u: a * q, "a", 0, 1),
+    ("b q^z", lambda a, b, q, u: b * u, "b", 1, 0),
+    ("a q^z / b", lambda a, b, q, u: a * u / b, "a / b", 1, 0),
+    ("a q^(2z+1)", lambda a, b, q, u: a * q * u * u, "a", 2, 1),
+    ("b", lambda a, b, q, u: b, "b", 0, 0),
+    ("a / b", lambda a, b, q, u: a / b, "a / b", 0, 0),
+    ("b q^(z+1)", lambda a, b, q, u: b * q * u, "b", 1, 1),
+    ("a q^(z+1) / b", lambda a, b, q, u: a * q * u / b, "a / b", 1, 1),
+)}
+# (numerator, denominator) of [z] and of W(z) / q^z, by row name: the
+# theta values of the rows, multiplied left to right
+_NUMBER, _WEIGHT = (
+    tuple(tuple(_ROWS[name] for name in names.split(", ")) for names in table)
+    for table in (("q^z, a q^z, b q, a q / b", "q, a q, b q^z, a q^z / b"),
+                  ("a q^(2z+1), b, b q, a / b, a q / b",
+                   "a q, b q^z, b q^(z+1), a q^z / b, a q^(z+1) / b")))
+# every argument, in the order a refusal looks for one that is 0 or not
+# finite; the arguments of the numerators; the guarded factors
+_ARGUMENTS = tuple(dict.fromkeys(_NUMBER[0] + _NUMBER[1] + _WEIGHT[0] + _WEIGHT[1]))
+_NUMERATOR = tuple(row[1] for row in dict.fromkeys(_NUMBER[0] + _WEIGHT[0]))
+_GUARDED = tuple(dict.fromkeys(_NUMBER[1] + _WEIGHT[1]))
+
+
+def _levels(table: tuple, index: str) -> tuple:
+    """(numerator, denominator) of table at p != 0, then at p = 0 with
+    a != 0, a = 0 and a = b = 0, whose closed forms leave out the rows with
+    a in C, then with a or b in C.  A row is (label, argument): theta(NAME)
+    at p != 0, (1 - NAME) with z written as ``index`` at p = 0."""
+    return tuple(
+        tuple(tuple((f"(1 - {name.replace('z', index)})" if level else f"theta({name})", f)
+                    for name, f, constant, _, _ in rows if constant not in left_out)
+              for rows in table)
+        for level, left_out in enumerate(((), (), ("a", "a / b"), ("a", "b", "a / b"))))
+
+
+_NUMBER_LEVELS = _levels(_NUMBER, "z")
+_WEIGHT_LEVELS = _levels(_WEIGHT, "k")
+
+
+def _level(params: EllipticParams, a, b) -> int:
+    """The index into a table's levels of the shifted (a, b) at params."""
+    return 0 if params.p != 0 else 1 if a != 0 else 2 if b != 0 else 3
+
+
+@functools.lru_cache(maxsize=8)
+def _window_slots(lo: int, hi: int) -> tuple:
+    """The guarded factors over [lo, hi] as the certificate reads them: the
+    distinct (C, m) in order of first appearance, one log |x| each; per
+    factor (i, argument, z), i the index of its (C, m) and z None when it
+    does not depend on z; and the reach, the largest |m| of any argument.
+    Kept per window, as every sampler draw certifies one."""
+    slots, factors = {}, []
+    for z in (None, *range(lo, hi + 1)):
+        for _, argument, constant, alpha, beta in _GUARDED:
+            if (z is None) == (alpha == 0):
+                m = alpha * (z or 0) + beta
+                factors.append((slots.setdefault((constant, m), len(slots)), argument, z))
+    reach = max(abs(alpha * z + beta) for *_, alpha, beta in _ARGUMENTS for z in (lo, hi))
+    return tuple(slots), tuple(factors), reach
 
 
 def _guard(value: complex, label: str, z=None) -> complex:
@@ -582,11 +607,8 @@ def _refused_argument(z, a, b, q) -> str | None:
     or not finite, or None.  Only asked after a check failed or theta
     raised DomainError, so no evaluation pays for the scan."""
     u = _checked_power(q, z)
-    for name, x in (("q^z", u), ("a q^z", a * u), ("b q", b * q),
-                    ("a q / b", a * q / b), ("q", q), ("a q", a * q),
-                    ("b q^z", b * u), ("a q^z / b", a * u / b),
-                    ("a q^(2z+1)", a * q * u * u), ("b", b), ("a / b", a / b),
-                    ("b q^(z+1)", b * q * u), ("a q^(z+1) / b", a * q * u / b)):
+    for name, argument, *_ in _ARGUMENTS:
+        x = argument(a, b, q, u)
         if x == 0:
             return (f"theta argument {name} at z = {z} underflows to 0, "
                     "outside double range")
@@ -595,73 +617,22 @@ def _refused_argument(z, a, b, q) -> str | None:
     return None
 
 
-def _refuse_bad_argument(z, shift, a, b, q) -> None:
-    """Raise DegenerateParameters naming the theta argument of [z] or W(z)
-    at base shift ``shift`` (a and b already shifted) that is 0 or not
-    finite, if one is."""
-    refusal = _refused_argument(z, a, b, q)
-    if refusal is not None:
-        if shift != (0, 0):
-            refusal += f" (base shift {shift})"
-        raise DegenerateParameters(refusal) from None
+def _den(levels: tuple, u, a, b, params: EllipticParams, z=None) -> complex:
+    """The denominator at u = q^z of the table with these levels: theta(x),
+    or 1 - x at p = 0, per factor, each guarded; 1 without factors.  A
+    refusal names the index z when one is given."""
+    q, th, den, level = params.q, params._theta, None, _level(params, a, b)
+    for label, f in levels[level][1]:
+        x = f(a, b, q, u)
+        x = _guard(1 - x if level else th(x), label, z)
+        den = x if den is None else den * x
+    return 1 + 0j if den is None else den
 
 
-def _number_den(u, a, b, params: EllipticParams, z=None) -> complex:
-    """The guarded denominator of [z] at u = q^z (off the classical end);
-    a refusal names the index z when one is given."""
-    q = params.q
-    if params.p == 0:
-        if a == 0 and b == 0:
-            return _guard(1 - q, "(1 - q)", z)
-        if a == 0:
-            return (_guard(1 - q, "(1 - q)", z)
-                    * _guard(1 - b * u, "(1 - b q^z)", z))
-        return (
-            _guard(1 - q, "(1 - q)", z)
-            * _guard(1 - a * q, "(1 - a q)", z)
-            * _guard(1 - b * u, "(1 - b q^z)", z)
-            * _guard(1 - a * u / b, "(1 - a q^z / b)", z)
-        )
-    th = params._theta
-    # theta(q) theta(a q) is the first product of the chain, the same for
-    # every z at one shift, so it is formed once per a
-    key = _memo_key(a)
-    lead = params._lead_cache.get(key)
-    if lead is None:
-        lead = params._lead_cache[key] = (_guard(th(q), "theta(q)", z)
-                                          * _guard(th(a * q), "theta(a q)", z))
-    return (
-        lead
-        * _guard(th(b * u), "theta(b q^z)", z)
-        * _guard(th(a * u / b), "theta(a q^z / b)", z)
-    )
-
-
-def _weight_den(u, a, b, params: EllipticParams, z=None) -> complex:
-    """The guarded denominator of W(k) at u = q^k; 1 where W(k) = q^k.  A
-    refusal names the index, given as z, when one is given."""
-    q = params.q
-    if params.p == 0:
-        if a == 0 and b == 0:
-            return 1 + 0j
-        if a == 0:
-            return (_guard(1 - b * u, "(1 - b q^k)", z)
-                    * _guard(1 - b * q * u, "(1 - b q^(k+1))", z))
-        return (
-            _guard(1 - a * q, "(1 - a q)", z)
-            * _guard(1 - b * u, "(1 - b q^k)", z)
-            * _guard(1 - b * q * u, "(1 - b q^(k+1))", z)
-            * _guard(1 - a * u / b, "(1 - a q^k / b)", z)
-            * _guard(1 - a * q * u / b, "(1 - a q^(k+1) / b)", z)
-        )
-    th = params._theta
-    return (
-        _guard(th(a * q), "theta(a q)", z)
-        * _guard(th(b * u), "theta(b q^z)", z)
-        * _guard(th(b * q * u), "theta(b q^(z+1))", z)
-        * _guard(th(a * u / b), "theta(a q^z / b)", z)
-        * _guard(th(a * q * u / b), "theta(a q^(z+1) / b)", z)
-    )
+# the guarded denominators of [z] (off the classical end) and of W(z),
+# called as (u, a, b, params, z=None)
+_number_den = functools.partial(_den, _NUMBER_LEVELS)
+_weight_den = functools.partial(_den, _WEIGHT_LEVELS)
 
 
 def _finite_den(den: complex, label: str, z=None) -> complex:
@@ -672,99 +643,78 @@ def _finite_den(den: complex, label: str, z=None) -> complex:
     if not cmath.isfinite(den):
         if z is not None:
             label = label.format(z)
-        raise DegenerateParameters(
-            f"denominator of {label} is {den}, outside double range"
-        )
+        raise DegenerateParameters(f"denominator of {label} is {den}, outside double range")
     return den
 
 
+def _quotient(levels: tuple, z, u, a, b, params: EllipticParams, label: str):
+    """Numerator over denominator at u = q^z for the table with these
+    levels, refused by ``_finite_den`` under label; None without numerator
+    factors.  At p != 0 the numerator's theta values come first, from
+    1 + 0j, so that an argument theta refuses is named before a guard
+    trips; at p = 0 the guards come first."""
+    level = _level(params, a, b)
+    if level:
+        den = _finite_den(_den(levels, u, a, b, params), label, z)
+    q, th, num = params.q, params._theta, None if level else 1 + 0j
+    for _, f in levels[level][0]:
+        x = f(a, b, q, u)
+        x = 1 - x if level else th(x)
+        num = x if num is None else num * x
+    if not level:
+        den = _finite_den(_den(levels, u, a, b, params), label, z)
+    return None if num is None else num / den
+
+
 def _number_raw(z, a, b, params: EllipticParams) -> complex:
-    q, p = params.q, params.p
-    if p == 0 and a == 0 and b == 0 and q == 1:
-        return complex(z)
-    u = _checked_power(q, z)
-    if p == 0:
-        den = _finite_den(_number_den(u, a, b, params), "[{}]", z)
-        if a == 0 and b == 0:
-            return (1 - u) / den
-        if a == 0:
-            return (1 - u) * (1 - b * q) / den
-        return (1 - u) * (1 - a * u) * (1 - b * q) * (1 - a * q / b) / den
-    th = params._theta
-    num = 1 + 0j
-    for x in (u, a * u, b * q, a * q / b):
-        num *= th(x)
-    return num / _finite_den(_number_den(u, a, b, params), "[{}]", z)
+    if params.q == 1:
+        return complex(z)  # the classical end, the one place q = 1 is legal
+    return _quotient(_NUMBER_LEVELS, z, _checked_power(params.q, z), a, b, params, "[{}]")
 
 
 def _weight_raw(k, a, b, params: EllipticParams) -> complex:
-    q, p = params.q, params.p
-    u = _checked_power(q, k)
-    if p == 0:
-        if a == 0 and b == 0:
-            return u
-        den = _finite_den(_weight_den(u, a, b, params), "W({})", k)
-        if a == 0:
-            return (1 - b) * (1 - b * q) / den * u
-        num = (
-            (1 - a * q * u * u)
-            * (1 - b)
-            * (1 - b * q)
-            * (1 - a / b)
-            * (1 - a * q / b)
-        )
-        return num / den * u
-    th = params._theta
-    num = 1 + 0j
-    for x in (a * q * u * u, b, b * q, a / b, a * q / b):
-        num *= th(x)
-    return num / _finite_den(_weight_den(u, a, b, params), "W({})", k) * u
+    u = _checked_power(params.q, k)
+    value = _quotient(_WEIGHT_LEVELS, k, u, a, b, params, "W({})")
+    return u if value is None else value * u  # W(k) = q^k at p = 0, a = b = 0
+
+
+def _shifted(cache: dict, raw, z, shift: tuple[int, int], params: EllipticParams) -> complex:
+    """raw(z, a q^alpha, b q^beta, params) for shift = (alpha, beta), kept
+    in cache; a theta argument that is 0 or not finite is refused by name."""
+    alpha, beta = shift
+    q = params.q
+    a = params.a * _checked_power(q, alpha) if alpha else params.a
+    b = params.b * _checked_power(q, beta) if beta else params.b
+    try:
+        value = cache[(alpha, beta, z)] = raw(z, a, b, params)
+    except DomainError:
+        refusal = _refused_argument(z, a, b, q)
+        if refusal is None:
+            raise
+        if shift != (0, 0):
+            refusal += f" (base shift {shift})"
+        raise DegenerateParameters(refusal) from None
+    return value
 
 
 def elliptic_number_shifted(z, shift: tuple[int, int], params: EllipticParams) -> complex:
     """[z] with parameters (a q^alpha, b q^beta) for shift = (alpha, beta)."""
     alpha, beta = shift
-    key = (alpha, beta, z)
-    cached = params._num_cache.get(key)
-    if cached is not None:
-        return cached
-    q = params.q
-    a = params.a * _checked_power(q, alpha) if alpha else params.a
-    b = params.b * _checked_power(q, beta) if beta else params.b
-    try:
-        value = _number_raw(z, a, b, params)
-    except DomainError:
-        _refuse_bad_argument(z, shift, a, b, q)
-        raise
-    params._num_cache[key] = value
-    return value
+    value = params._num_cache.get((alpha, beta, z))
+    return _shifted(params._num_cache, _number_raw, z, shift, params) if value is None else value
 
 
 def elliptic_number(z, params: EllipticParams) -> complex:
     """The elliptic number [z]_{a,b;q,p}."""
-    cached = params._num_cache.get((0, 0, z))
-    if cached is not None:
-        return cached
-    return elliptic_number_shifted(z, (0, 0), params)
+    value = params._num_cache.get((0, 0, z))
+    return elliptic_number_shifted(z, (0, 0), params) if value is None else value
 
 
 def elliptic_weight_shifted(k, shift: tuple[int, int], params: EllipticParams) -> complex:
     """W(k) with parameters (a q^alpha, b q^beta) for shift = (alpha, beta)."""
     alpha, beta = shift
-    key = (alpha, beta, k)
-    cached = params._wt_cache.get(key)
-    if cached is not None:
-        return cached
-    q = params.q
-    a = params.a * _checked_power(q, alpha) if alpha else params.a
-    b = params.b * _checked_power(q, beta) if beta else params.b
-    try:
-        value = _weight_raw(k, a, b, params)
-    except DomainError:
-        _refuse_bad_argument(k, shift, a, b, q)
-        raise
-    params._wt_cache[key] = value
-    return value
+    value = params._wt_cache.get((alpha, beta, k))
+    return _shifted(params._wt_cache, _weight_raw, k, shift, params) if value is None else value
 
 
 def elliptic_weight(k, params: EllipticParams) -> complex:

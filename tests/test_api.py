@@ -31,6 +31,16 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_eulerian_names_the_module_after_importing_the_package(monkeypatch):
+    # the package re-exports the Eulerian builders but not the function
+    # eulerian(n, k), which would hide the module of the same name
+    import qelliptic
+    assert inspect.ismodule(qelliptic.eulerian)
+    assert [qelliptic.eulerian.eulerian(3, k) for k in range(1, 4)] == [1, 4, 1]
+    monkeypatch.setattr("qelliptic.eulerian.general_eulerian_rows", None)
+    assert importlib.import_module("qelliptic.eulerian").general_eulerian_rows is None
+
+
 def _validator_names() -> set[tuple[str, str]]:
     """(module, attribute) for each ``m.name`` in validate.py whose m is a
     library module: ``_module("m")`` itself, or a variable bound to it and

@@ -823,6 +823,17 @@ def test_theta_argument_underflow_is_a_named_degeneracy():
     assert EllipticParams(a=0.5, b=0.6, q=0.7, p=0.2).window_refusal(-8, 10) is None
 
 
+def test_a_shifted_b_that_underflows_is_named():
+    # b q^3 = 1e-330 is 0 at base shift (0, 3): theta(b q) refuses it before
+    # the numerator divides by b, for the number and the weight alike
+    params = EllipticParams(a=0.5, b=1e-300, q=1e-10, p=0.2)
+    message = (r"theta argument b q at z = 0 underflows to 0, outside double "
+               r"range \(base shift \(0, 3\)\)")
+    for entry in (elliptic_number_shifted, elliptic_weight_shifted):
+        with pytest.raises(DegenerateParameters, match=message):
+            entry(0, (0, 3), params)
+
+
 def test_window_evaluates_only_the_guarded_factors():
     # per index the scan memoizes theta(b q^k), theta(a q^k / b),
     # theta(b q^(k+1)) and theta(a q^(k+1) / b), plus theta(q) and theta(a q)
