@@ -75,7 +75,6 @@ from .theta import (
     elliptic_weight,
     elliptic_weight_shifted,
     sample_elliptic_params,
-    theta,
 )
 
 __version__ = "0.1.0"

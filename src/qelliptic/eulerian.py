@@ -115,10 +115,12 @@ def general_eulerian_rows(seq: ValueSequence, N: int) -> list[list]:
     With c = n-k+1 and W(c, L) = prod_{t=1}^{L} (a_c - a_{c-t}) the
     product is the quotient W(c+1, n+1) / W(c, n+1).  Over an exact field
     each W(c, .) is grown on demand from row to row, one node gap per
-    step, and P(n, k) is that one quotient: a table costs O(N^2) ring
-    products and divisions instead of O(N^3) normalized quotients, and
-    the canonical result is the same.  A float P(n, k) keeps the
-    per-factor quotients in their order, bit for bit.
+    step, and P(n, k) is that one exact quotient: a table costs O(N^2)
+    ring products and divisions.  Over EXACT_Q the quotient must be a
+    Laurent polynomial, as it is for the nodes [i]_q and [m i - r]_q (a
+    power of q); nodes whose P(n, k) is a rational function of q raise
+    ArithmeticError there and belong over RATIONAL.  A float P(n, k)
+    keeps the per-factor quotients in their order, bit for bit.
     """
     if N < 0:
         raise DomainError("need N >= 0")
@@ -166,12 +168,22 @@ def _gap_amplification(u, v) -> float:
 
 def _general_explicit_value(n: int, k: int, seq: ValueSequence):
     """The explicit-route entry (n, k) and its summands; the caller guards
-    the node window first."""
+    the node window first.  Over an exact field the summands' numerators
+    are summed over one common multiple of their gap products and divided
+    once, and no summands are returned."""
     field = seq.field
-    div = field.div
     # a_i is nodes[k + i]; a_{n-k+1} is read only when n > 0
     nodes = seq.window(-k, n - k + min(n, 1))
     top = nodes[-1]
+    if field.exact:
+        nums, dens = [], []
+        for j in range(k + 1):
+            node = nodes[k - j]
+            others = [nodes[i] for i in range(n + 1) if i != k - j]
+            nums.append(math.prod((top - a for a in others), start=node ** n))
+            dens.append(math.prod((node - a for a in others), start=field.one))
+        return field.quotient_sum(nums, dens), ()
+    div = field.div
     terms = []
     for j in range(k + 1):
         node = nodes[k - j]
@@ -225,9 +237,11 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
 
     Returns one (lhs, rhs, terms) per point, where lhs = z^n and rhs =
     sum(terms); exact callers assert lhs == rhs, numeric ones weigh
-    |lhs - rhs| against the term magnitudes; terms is empty over an exact
-    field.  Pass a precomputed triangle row to amortize table
-    construction over several calls.
+    |lhs - rhs| against the term magnitudes.  Over an exact field both
+    sides come multiplied by one common multiple L of the columns' gap
+    products, lhs = z^n L, so a wrong row shows as lhs != rhs without a
+    division, and terms is empty.  Pass a precomputed triangle row to
+    amortize table construction over several calls.
 
     The node gaps a_{n-k+1} - a_{i-k} do not depend on z and are formed
     once.  The window of column k, z - a_j for j in [1 - k, n - k], is
@@ -236,13 +250,10 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
     running product over each half, from the middle outwards, and at
     most two products per column: about 4n ring products instead of
     n(n + 1), and none past a difference that is 0.  Over an exact field
-    ``reciprocals`` puts each column's 1 / prod_i gap over one common
-    denominator as c_k / common; a point sums A(n, k) c_k head tail with
-    no normalization and divides by common once, or not at all when the
-    sum is lhs common.  Results are canonical, so they equal the
-    point-by-point quotients.  A float summand keeps the order
-    A(n, k) prod_i ((z - a_{i-k}) / gap) of a point-by-point
-    evaluation, bit for bit.
+    ``reciprocals`` writes each column's 1 / prod_i gap as c_k / L; a
+    point's right side is the ring sum of A(n, k) c_k head tail.  A float
+    summand keeps the order A(n, k) prod_i ((z - a_{i-k}) / gap) of a
+    point-by-point evaluation, bit for bit.
     """
     if n < 0:
         raise DomainError("need n >= 0")
@@ -270,8 +281,7 @@ def worpitzky_check(n: int, seq: ValueSequence, points, row=None) -> list:
                 lo = n - k  # diffs index of a_{1-k}
                 if not (field.is_zero(head[k]) or field.is_zero(tail[lo])):
                     total = total + coefficients[k] * head[k] * tail[lo]
-            rhs = lhs if total == lhs * common else field.div(total, common)
-            results.append((lhs, rhs, ()))
+            results.append((lhs * common, total, ()))
             continue
         terms = []
         for k in range(n + 1):
@@ -312,12 +322,27 @@ def lagrange_delta(n: int, k: int, l: int, seq: ValueSequence,
     working precision times the largest summand.  Numeric callers that
     hold the result to an absolute tolerance should pass ``max_scale``
     (largest summand magnitude they can absorb, e.g. 1e5 for 1e-9) and
-    resample their parameters on DegenerateSequence.
+    resample their parameters on DegenerateSequence.  Over an exact
+    field the summands' numerators are summed over one common multiple of
+    their denominators and divided once.
     """
     if not 0 <= l <= k <= n:
         raise DomainError("need 0 <= l <= k <= n")
     field = seq.field
     _guard_window(seq, n)
+    if field.exact:
+        one = field.one
+        # the basis polynomial's denominator does not depend on j
+        basis_den = math.prod((seq[n - l + 1] - seq[i - l] for i in range(1, n + 1)),
+                              start=one)
+        nums, dens = [], []
+        for j in range(l, k + 1):
+            others = [seq[i - k] for i in range(n + 1) if i != k - j]
+            ratio = math.prod((seq[n - k + 1] - a for a in others), start=one)
+            nums.append(math.prod((seq[-j] - seq[i - l] for i in range(1, n + 1)),
+                                  start=ratio))
+            dens.append(math.prod((seq[-j] - a for a in others), start=basis_den))
+        return field.quotient_sum(nums, dens)
     total = field.zero
     for j in range(l, k + 1):
         ratio = field.one

@@ -145,8 +145,8 @@ def q_stirling2_rows(N: int, route: str = "recurrence") -> list[list[ExactScalar
 
     a table of the explicit sums of q_stirling2, and "h", the complete
     homogeneous specialization h_{n-k}([0]_q .. [k]_q).  All three
-    produce the same canonical rational functions.  Cached per argument
-    tuple, so callers must not mutate the rows."""
+    produce the same Laurent polynomials.  Cached per argument tuple, so
+    callers must not mutate the rows."""
     _check_entry(N)
     if route == "recurrence":
         return _grow_rows(N, EXACT_Q.one, EXACT_Q.zero, lambda n, k, x: x,
@@ -176,7 +176,8 @@ def q_stirling2(n: int, k: int) -> ExactScalar:
         if j % 2:
             term = -term
         total = total + term
-    return ExactScalar.q_power(-math.comb(k, 2)) / q_factorial(k) * total
+    # the sum is divisible by the prefactor's denominator, not each summand
+    return total / (ExactScalar.q_power(math.comb(k, 2)) * q_factorial(k))
 
 
 # ---------------------------------------------------------------------------

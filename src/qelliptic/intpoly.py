@@ -8,12 +8,11 @@ multiplies the two integers (Karatsuba) and the digits are read back.
 
 Exact division packs both polynomials at X = 2^(8k) and takes one integer
 divmod: g | f gives g(X) | f(X), so a remainder proves it inexact, and the
-quotient's digits are kept only once they provably multiply back to f.  The exact
-layer's quotients are nearly all polynomials, so the gcd is a fallback.  It
-evaluates at such a power of two as well (GCDHEU: Char, Geddes and Gonnet,
-J. Symbolic Comput. 7, 1989) and keeps a candidate only once it is proven
-to be the gcd.  Long division and the primitive pseudo-remainder sequence
-are the fallbacks and the references the tests compare against.
+quotient's digits are kept only once they provably multiply back to f.  Long
+division is its fallback and the reference the tests compare against.  These
+two operations are all the exact scalars need: they form the ring
+Z[q, 1/q], not a field of rational functions, so no polynomial gcd is
+ever taken.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import math
 import struct
 
-__all__ = ["content", "primitive", "mul", "mul_schoolbook", "gcd_heu", "gcd_prs",
-           "gcd_cofactors", "divexact", "divexact_long"]
+__all__ = ["content", "mul", "mul_schoolbook", "divexact", "divexact_long"]
 
 # The schoolbook loop is faster up to this many coefficient pairs, or with
 # an operand this short, than packing.  Measured with CPython 3.11 on an
@@ -34,9 +32,6 @@ __all__ = ["content", "primitive", "mul", "mul_schoolbook", "gcd_heu", "gcd_prs"
 # long and 8.5 ms packed, the 237 above them 20.3 ms long and 7.3 ms packed.
 _SCHOOLBOOK_MAX_PAIRS = 100
 _SCHOOLBOOK_MAX_TERMS = 2
-
-# evaluation points GCDHEU tries, each with twice the digit width of the last
-_HEU_TRIES = 6
 
 # digit widths divexact tries, each twice the last, before long division
 _DIV_TRIES = 3
@@ -57,13 +52,6 @@ def _trim(c: list[int]) -> list[int]:
 
 def content(c: list[int]) -> int:
     return math.gcd(*c)
-
-
-def primitive(c: list[int]) -> list[int]:
-    g = content(c)
-    if g > 1:
-        return [x // g for x in c]
-    return c
 
 
 def _norm(c: list[int]) -> int:
@@ -135,83 +123,6 @@ def mul(a: list[int], b: list[int]) -> list[int]:
     va = _pack(a, k)
     vb = va if b is a else _pack(b, k)
     return _unpack(va * vb, la + lb - 1, k)
-
-
-def gcd_heu(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]] | None:
-    """GCDHEU on primitive a and b with nonzero constant terms.
-
-    Returns (g, a / g, b / g) with g = gcd(a, b) up to sign, or None when no
-    evaluation point gave a candidate that passes both checks:
-    - g times each cofactor gives the input back exactly;
-    - with c the content of the interpolated gcd, xi > min(|a|, |b|) + c.
-      The cofactors' values at xi then have gcd c, and any common factor d
-      of the cofactors would have |d(xi)| > c (every root of a is below
-      1 + |a| in modulus), so they are coprime and g is the gcd.
-    """
-    na, nb = _norm(a), _norm(b)
-    k = _digit_bytes(2 * max(na, nb) + 2)
-    for _ in range(_HEU_TRIES):
-        va, vb = _pack(a, k), _pack(b, k)
-        h = math.gcd(va, vb)
-        g = _digits(h, k)
-        c = content(g)
-        if g[0] and (1 << 8 * k) > min(na, nb) + c:
-            if len(g) == 1:
-                return [1], a, b
-            g = [x // c for x in g]
-            gv = h // c
-            qa, ra = divmod(va, gv)
-            qb, rb = divmod(vb, gv)
-            if not ra and not rb:
-                ca = _digits(qa, k)
-                cb = _digits(qb, k)
-                if ca and cb and mul(g, ca) == a and mul(g, cb) == b:
-                    return g, ca, cb
-        k *= 2
-    return None
-
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    # repeated single-step pseudo-division; coefficient growth is tamed by
-    # taking primitive parts between gcd iterations
-    r = list(f)
-    lg = g[-1]
-    dg = len(g)
-    while len(r) >= dg:
-        lr = r[-1]
-        if lr == 0:
-            r.pop()
-            continue
-        shift = len(r) - dg
-        r = [lg * x for x in r]
-        for i, cg in enumerate(g):
-            r[i + shift] -= lr * cg
-        _trim(r)
-    return r
-
-
-def gcd_prs(f: list[int], g: list[int]) -> list[int]:
-    """gcd by primitive pseudo-remainder sequence: the fallback of
-    GCDHEU and the reference it is tested against."""
-    a = primitive(_trim(list(f)))
-    b = primitive(_trim(list(g)))
-    if not a:
-        a, b = b, a
-    while b:
-        a, b = b, primitive(_pseudo_rem(a, b))
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return a or [1]
-
-
-def gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(g, a / g, b / g) with g = gcd(a, b) up to sign, for primitive a and
-    b with nonzero constant terms: GCDHEU, and the PRS where it gives up."""
-    reduced = gcd_heu(a, b)
-    if reduced is None:
-        g = gcd_prs(a, b)
-        reduced = g, divexact(a, g), divexact(b, g)
-    return reduced
 
 
 def divexact(f: list[int], g: list[int]) -> list[int]:

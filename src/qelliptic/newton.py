@@ -10,7 +10,10 @@ sequences, and the divided-difference oracle that recovers all of them
 from raw function values.
 
 Engines are generic over a ScalarField, so the same code runs exactly (over
-rational functions of q, or plain rationals) and numerically (complex).
+EXACT_Q, the Laurent polynomials in q, or RATIONAL, the plain rationals)
+and numerically (complex).  Over EXACT_Q every division must be exact: the
+q-number and q-Whitney nodes give Laurent-polynomial results throughout,
+and nodes whose results are rational functions of q belong over RATIONAL.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class ClassicalSequence(ValueSequence):
 
 
 class QNumberSequence(ValueSequence):
-    """a_i = [i]_q over the exact rational-function field."""
+    """a_i = [i]_q, exact Laurent polynomials."""
 
     field = EXACT_Q
 
@@ -344,12 +347,11 @@ def h_explicit_degrees(degrees: Sequence[int], values: Sequence,
     The gap products prod_{i != j} (a_j - a_i) do not depend on n and are
     formed once for all degrees, or passed in as products by a caller that
     formed them (guard included).  Over an exact field their reciprocals
-    are written over one common denominator L, the lcm of the products
+    are written over one common multiple L of the products
     (``ScalarField.reciprocals``), as c_j / L.  The weights c_j a_j^(n+k)
     are carried from degree to degree, so a degree costs one product by a
     power of a_j per node, the ring sum of the weights and one division by
-    L.  Exact results are canonical, so they equal the term-by-term
-    quotients.  A float degree keeps the order a_j^(n+k) / prod_j of a
+    L.  A float degree keeps the order a_j^(n+k) / prod_j of a
     single-degree sum, bit for bit.
     """
     if any(n < 0 for n in degrees):
@@ -473,8 +475,14 @@ def _connection_sum(c0, seq: ValueSequence, n: int, k: int,
                     numerator, denominator):
     """C_{n,k} = c0 sum_j numerator(n, j) / denominator(k, j) over the
     nodes a_0..a_k, and its summands (before the factor c0); the caller
-    guards the nodes first."""
+    guards the nodes first.  Over an exact field the numerators are summed
+    over one common multiple of the denominators and divided once, and no
+    summands are returned."""
     field = seq.field
+    if field.exact:
+        return c0 * field.quotient_sum(
+            [numerator(n, j) for j in range(k + 1)],
+            [denominator(k, j) for j in range(k + 1)]), ()
     terms = [_div_gap_product(field, numerator(n, j), denominator(k, j))
              for j in range(k + 1)]
     total = field.zero

@@ -1,16 +1,19 @@
-"""Exact Laurent-rational arithmetic in the formal variable q.
+"""Exact Laurent-polynomial arithmetic in the formal variable q.
 
 This module is the number system for every q-analogue in the library:
-integer Laurent polynomials, canonical quotients of them, and the elementary
-q-objects (q-numbers, q-factorials, q-binomials) built on top.  Numeric work
-uses plain complex numbers with a fixed zero floor; ScalarField bundles the
-handful of operations the generic engines need so they can run over either
-realization without caring which one they got.
+integer Laurent polynomials, the ring Z[q, 1/q] of exact scalars they
+make (EXACT_Q, whose divisions are exact or raise ArithmeticError), and
+the elementary q-objects (q-numbers, q-factorials, q-binomials) built on
+top.  Arbitrary rational nodes use RATIONAL, the field of fractions.
+Numeric work uses plain complex numbers with a fixed zero floor;
+ScalarField bundles the handful of operations the generic engines need so
+they can run over any realization without caring which one they got.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -179,9 +182,6 @@ class LaurentPoly:
         out[::m] = self._co
         return _poly(self._off * m, out)
 
-    def content(self) -> int:
-        return intpoly.content(self._co)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -261,83 +261,89 @@ class LaurentPoly:
         return cls(coeffs)
 
 
-_POLY_ZERO = LaurentPoly.zero()
-_POLY_ONE = LaurentPoly.one()
+def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """num / den in Z[q, 1/q], or ArithmeticError when den does not divide
+    num.  A monomial c q^e divides by a shift of the offset and, unless
+    c = 1, an integer division of each coefficient; any other divisor by
+    intpoly.divexact, since q^a N / (q^b D) with N(0), D(0) nonzero is a
+    Laurent polynomial exactly when D divides N over Z[q]."""
+    d = den._co
+    if not d:
+        raise ZeroDivisionError("division by exact zero")
+    n = num._co
+    if not n:
+        return num
+    off = num._off - den._off
+    if len(d) > 1:
+        return _poly(off, intpoly.divexact(n, d))
+    c = d[0]
+    if c == 1:
+        return _poly(off, n)
+    if any(x % c for x in n):
+        raise ArithmeticError("inexact polynomial division")
+    return _poly(off, [x // c for x in n])
 
 
 # ---------------------------------------------------------------------------
-# canonical exact scalars
+# exact scalars
 # ---------------------------------------------------------------------------
 
 class ExactScalar:
-    """Canonical quotient of two integer Laurent polynomials.
+    """An element of the ring Z[q, 1/q]: one integer Laurent polynomial.
 
-    Canonical means: numerator and denominator share no polynomial factor and
-    no integer content, and the denominator is an ordinary polynomial whose
-    lowest term has exponent 0 and positive coefficient.  Equality is
-    therefore structural.  A denominator of one is always the shared
-    ``_POLY_ONE``, so the operators test it by identity.
+    Sums, differences and products stay in the ring.  A quotient is formed
+    only where the divisor divides: a monomial divisor shifts, any other
+    divides exactly, and a division that leaves a remainder raises
+    ArithmeticError.  Every exact family entry is a Laurent polynomial in
+    q, so no route needs a rational function; arbitrary rational nodes go
+    through RATIONAL.  Equality is structural.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_lp",)
 
     def __init__(self, num: "LaurentPoly | int", den: "LaurentPoly | int" = 1):
         if isinstance(num, int):
             num = LaurentPoly({0: num})
         if isinstance(den, int):
             den = LaurentPoly({0: den})
-        self._num, self._den = _normalized(num, den)
-
-    @classmethod
-    def _raw(cls, num: LaurentPoly, den: LaurentPoly) -> "ExactScalar":
-        # trusted constructor: inputs already canonical
-        out = cls.__new__(cls)
-        out._num = num
-        out._den = den
-        return out
+        self._lp = _quotient(num, den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int) -> "ExactScalar":
-        return cls._raw(LaurentPoly({0: n}), _POLY_ONE)
+    def from_poly(cls, p: LaurentPoly) -> "ExactScalar":
+        out = cls.__new__(cls)
+        out._lp = p
+        return out
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "ExactScalar":
-        return cls._raw(p, _POLY_ONE)
+    def from_int(cls, n: int) -> "ExactScalar":
+        return cls.from_poly(LaurentPoly({0: n}))
 
     @classmethod
     def q_power(cls, e: int) -> "ExactScalar":
-        return cls._raw(LaurentPoly.monomial(e), _POLY_ONE)
+        return cls.from_poly(LaurentPoly.monomial(e))
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def numerator(self) -> LaurentPoly:
-        return self._num
-
-    @property
-    def denominator(self) -> LaurentPoly:
-        return self._den
+    def poly(self) -> LaurentPoly:
+        return self._lp
 
     @property
     def is_zero(self) -> bool:
-        return self._num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self._den is _POLY_ONE
+        return self._lp.is_zero
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = ExactScalar.from_int(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._lp == other._lp
 
     __hash__ = None  # type: ignore[assignment]
 
-    # -- field operations ----------------------------------------------------
+    # -- ring operations ----------------------------------------------------
 
     @staticmethod
     def _coerce(x: "ExactScalar | int") -> "ExactScalar | None":
@@ -351,13 +357,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den is _POLY_ONE is o._den:
-            return ExactScalar._raw(self._num + o._num, _POLY_ONE)
-        if self._den == o._den:
-            return ExactScalar(self._num + o._num, self._den)
-        return ExactScalar(
-            self._num * o._den + o._num * self._den, self._den * o._den
-        )
+        return ExactScalar.from_poly(self._lp + o._lp)
 
     __radd__ = __add__
 
@@ -365,13 +365,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den is _POLY_ONE is o._den:
-            return ExactScalar._raw(self._num - o._num, _POLY_ONE)
-        if self._den == o._den:
-            return ExactScalar(self._num - o._num, self._den)
-        return ExactScalar(
-            self._num * o._den - o._num * self._den, self._den * o._den
-        )
+        return ExactScalar.from_poly(self._lp - o._lp)
 
     def __rsub__(self, other: "ExactScalar | int") -> "ExactScalar":
         o = self._coerce(other)
@@ -380,15 +374,13 @@ class ExactScalar:
         return o - self
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar._raw(-self._num, self._den)
+        return ExactScalar.from_poly(-self._lp)
 
     def __mul__(self, other: "ExactScalar | int") -> "ExactScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den is _POLY_ONE is o._den:
-            return ExactScalar._raw(self._num * o._num, _POLY_ONE)
-        return ExactScalar(self._num * o._num, self._den * o._den)
+        return ExactScalar.from_poly(self._lp * o._lp)
 
     __rmul__ = __mul__
 
@@ -396,9 +388,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by exact zero")
-        return ExactScalar(self._num * o._den, self._den * o._num)
+        return ExactScalar.from_poly(_quotient(self._lp, o._lp))
 
     def __rtruediv__(self, other: "ExactScalar | int") -> "ExactScalar":
         o = self._coerce(other)
@@ -407,6 +397,7 @@ class ExactScalar:
         return o / self
 
     def __pow__(self, n: int) -> "ExactScalar":
+        # a negative power exists only for the units +-q^e
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -429,70 +420,25 @@ class ExactScalar:
 
     def stretch(self, m: int) -> "ExactScalar":
         """Substitute q -> q^m."""
-        return ExactScalar(self._num.stretch(m), self._den.stretch(m))
+        return ExactScalar.from_poly(self._lp.stretch(m))
 
     def evaluate(self, q: complex) -> complex:
-        return self._num.evaluate(q) / self._den.evaluate(q)
+        return self._lp.evaluate(q)
 
     def evaluate_fraction(self, q: Fraction) -> Fraction:
-        den = self._den.evaluate_fraction(q)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q = {q}")
-        return self._num.evaluate_fraction(q) / den
+        return self._lp.evaluate_fraction(q)
 
     # -- printing and parsing -----------------------------------------------
 
     def __str__(self) -> str:
-        if self._den is _POLY_ONE:
-            return str(self._num)
-        return f"({self._num})/({self._den})"
+        return str(self._lp)
 
     def __repr__(self) -> str:
         return f"ExactScalar({str(self)!r})"
 
-    _QUOT = re.compile(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)")
-
     @classmethod
     def parse(cls, text: str) -> "ExactScalar":
-        s = text.strip()
-        m = cls._QUOT.fullmatch(s)
-        if m:
-            return cls(LaurentPoly.parse(m.group("num")),
-                       LaurentPoly.parse(m.group("den")))
-        return cls(LaurentPoly.parse(s))
-
-
-def _normalized(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """The canonical (numerator, denominator) of num / den: the exact
-    quotient over 1 when den divides num over Z[q], and only otherwise the
-    gcd of their primitive parts."""
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
-        return _POLY_ZERO, _POLY_ONE
-    nd, dd = num._co, den._co
-    if 1 < len(dd) <= len(nd):
-        try:
-            return _poly(num._off - den._off, intpoly.divexact(nd, dd)), _POLY_ONE
-        except ArithmeticError:
-            pass
-    cn, cd = intpoly.content(nd), intpoly.content(dd)
-    c = math.gcd(cn, cd)
-    # a monomial shares no polynomial factor with a polynomial whose
-    # constant term is nonzero, so only the integer content cancels there
-    if len(nd) > 1 and len(dd) > 1:
-        _, pn, pd = intpoly.gcd_cofactors(intpoly.primitive(nd),
-                                          intpoly.primitive(dd))
-        un, ud = cn // c, cd // c
-        nd = [un * x for x in pn] if un > 1 else pn
-        dd = [ud * x for x in pd] if ud > 1 else pd
-    elif c > 1:
-        nd = [x // c for x in nd]
-        dd = [x // c for x in dd]
-    if dd[0] < 0:
-        nd = [-x for x in nd]
-        dd = [-x for x in dd]
-    return _poly(num._off - den._off, nd), _POLY_ONE if dd == [1] else _poly(0, dd)
+        return cls.from_poly(LaurentPoly.parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +470,10 @@ class ScalarField(NamedTuple):
     and the zero test.  `exact` selects the structural versus the
     tolerance-based flavor of the distinctness guards.  An exact field also
     carries `reciprocals`: for nonzero xs it returns (cs, common) with
-    1 / xs[j] == cs[j] / common, where common is the lcm of the xs'
-    numerators and it and every cs[j] have denominator 1, so sums of
-    multiples of the 1 / xs[j] need no normalization until one division
-    by common.
+    1 / xs[j] == cs[j] / common, where common is a common multiple of the
+    xs and it and every cs[j] are ring elements (integers for RATIONAL,
+    Laurent polynomials for EXACT_Q), so a sum of multiples of the
+    1 / xs[j] is a ring sum and one division by common.
     """
 
     name: str
@@ -543,49 +489,50 @@ class ScalarField(NamedTuple):
             raise ZeroDivisionError(f"division by zero-tested scalar in {self.name}")
         return x / y
 
+    def quotient_sum(self, nums: list, dens: list):
+        """sum_j nums[j] / dens[j] over an exact field, as one ring sum of
+        the numerators over a common multiple of the dens (``reciprocals``)
+        and one division; over EXACT_Q the sum must be a Laurent
+        polynomial, though its summands need not be."""
+        cs, common = self.reciprocals(dens)
+        return self.div(sum(map(operator.mul, nums, cs), self.zero), common)
+
 
 def _exact_reciprocals(xs: list) -> tuple[list, ExactScalar]:
     """ScalarField.reciprocals for ExactScalar.
 
-    1 / (q^o P / D) = D q^(-o) / P.  Each P is split into a signed integer
+    1 / (q^o P) = q^(-o) / P.  Each P is split into a signed integer
     content and a primitive part with positive constant term; the common
-    denominator is the lcm of the contents times the lcm of the primitive
-    parts, built one part at a time (a part that divides the lcm so far
-    leaves it as it is, and any other takes a gcd), and each numerator
-    takes the cofactor of its own P in it.
+    multiple is the lcm of the contents times a product of primitive
+    parts, built one part at a time: a part that divides it so far leaves
+    it as it is, and any other is multiplied in.  Each numerator takes the
+    cofactor of its own P in it.
     """
     parts = []
     for x in xs:
-        num = x._num
-        if num.is_zero:
+        co = x._lp._co
+        if not co:
             raise ZeroDivisionError("division by exact zero")
-        co = num._co
         c = intpoly.content(co)
         if co[0] < 0:
             c = -c
-        parts.append((x, c, [v // c for v in co] if c != 1 else co))
+        parts.append((x._lp._off, c, [v // c for v in co] if c != 1 else co))
     common = parts[0][2]
     for _, _, prim in parts[1:]:
         if len(prim) > 1:
             try:
                 intpoly.divexact(common, prim)
             except ArithmeticError:
-                _, _, cofactor = intpoly.gcd_cofactors(common, prim)
-                common = intpoly.mul(common, cofactor)
-    if common[0] < 0:
-        common = [-v for v in common]
+                common = intpoly.mul(common, prim)
     scale = math.lcm(*(c for _, c, _ in parts))
     cs = []
-    for x, c, prim in parts:
+    for off, c, prim in parts:
         cofactor = intpoly.divexact(common, prim) if len(prim) > 1 else common
         u = scale // c
-        cs.append(ExactScalar._raw(
-            _poly(-x._num._off,
-                  intpoly.mul(x._den._co, [u * v for v in cofactor])),
-            _POLY_ONE))
+        cs.append(ExactScalar.from_poly(_poly(-off, [u * v for v in cofactor])))
     if scale > 1:
         common = [scale * v for v in common]
-    return cs, ExactScalar._raw(_poly(0, common), _POLY_ONE)
+    return cs, ExactScalar.from_poly(_poly(0, common))
 
 
 def _fraction_reciprocals(xs: list) -> tuple[list, Fraction]:
@@ -666,8 +613,7 @@ def q_binomial(n: int, k: int) -> ExactScalar:
     if not 0 <= k <= n:
         raise DomainError("q-binomial needs 0 <= k <= n")
     result = q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
-    assert result.is_polynomial
-    assert all(c > 0 for _, c in result.numerator.items())
+    assert all(c > 0 for _, c in result.poly.items())
     return result
 
 

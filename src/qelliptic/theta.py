@@ -680,14 +680,16 @@ def _weight_raw(k, a, b, params: EllipticParams) -> complex:
 
 def _shifted(cache: dict, raw, z, shift: tuple[int, int], params: EllipticParams) -> complex:
     """raw(z, a q^alpha, b q^beta, params) for shift = (alpha, beta), kept
-    in cache; a theta argument that is 0 or not finite is refused by name."""
+    in cache; a theta argument that is 0 or not finite is refused by name.
+    At p = 0 with a != 0 the guards run first, so a b that is 0 meets the
+    division a / b before any theta could refuse it."""
     alpha, beta = shift
     q = params.q
     a = params.a * _checked_power(q, alpha) if alpha else params.a
     b = params.b * _checked_power(q, beta) if beta else params.b
     try:
         value = cache[(alpha, beta, z)] = raw(z, a, b, params)
-    except DomainError:
+    except (DomainError, ZeroDivisionError):
         refusal = _refused_argument(z, a, b, q)
         if refusal is None:
             raise

@@ -41,6 +41,18 @@ def test_eulerian_names_the_module_after_importing_the_package(monkeypatch):
     assert importlib.import_module("qelliptic.eulerian").general_eulerian_rows is None
 
 
+def test_theta_names_the_module_after_importing_the_package(monkeypatch):
+    # the package re-exports the theta layer's records and numbers but not
+    # the function theta(x, p), which would hide the module of the same name
+    import qelliptic
+    from qelliptic import theta
+    assert inspect.ismodule(theta) and theta is qelliptic.theta
+    assert theta.EllipticParams is qelliptic.EllipticParams
+    assert theta.theta(0.5, 0.0) == 0.5
+    monkeypatch.setattr("qelliptic.theta.elliptic_number", None)
+    assert importlib.import_module("qelliptic.theta").elliptic_number is None
+
+
 def _validator_names() -> set[tuple[str, str]]:
     """(module, attribute) for each ``m.name`` in validate.py whose m is a
     library module: ``_module("m")`` itself, or a variable bound to it and
@@ -94,7 +106,10 @@ def test_scalar_fields():
     assert COMPLEX.reciprocals is None and RATIONAL.reciprocals is not None
     assert RATIONAL.from_int(3) == RATIONAL.one * 3 and RATIONAL.zero == 0
     assert RATIONAL.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
-    assert EXACT_Q.div(EXACT_Q.one, EXACT_Q.from_int(2)) == ExactScalar(1, 2)
+    # EXACT_Q is the ring Z[q, 1/q]: a division that leaves a remainder raises
+    assert EXACT_Q.div(EXACT_Q.from_int(6), EXACT_Q.from_int(2)) == ExactScalar(3)
+    with pytest.raises(ArithmeticError):
+        EXACT_Q.div(EXACT_Q.one, EXACT_Q.from_int(2))
     assert COMPLEX.div(1 + 0j, 2j) == -0.5j
     for field, zero in ((RATIONAL, 0), (EXACT_Q, EXACT_Q.zero), (COMPLEX, 1e-13)):
         with pytest.raises(ZeroDivisionError,

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from qelliptic import cli, intpoly, suites
+from qelliptic import cli, suites
 from qelliptic.cli import (
     _DEGENERATE,
     _FAMILIES,
@@ -56,7 +56,7 @@ from qelliptic.newton import (
     h_explicit_scaled,
     h_recurrence,
 )
-from qelliptic.scalars import EXACT_Q, ExactScalar, q_factorial, q_number
+from qelliptic.scalars import EXACT_Q, ExactScalar, q_number
 from qelliptic.suites import run_suite
 from qelliptic.theta import EllipticParams, sample_elliptic_params
 
@@ -839,12 +839,10 @@ def test_qeulerian_engine_table_builds_one_triangle(capsys):
     assert time.perf_counter() - start < 2
 
 
-def test_whitney_explicit_table_is_fast(capsys, monkeypatch):
-    # the Lagrange sum over q-number nodes divides by hundreds of products
-    # of node gaps of degree up to ~100; every quotient is a polynomial, so
-    # exact division settles it and neither gcd runs
-    prs, fallbacks = intpoly.gcd_prs, []
-    monkeypatch.setattr(intpoly, "gcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
+def test_whitney_explicit_table_is_fast(capsys):
+    # the Lagrange sum over q-number nodes sums over a common multiple of
+    # hundreds of products of node gaps of degree up to ~100, and each
+    # column divides once
     start = time.perf_counter()
     code, _, _ = run_cli(
         capsys, "table", "--family", "whitney", "--route", "explicit",
@@ -852,39 +850,6 @@ def test_whitney_explicit_table_is_fast(capsys, monkeypatch):
     )
     assert code == 0
     assert time.perf_counter() - start < 1.5
-    assert fallbacks == []
-
-
-def test_exact_tables_and_checks_take_no_gcd(capsys, monkeypatch):
-    # every quotient the exact tables and checks form is a Laurent
-    # polynomial, which exact division finds, or has a one-term numerator,
-    # whose content is all that cancels: neither takes a gcd
-    cofactors, gcds = intpoly.gcd_cofactors, []
-    monkeypatch.setattr(intpoly, "gcd_cofactors",
-                        lambda a, b: gcds.append(1) or cofactors(a, b))
-    for rows in (stirling2_rows, q_stirling2_rows, r_whitney_eulerian_rows,
-                 q_r_whitney_eulerian_rows):
-        rows.cache_clear()
-    exact = [name for name, family in _FAMILIES.items()
-             if not {"a", "s", "board"} & set(family.flags)]
-    assert len(exact) == 7
-    for name in exact:
-        mrs = [["--m", "1", "--r", "0"], ["--m", "2", "--r", "1"]] \
-            if _FAMILIES[name].flags else [[]]
-        for route in _FAMILIES[name].routes:
-            for mr in mrs:
-                code, _, _ = run_cli(capsys, "table", "--family", name,
-                                     "--route", route, "--n", "6", *mr)
-                assert code == 0
-    for suite in ("h-routes", "worpitzky", "eulerian-routes"):
-        code, _, _ = run_cli(capsys, "check", "--suite", suite, "--trials", "3",
-                             "--seed", "1")
-        assert code == 0
-    assert gcds == []
-    # a quotient that is no polynomial still takes the gcd
-    quotient = q_factorial(4) / q_number(3) ** 2
-    assert str(quotient) == "(1 + 2*q + 2*q^2 + 2*q^3 + q^4)/(1 + q + q^2)"
-    assert len(gcds) == 1
 
 
 @pytest.mark.parametrize("route", ["recurrence", "explicit"])

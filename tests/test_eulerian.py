@@ -35,6 +35,8 @@ from qelliptic.newton import (
     ExplicitSequence,
     QNumberSequence,
     QWhitneySequence,
+    connection_explicit_scaled,
+    connection_recurrence,
 )
 from qelliptic.scalars import (
     COMPLEX,
@@ -115,6 +117,7 @@ def _rational_nodes():
 
 def _q_polynomial_nodes():
     # [i]_q^2 + q^i on [-10, 12], distinct, and no product of gaps collapses
+    # to a Laurent polynomial
     return ExplicitSequence(
         [q_number(i) * q_number(i) + ExactScalar.q_power(i) for i in range(-10, 13)],
         offset=-10, field=EXACT_Q)
@@ -129,14 +132,23 @@ def _q_polynomial_nodes():
     lambda: QWhitneySequence(2, 1),
     lambda: QWhitneySequence(3, 2),
     _rational_nodes,
-    _q_polynomial_nodes,
 ], ids=["classical", "q", "affine-2-1", "affine-3-2", "qwhitney-1-0",
-        "qwhitney-2-1", "qwhitney-3-2", "rational", "q-polynomial"])
+        "qwhitney-2-1", "qwhitney-3-2", "rational"])
 def test_exact_engine_rows_equal_the_per_factor_loop(make):
     # on the named node families P(n, k) collapses to 1 or a power of q,
-    # which a misindexed gap product can reproduce; the last two do not
+    # which a misindexed gap product can reproduce; on the rational nodes
+    # it does not
     for N in range(11):
         assert general_eulerian_rows(make(), N) == _rows_per_factor(make(), N), N
+
+
+def test_exact_q_engine_refuses_nodes_whose_entries_are_not_laurent():
+    # EXACT_Q is a ring: P(n, k) over these nodes is a rational function of
+    # q, so the engine's exact division raises, where RATIONAL nodes work
+    seq = _q_polynomial_nodes()
+    assert general_eulerian_rows(seq, 1) == _rows_per_factor(seq, 1)
+    with pytest.raises(ArithmeticError):
+        general_eulerian_rows(_q_polynomial_nodes(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +347,24 @@ def test_worpitzky_elliptic():
 
 
 def _worpitzky_point(n, seq, z, row):
-    """Both sides at one point, every quotient (z - a_{i-k}) / gap formed
-    at the point: the reference loop for worpitzky_check."""
+    """Both sides at one point, every product (z - a_{i-k}) formed at the
+    point: the reference loop for worpitzky_check.  A float summand forms
+    each quotient (z - a_{i-k}) / gap.  An exact one need not be a ring
+    element, so both sides are multiplied through by the common multiple
+    of the columns' gap products, as worpitzky_check's are, and no
+    summands are returned."""
     field = seq.field
+    if field.exact:
+        gaps = [math.prod((seq[n - k + 1] - seq[i - k] for i in range(1, n + 1)),
+                          start=field.one) for k in range(n + 1)]
+        cs, common = field.reciprocals(gaps)
+        rhs = field.zero
+        for k in range(n + 1):
+            factor = row[k] * cs[k]
+            for i in range(1, n + 1):
+                factor = factor * (z - seq[i - k])
+            rhs = rhs + factor
+        return z ** n * common, rhs, ()
     terms = []
     for k in range(n + 1):
         factor = row[k]
@@ -355,24 +382,26 @@ def _worpitzky_point(n, seq, z, row):
 @pytest.mark.parametrize("factory", EXACT_SEQS)
 def test_worpitzky_check_equals_the_per_point_loop_exact(factory):
     seq = factory()
-    off_nodes = ([Fraction(1, 2), Fraction(-7, 3)] if seq.field is RATIONAL
-                 else [q_number(5) / q_number(3)])
     for n in range(9):
         row = general_eulerian_rows(seq, n)[n]
-        points = [seq[zi] for zi in range(-2, n + 4)] + off_nodes
+        points = [seq[zi] for zi in range(-2, n + 4)] + _off_nodes(seq)
         got = worpitzky_check(n, seq, points, row=row)
         assert len(got) == len(points)
-        for z, (lhs, rhs, terms) in zip(points, got):
-            # exact summands are not returned
-            assert (lhs, rhs) == _worpitzky_point(n, seq, z, row)[:2], (n, z)
-            assert terms == ()
+        # exact summands are not returned
+        assert got == [_worpitzky_point(n, seq, z, row) for z in points], n
+        # and with one entry off, the sides move with the loop's
+        wrong = list(row)
+        wrong[n // 2] = wrong[n // 2] + 1
+        assert (worpitzky_check(n, seq, points, row=wrong)
+                == [_worpitzky_point(n, seq, z, wrong) for z in points]), n
 
 
 def _off_nodes(seq):
-    """Points off the node set of an exact sequence, polynomial or not."""
+    """Points off the node set of an exact sequence."""
     if seq.field is RATIONAL:
         return [Fraction(1, 2), Fraction(-7, 3)]
-    return [q_number(5) / q_number(3), ExactScalar(1, 2), ExactScalar.from_int(-7)]
+    return [q_number(5) * q_number(3), ExactScalar.parse("3*q^-2 + q"),
+            ExactScalar.from_int(-7)]
 
 
 @pytest.mark.parametrize("factory", EXACT_SEQS)
@@ -392,28 +421,27 @@ def test_worpitzky_check_finds_a_row_entry_off_by_one(factory):
 
 
 @pytest.mark.parametrize("factory", [f for f in EXACT_SEQS if f().field is EXACT_Q])
-def test_worpitzky_check_normalizes_once_per_point(factory, monkeypatch):
-    # at polynomial points, as the suite takes them: one division by the
-    # common denominator per point, and none for the columns, whose
-    # reciprocals share it and need no gcd
+def test_worpitzky_check_divides_nowhere(factory, monkeypatch):
+    # both sides come multiplied through by the columns' common multiple,
+    # so no exact quotient is formed, at the nodes or off them, and with a
+    # wrong row too
     scalars_module = importlib.import_module("qelliptic.scalars")
-    calls = []
-    normalized = scalars_module._normalized
+    quotient, calls = scalars_module._quotient, []
 
     def counting(num, den):
         calls.append(1)
-        return normalized(num, den)
+        return quotient(num, den)
 
     seq = factory()
     for n in range(7):
         row = general_eulerian_rows(seq, n)[n]
-        points = [seq[zi] for zi in range(-2, n + 4)] + [ExactScalar.from_int(-7)]
-        worpitzky_check(n, seq, points, row=row)  # the nodes' own caches
-        monkeypatch.setattr(scalars_module, "_normalized", counting)
-        del calls[:]
+        wrong = row[:-1] + [row[-1] + 1]
+        points = [seq[zi] for zi in range(-2, n + 4)] + _off_nodes(seq)
+        monkeypatch.setattr(scalars_module, "_quotient", counting)
         worpitzky_check(n, seq, points, row=row)
-        monkeypatch.setattr(scalars_module, "_normalized", normalized)
-        assert len(calls) <= len(points) + n + 1, (n, len(calls))
+        worpitzky_check(n, seq, points, row=wrong)
+        monkeypatch.setattr(scalars_module, "_quotient", quotient)
+        assert calls == [], n
 
 
 def _bits(values):
@@ -443,6 +471,24 @@ def test_lagrange_delta_exact():
                     got = lagrange_delta(n, k, l, seq)
                     want = field.one if k == l else field.zero
                     assert got == want
+
+
+@pytest.mark.parametrize("make", [QNumberSequence, lambda: QWhitneySequence(2, 1)],
+                         ids=["q", "qwhitney-2-1"])
+def test_exact_lagrange_sums_divide_once_and_equal_the_engine(make):
+    # each sum's summands are rational functions of q; over one common
+    # multiple of their denominators the sum divides exactly
+    seq = make()
+    rows = general_eulerian_rows(seq, 6)
+    cs = [seq[-i] for i in range(6)]
+    connection = connection_recurrence(EXACT_Q.one, cs, seq)
+    for n in range(7):
+        for k in range(n + 1):
+            assert general_eulerian_scaled(n, k, seq) == (rows[n][k], 1.0), (n, k)
+            assert connection_explicit_scaled(EXACT_Q.one, cs, seq, n, k) == (
+                connection[n][k], 1.0), (n, k)
+            for l in range(k + 1):
+                assert lagrange_delta(n, k, l, seq) == (1 if l == k else 0), (n, k, l)
 
 
 def test_lagrange_delta_elliptic():

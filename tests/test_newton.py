@@ -197,23 +197,33 @@ def test_h_routes_agree_elliptic():
 
 def lagrange_per_entry(n, values, field):
     """h_explicit_scaled for one degree as it was before degree lists:
-    every term its own quotient a_j^(n+k) / prod_{i != j} (a_j - a_i)."""
+    every term a_j^(n+k) / prod_{i != j} (a_j - a_i) formed for its own.
+    An exact term need not be a ring element, so over an exact field each
+    is written over one common multiple of the products, and the sum is
+    divided once."""
     k = len(values) - 1
     if k < 0:
         return (field.one if n == 0 else field.zero), 1.0
     if k == 0:
         v = values[0] ** n
         return v, (1.0 if field.exact else max(1.0, abs(v)))
-    total = field.zero
-    scale = 1.0
+    denoms = []
     for j, aj in enumerate(values):
         denom = field.one
         for i, ai in enumerate(values):
             if i != j:
                 denom = denom * (aj - ai)
+        denoms.append(denom)
+    total = field.zero
+    if field.exact:
+        cs, common = field.reciprocals(denoms)
+        for aj, c in zip(values, cs):
+            total = total + aj ** (n + k) * c
+        return field.div(total, common), 1.0
+    scale = 1.0
+    for aj, denom in zip(values, denoms):
         term = field.div(aj ** (n + k), denom)
-        if not field.exact:
-            scale = max(scale, abs(term))
+        scale = max(scale, abs(term))
         total = total + term
     return total, scale
 
@@ -383,16 +393,24 @@ def test_grown_gap_products_equal_fresh_ones(seq):
 
 
 def test_newton_oracle_reconstructs():
-    # coefficients recovered from values must rebuild the function
+    # coefficients recovered from values must rebuild the function: values
+    # of a polynomial with integer coefficients, whose divided differences
+    # over q-numbers are Laurent polynomials
     seq = QNumberSequence()
     rng = random.Random(2)
-    fvals = [ExactScalar.from_int(rng.randint(-9, 9)) for _ in range(6)]
+    poly = [rng.randint(-9, 9) for _ in range(6)]
+    fvals = [sum((c * seq[m] ** e for e, c in enumerate(poly)), EXACT_Q.zero)
+             for m in range(6)]
     coeffs = newton_oracle_scaled(fvals, seq, 5)[0]
     for m in range(6):
         acc = EXACT_Q.zero
         for k in range(6):
             acc = acc + coeffs[k] * falling_factorial(seq[m], seq, k)
         assert acc == fvals[m]
+    # arbitrary values have divided differences that are rational
+    # functions of q, which EXACT_Q does not hold
+    with pytest.raises(ArithmeticError):
+        newton_oracle_scaled([ExactScalar.from_int(v) for v in (0, 0, 0, 1)], seq, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,8 @@ coeff_dicts = st.dictionaries(
 
 
 def random_exact(rng: random.Random) -> ExactScalar:
-    def poly():
-        return LaurentPoly(
-            {rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))}
-        )
-
-    den = poly()
-    while den.is_zero:
-        den = poly()
-    return ExactScalar(poly(), den)
+    return ExactScalar.from_poly(LaurentPoly(
+        {rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))}))
 
 
 # -- Laurent polynomial ring ----------------------------------------------
@@ -142,44 +135,61 @@ def test_shared_coefficient_lists_never_change():
     )
 
 
-# -- canonical quotients ----------------------------------------------------
+# -- the ring Z[q, 1/q] -----------------------------------------------------
 
 
-def test_a_denominator_of_one_is_the_shared_one():
-    # the operators test a denominator of one by identity
-    from qelliptic.scalars import _POLY_ONE
-
+def test_quotients_that_divide_are_ring_elements():
+    # a monomial divisor shifts and divides the content; any other divides
+    # exactly
     q = LaurentPoly.var()
-    x = ExactScalar(q * q - LaurentPoly.one(), q - LaurentPoly.one())
-    cases = [ExactScalar(4, 2), ExactScalar(LaurentPoly({1: 6}), LaurentPoly({3: 3})),
-             ExactScalar.parse("(2*q^2)/(q)"), q_factorial(4) / q_number(4),
-             x ** -1 * x, x ** 3, (x - 1) / (x - 1),
-             ExactScalar(1, 2) + ExactScalar(1, 2), (x ** -1) ** -2]
-    for value in cases:
-        assert value.is_polynomial and value.denominator is _POLY_ONE, value
-    assert not (x ** -1).is_polynomial
+    one = LaurentPoly.one()
+    x = ExactScalar(q * q - one, q - one)
+    assert str(x) == "1 + q"
+    cases = [
+        (ExactScalar(4, 2), "2"),
+        (ExactScalar(LaurentPoly({1: 6}), LaurentPoly({3: 3})), "2*q^-2"),
+        (ExactScalar(LaurentPoly({1: 6, 2: -3}), LaurentPoly({-1: -3})), "-2*q^2 + q^3"),
+        (ExactScalar(q * q - one, q * q * q - q), "q^-1"),
+        (ExactScalar.parse("2*q^2") / ExactScalar.parse("q"), "2*q"),
+        (q_factorial(4) / q_number(4), str(q_factorial(3))),
+        ((x - 1) / (x - 1), "1"),
+        (x ** 3 / x, "1 + 2*q + q^2"),
+        (ExactScalar.q_power(3) ** -2, "q^-6"),
+        ((-ExactScalar.q_power(-1)) ** -3, "-q^3"),
+        (EXACT_Q.zero / x, "0"),
+    ]
+    for value, text in cases:
+        assert str(value) == text
+
+
+def test_inexact_division_raises():
+    x = ExactScalar.from_poly(LaurentPoly({0: 1, 1: 1}))
+    for divide in (
+        lambda: ExactScalar(1, 2),
+        lambda: EXACT_Q.div(EXACT_Q.one, EXACT_Q.from_int(2)),
+        lambda: q_number(5) / q_number(3),
+        lambda: ExactScalar(LaurentPoly({0: 3, 1: 6}), LaurentPoly({2: 2})),
+        lambda: x * x / (x + 1),
+        lambda: x / (x * x),
+        lambda: 1 / x,
+        lambda: x ** -1,
+        lambda: ExactScalar(2) ** -1,
+    ):
+        with pytest.raises(ArithmeticError):
+            divide()
+    # and no quotient of two polynomials prints or parses
+    with pytest.raises(ValueError):
+        ExactScalar.parse("(1 + q)/(q)")
 
 
 def test_powers_start_from_the_base():
-    x = ExactScalar(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: 3}))
+    x = ExactScalar.from_poly(LaurentPoly({0: 1, 1: 1, 3: -2}))
+    unit = ExactScalar.from_poly(LaurentPoly({2: -1}))
     assert x ** 1 is x
     reference = ExactScalar.from_int(1)
     for n in range(9):
-        assert x ** n == reference and (x ** -n) * reference == 1
+        assert x ** n == reference and (unit ** -n) * unit ** n == 1
         reference = reference * x
-
-
-def test_normalization_examples():
-    q = LaurentPoly.var()
-    one = LaurentPoly.one()
-    # (q^2 - 1) / (q^3 - q) reduces to (q + 1) / (q^2 + ... )? compute both ways
-    x = ExactScalar(q * q - one, q * q * q - q)
-    y = ExactScalar(one, q)
-    assert x == y
-    assert str(x) == "q^-1"
-    # denominator sign gets normalized
-    z = ExactScalar(one, LaurentPoly({0: -2}))
-    assert str(z) == "(-1)/(2)"
 
 
 def test_exact_scalar_roundtrip_strings():
@@ -189,7 +199,7 @@ def test_exact_scalar_roundtrip_strings():
         assert ExactScalar.parse(str(x)) == x
 
 
-def test_exact_field_axioms():
+def test_exact_ring_axioms():
     rng = random.Random(3)
     for _ in range(25):
         a, b, c = (random_exact(rng) for _ in range(3))
@@ -200,9 +210,9 @@ def test_exact_field_axioms():
         assert a * (b + c) == a * b + a * c
         assert a + 0 == a
         assert a * 1 == a
-        if not a.is_zero:
-            assert a / a == ExactScalar.from_int(1)
-            assert a * a ** -1 == ExactScalar.from_int(1)
+        if not b.is_zero:
+            assert a * b / b == a
+            assert b / b == ExactScalar.from_int(1)
 
 
 def test_division_by_zero_rejected():
@@ -235,42 +245,22 @@ def _dense(rng: random.Random, length: int, bits: int) -> list[int]:
 
 def planted_quotient(rng: random.Random) -> tuple[LaurentPoly, LaurentPoly]:
     """f g / (h g) with a random common factor g, integer contents that share
-    a factor, and offsets on both sides."""
+    a factor, and offsets on both sides; h is a constant half of the time,
+    so that some quotients are Laurent polynomials and some are not."""
     def part():
         return _dense(rng, rng.randint(1, 12), rng.choice([1, 3, 10, 40]))
 
     f, g, h = part(), part(), part()
+    if rng.random() < 0.5:
+        h = [rng.choice([1, -1])]
     if rng.random() < 0.3:
         g = intpoly.mul(g, [1, -1])
     shared = rng.choice([1, 2, 6])
-    num = [shared * rng.randint(1, 3) * x for x in intpoly.mul(f, g)]
-    den = [shared * rng.randint(1, 3) * x for x in intpoly.mul(h, g)]
+    top, bottom = shared * rng.randint(1, 3), shared * rng.randint(1, 3)
+    num = [top * x for x in intpoly.mul(f, g)]
+    den = [bottom * x for x in intpoly.mul(h, g)]
     return (LaurentPoly.from_dense(rng.randint(-6, 6), num),
             LaurentPoly.from_dense(rng.randint(-6, 6), den))
-
-
-def test_gcd_heuristic_matches_prs():
-    rng = random.Random(4)
-    for _ in range(200):
-        num, den = planted_quotient(rng)
-        a = intpoly.primitive(num.as_dense()[1])
-        b = intpoly.primitive(den.as_dense()[1])
-        if len(a) == 1 or len(b) == 1:
-            continue
-        g, ca, cb = intpoly.gcd_heu(a, b)
-        assert g in (intpoly.gcd_prs(a, b), [-x for x in intpoly.gcd_prs(a, b)])
-        assert intpoly.mul(g, ca) == a and intpoly.mul(g, cb) == b
-
-
-def test_prs_fallback_gives_the_same_canonical_form(monkeypatch):
-    rng = random.Random(8)
-    cases = [planted_quotient(rng) for _ in range(80)]
-    heuristic = [str(ExactScalar(num, den)) for num, den in cases]
-    prs, fallbacks = intpoly.gcd_prs, []
-    monkeypatch.setattr(intpoly, "gcd_heu", lambda a, b: None)
-    monkeypatch.setattr(intpoly, "gcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
-    assert [str(ExactScalar(num, den)) for num, den in cases] == heuristic
-    assert len(fallbacks) > 40
 
 
 def test_divexact_inverts_mul():
@@ -333,74 +323,54 @@ def planted_exact_quotient(rng: random.Random) -> tuple[LaurentPoly, LaurentPoly
             LaurentPoly.from_dense(rng.randint(-6, 6), den))
 
 
-def test_exact_quotients_take_no_gcd(monkeypatch):
+def test_exact_quotients_multiply_back():
     rng = random.Random(32)
-    cases = [planted_exact_quotient(rng) for _ in range(100)]
-    cofactors, gcds = intpoly.gcd_cofactors, []
-    monkeypatch.setattr(intpoly, "gcd_cofactors",
-                        lambda a, b: gcds.append(1) or cofactors(a, b))
-    fast = [ExactScalar(num, den) for num, den in cases]
-    assert gcds == [] and all(x.is_polynomial for x in fast)
-
-    def inexact(f, g):
-        raise ArithmeticError("exact division patched out")
-
-    monkeypatch.setattr(intpoly, "divexact", inexact)
-    assert [ExactScalar(num, den) for num, den in cases] == fast
-    assert len(gcds) == len(cases)
-
-
-def _lcm_by_prs(polys: list[list[int]]) -> list[int]:
-    """The lcm of dense polynomials with nonzero constant terms: the lcm of
-    their contents times the lcm of their primitive parts, each step
-    through the pseudo-remainder gcd; positive constant term."""
-    lcm = [1]
-    for p in polys:
-        prim = intpoly.primitive(p)
-        lcm = intpoly.divexact(intpoly.mul(lcm, prim), intpoly.gcd_prs(lcm, prim))
-    if lcm[0] < 0:
-        lcm = [-x for x in lcm]
-    content = math.lcm(*(intpoly.content(p) for p in polys))
-    return [content * x for x in lcm]
+    for num, den in (planted_exact_quotient(rng) for _ in range(100)):
+        x = ExactScalar(num, den)
+        assert x * ExactScalar.from_poly(den) == ExactScalar.from_poly(num)
 
 
 def reciprocal_cases(rng: random.Random) -> list[list[ExactScalar]]:
-    """Lists of canonical quotients whose numerators share a factor and
-    integer content, with signs, offsets and denominators of their own."""
+    """Lists of Laurent polynomials that share a factor and integer content,
+    with signs and offsets of their own; in the first half of the lists the
+    first entry is a multiple of every other."""
     cases = []
-    for _ in range(60):
+    for case in range(60):
         shared = _dense(rng, rng.randint(1, 5), rng.choice([1, 3]))
         content = rng.choice([1, 2, 6, 12])
-        xs = []
+        polys = []
         for _ in range(rng.randint(1, 6)):
-            num = intpoly.mul(_dense(rng, rng.randint(1, 6), rng.choice([1, 3, 10])),
-                              shared if rng.random() < 0.7 else [1])
-            num = [content * rng.choice([1, -1, 2, 3]) * x for x in num]
-            den = _dense(rng, rng.randint(1, 4), 3)
-            xs.append(ExactScalar(LaurentPoly.from_dense(rng.randint(-5, 5), num),
-                                  LaurentPoly.from_dense(0, den)))
-        cases.append(xs)
+            poly = intpoly.mul(_dense(rng, rng.randint(1, 6), rng.choice([1, 3, 10])),
+                               shared if rng.random() < 0.7 else [1])
+            polys.append([content * rng.choice([1, -1, 2, 3]) * x for x in poly])
+        if case < 30:
+            for poly in polys[1:]:
+                polys[0] = intpoly.mul(polys[0], poly)
+        cases.append([ExactScalar.from_poly(LaurentPoly.from_dense(rng.randint(-5, 5), poly))
+                      for poly in polys])
     return cases
 
 
-def test_exact_reciprocals_share_the_lcm_of_the_numerators():
+def _primitive(x: ExactScalar) -> list[int]:
+    # the coefficients over their content, with a positive constant term
+    co = x.poly.as_dense()[1]
+    c = math.gcd(*co) * (1 if co[0] > 0 else -1)
+    return [v // c for v in co]
+
+
+def test_exact_reciprocals_share_a_common_multiple():
     rng = random.Random(12)
-    for xs in reciprocal_cases(rng):
+    for case, xs in enumerate(reciprocal_cases(rng)):
         cs, common = EXACT_Q.reciprocals(xs)
-        want = _lcm_by_prs([x.numerator.as_dense()[1] for x in xs])
-        assert common == ExactScalar.from_poly(LaurentPoly.from_dense(0, want))
         assert len(cs) == len(xs)
+        # every part divides common, with a ring element as its cofactor
         for x, c in zip(xs, cs):
-            assert c.is_polynomial
-            assert c / common == 1 / x
-
-
-def test_exact_reciprocals_through_the_prs_fallback(monkeypatch):
-    rng = random.Random(13)
-    cases = reciprocal_cases(rng)
-    heuristic = [EXACT_Q.reciprocals(xs) for xs in cases]
-    monkeypatch.setattr(intpoly, "gcd_heu", lambda a, b: None)
-    assert [EXACT_Q.reciprocals(xs) for xs in cases] == heuristic
+            assert c * x == common
+        # a first part that is a multiple of the others is the whole common
+        # multiple but for the lcm of the contents
+        if case < 30:
+            contents = math.lcm(*(math.gcd(*x.poly.as_dense()[1]) for x in xs))
+            assert common.poly.as_dense() == (0, [contents * v for v in _primitive(xs[0])])
 
 
 def test_rational_reciprocals_share_the_lcm_of_the_numerators():
@@ -423,6 +393,9 @@ def test_reciprocals_refuse_zero():
 
 
 def test_normalization_matches_sympy_cancel():
+    # sympy's reduced quotient is the reference: where its denominator is
+    # a monomial c q^e and c divides every numerator coefficient, the
+    # quotient is that Laurent polynomial, and otherwise it raises
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
 
@@ -431,39 +404,26 @@ def test_normalization_matches_sympy_cancel():
         return {e: Fraction(int(c.p), int(c.q)) for (e,), c in poly.terms()}
 
     rng = random.Random(13)
+    exact = inexact = 0
     for _ in range(40):
         num, den = planted_quotient(rng)
-        x = ExactScalar(num, den)
         top, bottom = sympy.fraction(sympy.cancel(
             sum(c * q**e for e, c in num.items())
             / sum(c * q**e for e, c in den.items())
         ))
         top, bottom = rational_coeffs(top), rational_coeffs(bottom)
-        # to the canonical convention: integer coefficients without common
-        # content, a denominator with positive nonzero constant term
-        both = list(top.values()) + list(bottom.values())
-        scale = math.lcm(*(c.denominator for c in both))
-        content = math.gcd(*(int(c * scale) for c in both))
-        low = min(bottom)
-        sign = 1 if bottom[low] > 0 else -1
-        want_num = {e - low: sign * int(c * scale) // content for e, c in top.items()}
-        want_den = {e - low: sign * int(c * scale) // content for e, c in bottom.items()}
-        assert x.numerator == LaurentPoly(want_num)
-        assert x.denominator == LaurentPoly(want_den)
-
-
-def test_equal_denominators_add_over_the_shared_one():
-    rng = random.Random(6)
-    for _ in range(40):
-        x = random_exact(rng)
-        y = x + ExactScalar.from_poly(LaurentPoly.from_dense(rng.randint(-3, 3), _dense(rng, 4, 5)))
-        assert y.denominator == x.denominator
-        num_x = x.numerator * y.denominator
-        num_y = y.numerator * x.denominator
-        den = x.denominator * y.denominator
-        assert x + y == ExactScalar(num_x + num_y, den)
-        assert x - y == ExactScalar(num_x - num_y, den)
-        assert y - y == 0
+        if len(bottom) == 1:
+            (low, c), = bottom.items()
+            want = {e - low: v / c for e, v in top.items()}
+            if all(v.denominator == 1 for v in want.values()):
+                exact += 1
+                assert ExactScalar(num, den).poly == LaurentPoly(
+                    {e: int(v) for e, v in want.items()})
+                continue
+        inexact += 1
+        with pytest.raises(ArithmeticError):
+            ExactScalar(num, den)
+    assert exact > 5 and inexact > 5
 
 
 # -- q-objects ---------------------------------------------------------------
@@ -505,8 +465,7 @@ def test_q_binomial_symmetry_and_pascal():
         for k in range(n + 1):
             b = q_binomial(n, k)
             assert b == q_binomial(n, n - k)
-            assert b.is_polynomial
-            assert all(c > 0 for _, c in b.numerator.items())
+            assert all(c > 0 for _, c in b.poly.items())
             if 0 < k < n:
                 qk = ExactScalar.q_power(k)
                 qnk = ExactScalar.q_power(n - k)

@@ -248,9 +248,7 @@ def test_no_family_draws_both_elliptic_and_st_parameters():
 
 
 def _count_theta(monkeypatch):
-    """A list that grows by one per theta value evaluated from now on; the
-    package attribute ``qelliptic.theta`` is the function, so the module
-    comes from ``sys.modules``."""
+    """A list that grows by one per theta value evaluated from now on."""
     return _count_calls(monkeypatch, sys.modules["qelliptic.theta"], "theta")
 
 

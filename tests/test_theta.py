@@ -823,10 +823,13 @@ def test_theta_argument_underflow_is_a_named_degeneracy():
     assert EllipticParams(a=0.5, b=0.6, q=0.7, p=0.2).window_refusal(-8, 10) is None
 
 
-def test_a_shifted_b_that_underflows_is_named():
+@pytest.mark.parametrize("p", [0.2, 0])
+def test_a_shifted_b_that_underflows_is_named(p):
     # b q^3 = 1e-330 is 0 at base shift (0, 3): theta(b q) refuses it before
-    # the numerator divides by b, for the number and the weight alike
-    params = EllipticParams(a=0.5, b=1e-300, q=1e-10, p=0.2)
+    # the numerator divides by b, for the number and the weight alike; at
+    # p = 0 the guards come first, and their division a q^z / b by the
+    # shifted b = 0 is refused under the same name
+    params = EllipticParams(a=0.5, b=1e-300, q=1e-10, p=p)
     message = (r"theta argument b q at z = 0 underflows to 0, outside double "
                r"range \(base shift \(0, 3\)\)")
     for entry in (elliptic_number_shifted, elliptic_weight_shifted):
