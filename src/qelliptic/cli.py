@@ -3,7 +3,12 @@
 Three subcommands.  ``table`` emits one family's triangle as JSON, CSV
 or aligned text; ``check`` runs the seeded invariant suites; and
 ``degenerate`` walks one family down its closed-form degeneration chain
-and reports the deviation against the exact analogue.
+and reports the deviation against the exact analogue.  The ``table``
+flags are declared once, in ``_TABLE_FLAGS``: ``_parse_table`` reads an
+argv of distinct exact ``--flag value`` pairs from it into the Namespace
+argparse would return, without building the parser, and every other
+argv goes to the parser built from the same table, which alone refuses,
+helps and exits 2.
 
 Output is a pure function of the parsed configuration: elliptic
 parameters left off the command line are drawn by the seeded sampling
@@ -175,6 +180,32 @@ def _parse_board(text: str) -> FerrersBoard:
             f"expects comma-separated integers, got {text!r}") from None
 
 
+class _Flag(NamedTuple):
+    """One ``table`` flag: its converter, default, help text and choices."""
+
+    convert: Callable
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# the table flags in help order, read by _build_parser and _parse_table
+_TABLE_FLAGS = {
+    "family": _Flag(str, choices=tuple(sorted(_FAMILIES))),
+    "n": _Flag(int, help="largest row index; rook refuses it and takes "
+                         "the row from --board"),
+    **dict.fromkeys(_MR, _Flag(int)),
+    "board": _Flag(_parse_board,
+                   help="comma-separated column heights, e.g. 1,2,2"),
+    **{flag: _Flag(_parse_complex,
+                   help=f"{flag} as re or re,im; sampled when omitted")
+       for flag in _ELLIPTIC + _ST},
+    "seed": _Flag(int, 0),
+    "route": _Flag(str, help="computation route; family default when omitted"),
+    "format": _Flag(str, "json", choices=("json", "csv", "pretty")),
+}
+
+
 def _fmt_numeric(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
@@ -248,24 +279,21 @@ def _document(args) -> dict:
 _json_leaf = json.JSONEncoder(allow_nan=False).encode
 
 
-def _json_value(value, indent: str) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a
-    value nested at ``indent``: float leaves (the echoed parameters, all
-    finite) by float.__repr__, the rest through the json encoder."""
-    step = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [f"{_json_leaf(key)}: {_json_value(value[key], step)}"
-                 for key in sorted(value)]
-        opening, closing = "{", "}"
-    elif isinstance(value, list) and value:
-        items = [_json_value(item, step) for item in value]
-        opening, closing = "[", "]"
-    elif isinstance(value, float):
-        return float.__repr__(value)
-    else:
-        return _json_leaf(value)
-    return (f"{opening}\n{step}" + f",\n{step}".join(items)
-            + f"\n{indent}{closing}")
+def _json_params(echo: dict) -> str:
+    """The echo as ``json.dumps`` nests it in ``_json_document``: a route,
+    ints, the board's ints, and {"re", "im"} pairs by float.__repr__."""
+    items = []
+    for key in sorted(echo):
+        value = echo[key]
+        if isinstance(value, dict):
+            value = (f'{{\n      "im": {value["im"]!r},\n'
+                     f'      "re": {value["re"]!r}\n    }}')
+        elif isinstance(value, list):
+            value = "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
+        elif isinstance(value, str):
+            value = _json_leaf(value)
+        items.append(f'    "{key}": {value}')
+    return "{\n" + ",\n".join(items) + "\n  }"
 
 
 def _json_row(n: int, k: int, value) -> str:
@@ -288,7 +316,7 @@ def _json_document(doc: dict) -> str:
     if doc["rows"]:
         rows = "[\n" + ",\n".join(starmap(_json_row, doc["rows"])) + "\n  ]"
     return ('{\n  "family": ' + _json_leaf(doc["family"])
-            + ',\n  "params": ' + _json_value(doc["params"], "  ")
+            + ',\n  "params": ' + _json_params(doc["params"])
             + ',\n  "rows": ' + rows
             + ',\n  "schema_version": ' + _json_leaf(doc["schema_version"])
             + "\n}\n")
@@ -510,24 +538,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="emit one family's triangle")
-    table.add_argument("--family", required=True, choices=sorted(_FAMILIES))
-    table.add_argument("--n", type=int, default=None,
-                       help="largest row index; rook refuses it and takes "
-                            "the row from --board")
-    table.add_argument("--m", type=int, default=None)
-    table.add_argument("--r", type=int, default=None)
-    table.add_argument("--board", type=_parse_board, default=None,
-                       help="comma-separated column heights, e.g. 1,2,2")
-    for flag in _ELLIPTIC + _ST:
-        table.add_argument(
-            f"--{flag}", type=_parse_complex, default=None,
-            help=f"{flag} as re or re,im; sampled when omitted",
-        )
-    table.add_argument("--seed", type=int, default=0)
-    table.add_argument("--route", default=None,
-                       help="computation route; family default when omitted")
-    table.add_argument("--format", default="json",
-                       choices=("json", "csv", "pretty"))
+    for dest, flag in _TABLE_FLAGS.items():
+        table.add_argument(f"--{dest}", type=flag.convert, default=flag.default,
+                           help=flag.help, choices=flag.choices,
+                           required=dest == "family")
     table.set_defaults(func=cmd_table)
 
     check = sub.add_parser("check", help="run seeded invariant suites")
@@ -553,8 +567,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_table(argv) -> argparse.Namespace | None:
+    """``_build_parser().parse_args(argv)`` for ``table`` and distinct exact
+    ``--flag value`` pairs whose values are non-empty, start with no "-"
+    and convert, to a choice where the flag has them; else None."""
+    if len(argv) % 2 == 0 or argv[0] != "table":
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2 or "--family" not in given:
+        return None
+    values = {dest: flag.default for dest, flag in _TABLE_FLAGS.items()}
+    for option, text in given.items():
+        dest = option[2:] if option[:2] == "--" else None
+        flag = _TABLE_FLAGS.get(dest)
+        if flag is None or not text or text[0] == "-":
+            return None
+        try:  # argparse catches the same, and writes its own message
+            values[dest] = value = flag.convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+    return argparse.Namespace(command="table", **values, func=cmd_table)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_table(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -628,8 +628,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
     default_tol, default_trials, checks = _SUITES[name]
     if trials is None:
         trials = default_trials
-    if trials < 0:
-        raise DomainError("trials must be >= 0")
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     if trials > _MAX_TRIALS:
         raise DomainError(f"trials must be <= {_MAX_TRIALS}")
     if tol is None:

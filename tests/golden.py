@@ -17,7 +17,9 @@ from ``perfbench/workloads.py``), ``check --suite all --trials 25`` at
 seeds 1-5 and at a tolerance below double error, the three
 ``degenerate`` chains, every exact family and route at a few n and
 (m, r), an edge pack of elliptic parameters on every numeric route, a few
-configuration edges, and some ``--format csv`` and ``pretty`` documents.
+configuration edges, some ``--format csv`` and ``pretty`` documents, and
+a pack of ``table`` argv that only the argument parser reads.  Help text
+wraps at the terminal width, so every command runs at 80 columns.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 from qelliptic.cli import _DEGENERATE, _FAMILIES, main
 
@@ -65,7 +69,7 @@ FIXED = (
     ("table", "--family", "rook", "--board", "1,2,3", "--seed", "1", "--p=0.9"),
 )
 # configuration edges: refusals of the parser and of the library, and the
-# defaults that stand in for an omitted --m, --r or a zero --trials
+# defaults that stand in for an omitted --m or --r
 CONFIGS = (
     ("table", "--family", "qstirling", "--n", "-1"),
     ("table", "--family", "stirling", "--n", "3", "--a", "1"),
@@ -78,6 +82,24 @@ CONFIGS = (
     ("check", "--suite", "all", "--tol", "inf"),
     ("check", "--suite", "theta", "--trials", "0"),
     ("degenerate", "--family", "lah", "--n", "99"),
+)
+# table argv outside the exact "--flag value" form, which the argument
+# parser reads: = forms, an abbreviation, a repeat, values that start with
+# "-", an unknown flag, a missing or valueless flag, bad choices, and help
+PARSER_EDGES = (
+    ("table", "--family", "lah", "--n=8", "--seed", "1"),
+    ("table", "--family", "rook", "--board=1,2", "--seed", "1"),
+    ("table", "--fam", "lah", "--n", "3", "--seed", "1"),
+    ("table", "--family", "stirling", "--n", "3", "--n", "4"),
+    ("table", "--family", "whitney", "--n", "3", "--m", "-1"),
+    ("table", "--family", "lah", "--n", "3", "--seed", "1", "--a", "-0.5"),
+    ("table", "--family", "lah", "--n", "3", "--seed", "1", "--a=-0.5,0.1"),
+    ("table", "--family", "stirling", "--n", "3", "--x", "1"),
+    ("table", "--n", "3"),
+    ("table", "--family", "stirling", "--n"),
+    ("table", "--family", "nosuch", "--n", "3"),
+    ("table", "--family", "stirling", "--n", "3", "--format", "xml"),
+    ("table", "-h"),
 )
 
 
@@ -112,7 +134,7 @@ def commands() -> list[list[str]]:
         cmds += [["table", "--family", family, "--route", route, *size, *mr, *edge]
                  for route in decl.routes for size in sizes for edge in EDGES]
     cmds += [[*cmd, "--format", fmt] for cmd in FORMATS for fmt in ("csv", "pretty")]
-    cmds += [list(cmd) for cmd in FIXED + CONFIGS]
+    cmds += [list(cmd) for cmd in FIXED + CONFIGS + PARSER_EDGES]
     return cmds
 
 
@@ -123,7 +145,8 @@ def _digest(text: str) -> str:
 def run(argv: list[str]) -> str:
     """One manifest line, without the argv: exit code and the digests."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's refusals

@@ -11,16 +11,24 @@ import subprocess
 import sys
 import time
 from types import SimpleNamespace
+from unittest import mock
 
+import golden
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qelliptic import cli, suites
 from qelliptic.cli import (
     _DEGENERATE,
     _FAMILIES,
+    _TABLE_FLAGS,
     _build_parser,
     _degenerate_limit,
+    _parse_complex,
+    _parse_board,
+    _parse_table,
     _resolve_table,
     main,
 )
@@ -206,11 +214,15 @@ def test_check_single_suite(capsys):
     assert "trials 50" in out
 
 
-def test_check_zero_trials_vacuous(capsys):
-    code, out, _ = run_cli(capsys, "check", "--suite", "worpitzky",
-                           "--trials", "0")
-    assert code == 0
-    assert "overall PASS" in out
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_check_without_trials_exit_2(capsys, monkeypatch, trials):
+    # a verdict needs a trial behind it: refused before any trial runs
+    ran = []
+    monkeypatch.setattr(suites, "_run", lambda *args: ran.append(args))
+    code, out, err = run_cli(capsys, "check", "--suite", "worpitzky",
+                             "--trials", trials)
+    assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
+    assert ran == []
 
 
 @pytest.mark.parametrize("suite", ["theta", "all"])
@@ -923,3 +935,98 @@ def test_theta_factor_with_overflowing_modulus_exits_3(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("degenerate:")
+
+
+# ---------------------------------------------------------------------------
+# table argv: parsed from the flag declaration, or by argparse
+# ---------------------------------------------------------------------------
+
+GOOD_TEXT = {
+    int: st.integers(0, 4).map(str),
+    _parse_complex: st.sampled_from(["0.5", "0.3,0.2", "0", "1e-9", " 0.6", "0.2,-0.0"]),
+    _parse_board: st.sampled_from(["1", "0,1", "1,2,2"]),
+    str: st.sampled_from(sorted({route for record in _FAMILIES.values()
+                                 for route in record.routes})),
+}
+# argparse takes "-1", "-0.5" and "-" as values, but "-0.5,0.1", "-1e5",
+# "-h" and "--n" as options
+BAD_TEXT = st.sampled_from([
+    "", "x", "-1", "-0.5", "-0.5,0.1", "-1e5", "-h", "--n", "-", "nan",
+    "1,2,3", "2,1", "1.5", "bogus", "csv ", "1e400",
+])
+
+
+def _good_text(name):
+    flag = _TABLE_FLAGS[name]
+    return st.sampled_from(flag.choices) if flag.choices else GOOD_TEXT[flag.convert]
+
+
+EDITS = ("bad value", "= form", "abbreviation", "repeat", "unknown flag",
+         "dropped flag", "valueless last flag")
+
+
+@st.composite
+def any_table_argv(draw):
+    """A table argv from the flag declaration: --family and up to six other
+    flags as distinct exact "--flag value" pairs with good values, in any
+    order, then up to two of EDITS."""
+    names = draw(st.lists(st.sampled_from(sorted(_TABLE_FLAGS)), unique=True,
+                          max_size=6))
+    names = draw(st.permutations(["family", *(n for n in names if n != "family")]))
+    # [option, value or None, written as option=value]
+    flags = [[f"--{name}", draw(_good_text(name)), False] for name in names]
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=2)):
+        if not flags:
+            break
+        at = draw(st.integers(0, len(flags) - 1))
+        option = flags[at][0]
+        if edit == "bad value":
+            flags[at][1] = draw(BAD_TEXT)
+        elif edit == "= form":
+            flags[at][2] = True
+        elif edit == "abbreviation" and len(option) > 3:
+            flags[at][0] = option[:draw(st.integers(3, len(option) - 1))]
+        elif edit == "repeat":
+            again = (st.one_of(_good_text(option[2:]), BAD_TEXT)
+                     if option[2:] in _TABLE_FLAGS else BAD_TEXT)
+            flags.insert(draw(st.integers(0, len(flags))), [option, draw(again), False])
+        elif edit == "unknown flag":
+            flags.insert(at, ["--x", "1", False])
+        elif edit == "dropped flag":
+            del flags[at]
+        elif edit == "valueless last flag":
+            flags.append([option, None, False])
+    argv = ["table"]
+    for option, value, equals in flags:
+        argv += ([option] if value is None else
+                 [f"{option}={value}"] if equals else [option, value])
+    return argv
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=any_table_argv())
+@example(argv=["table", "--family", "lah", "--n", "1", "--a", "-0.5,0.1"])
+@example(argv=["table", "--family", "lah", "--n", "1", "--route", "-h"])
+def test_table_argv_parses_as_argparse_parses_it(capsys, argv):
+    # accepted: the Namespace argparse returns; declined: argparse's own
+    # refusal, help or Namespace, so main prints what argparse alone leads to
+    fast = _parse_table(argv)
+    if fast is not None:
+        assert vars(fast) == vars(_build_parser().parse_args(argv))
+    outcome = run_cli_exit(capsys, *argv)
+    with mock.patch.object(cli, "_parse_table", lambda argv: None):
+        assert run_cli_exit(capsys, *argv) == outcome
+
+
+def test_workload_tables_never_build_the_parser(capsys):
+    # a few elliptic draws meet a degeneracy guard, exit 3
+    workloads = golden._workloads()
+    _build_parser.cache_clear()
+    for name in ("exact-tables", "elliptic-tables"):
+        for argv in workloads.commands(name, 1):
+            assert main(argv) in (0, 3), argv
+    capsys.readouterr()
+    assert _build_parser.cache_info().currsize == 0
+    assert main(["check", "--suite", "theta", "--trials", "1"]) == 0
+    assert _build_parser.cache_info().currsize == 1
