@@ -3,7 +3,8 @@
 Three subcommands.  ``table`` emits one family's triangle as JSON, CSV
 or aligned text; ``check`` runs the seeded invariant suites; and
 ``degenerate`` walks one family down its closed-form degeneration chain
-and reports the deviation against the exact analogue.  The ``table``
+and reports the deviation against the exact analogue, on the chains the
+``degeneration`` and ``lah`` suites check, read from ``suites``.  The ``table``
 flags are declared once, in ``_TABLE_FLAGS``: ``_parse_table`` reads an
 argv of distinct exact ``--flag value`` pairs from it into the Namespace
 argparse would return, without building the parser, and every other
@@ -34,7 +35,6 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import groupby, starmap
 from operator import itemgetter
@@ -61,11 +61,13 @@ from .families import (
     stirling2_rows,
     whitney_qr_rows,
 )
-from .newton import ClassicalSequence, connection_recurrence
 from .scalars import ExactScalar, residual
-from .suites import SUITE_NAMES, _check_tol, run_suites
+from .suites import (SUITE_NAMES, _CHAINS, _check_tol, _lah_connection_rows,
+                     _q_point, run_suites)
 from .theta import (
     EllipticParams,
+    _SAMPLE_MODULI,
+    _SAMPLE_NOME,
     _SAMPLE_RETRIES,
     _SAMPLE_WINDOW,
     _memo_key,
@@ -225,8 +227,8 @@ def _resolve_params(given: tuple, seed: int) -> EllipticParams:
         return sample_elliptic_params(rng)
     for _ in range(_SAMPLE_RETRIES):
         # every attempt draws all four, given or not
-        drawn = (sample_annulus(rng, 0.4, 0.9), sample_annulus(rng, 0.4, 0.9),
-                 sample_annulus(rng, 0.4, 0.9), complex(rng.uniform(0.05, 0.5)))
+        drawn = (*(sample_annulus(rng, *_SAMPLE_MODULI) for _ in range(3)),
+                 complex(rng.uniform(*_SAMPLE_NOME)))
         params = EllipticParams(*(d if g is None else g for g, d in zip(given, drawn)))
         refusal = params.window_refusal(*_SAMPLE_WINDOW)
         if refusal is None:
@@ -401,7 +403,7 @@ def _resolve_table(args) -> bool:
         rng = random.Random(args.seed)
         for name in _ST:
             if getattr(args, name) is None:
-                setattr(args, name, sample_annulus(rng, 0.4, 0.9))
+                setattr(args, name, sample_annulus(rng, *_SAMPLE_MODULI))
                 sampled = True
     return sampled
 
@@ -435,42 +437,35 @@ def cmd_check(args) -> int:
     return EXIT_OK if failing == 0 else EXIT_CHECK_FAILED
 
 
-def _degenerate_q(family, elliptic_rows, q_rows, classical_rows, N, tol, rng,
-                  out) -> bool:
+def _degenerate_q(family, N, tol, rng, out) -> bool:
     """Elliptic at p = a = b = 0 against the exact q triangle, then q = 1
     against the classical one."""
-    qv = sample_annulus(rng, 0.4, 0.9)
-    rows = elliptic_rows(N, EllipticParams(a=0, b=0, q=qv, p=0))
+    elliptic_rows, q_rows, classical_rows = _CHAINS[family]()
+    qv = sample_annulus(rng, *_SAMPLE_MODULI)
+    rows = elliptic_rows(N, _q_point(qv))
     exact = q_rows(N)
     classical = classical_rows(N)
-    dev_q = 0.0
-    dev_classical = 0.0
+    dev_q = dev_classical = 0.0
     for n in range(N + 1):
         for k in range(n + 1):
             dev_q = max(dev_q, residual(rows[n][k], exact[n][k].evaluate(qv)))
-            dev_classical = max(
-                dev_classical,
-                abs(exact[n][k].evaluate(1.0) - classical[n][k]),
-            )
+            dev_classical = max(dev_classical,
+                                abs(exact[n][k].evaluate(1.0) - classical[n][k]))
     out.write(f"family {family}  N={N}  q={_fmt_numeric(qv)}\n")
     out.write(f"  elliptic -> exact q analogue  max rel dev {dev_q:.3e}\n")
     out.write(f"  q=1 -> classical triangle     max dev {dev_classical:.3e}\n")
     return dev_q <= tol and dev_classical <= tol
 
 
-def _degenerate_lah(N, tol, rng, out) -> bool:
-    elliptic = elliptic_lah_rows(N, EllipticParams(a=0, b=0, q=1, p=0))
+def _degenerate_lah(family, N, tol, rng, out) -> bool:
+    elliptic = elliptic_lah_rows(N, _q_point(1))
+    rows = _lah_connection_rows(N)
     dev = 0.0
-    oracle_ok = True
-    seq = ClassicalSequence()
     for n in range(N + 1):
-        cs = [Fraction(-(i - 1)) for i in range(1, n + 1)]
-        rows = connection_recurrence(Fraction(1), cs, seq)
         for k in range(n + 1):
             dev = max(dev, abs(elliptic[n][k] - lah(n, k)))
-            if rows[n][k] != lah(n, k):
-                oracle_ok = False
-    out.write(f"family lah  N={N}  chain ends at q=1\n")
+    oracle_ok = all(rows[n][k] == lah(n, k) for n in range(N + 1) for k in range(n + 1))
+    out.write(f"family {family}  N={N}  chain ends at q=1\n")
     out.write(f"  elliptic at q=1 -> integer triangle  max dev {dev:.3e}\n")
     out.write(
         "  connection oracle over classical nodes  "
@@ -479,15 +474,11 @@ def _degenerate_lah(N, tol, rng, out) -> bool:
     return dev <= tol and oracle_ok
 
 
-# family: (runner, classical triangle, default N, default tol); the
+# family: (runner, classical entry (n, k), default N, default tol); the
 # lambdas look the library functions up when called, as _FAMILIES does
 _DEGENERATE = {
-    "stirling": (lambda *run: _degenerate_q(
-        "stirling", elliptic_stirling2_rows, q_stirling2_rows, stirling2_rows, *run),
-        lambda n, k: stirling2_rows(n)[n][k], 7, 1e-9),
-    "eulerian": (lambda *run: _degenerate_q(
-        "eulerian", elliptic_eulerian_rows, q_eulerian_rows, eulerian_rows, *run),
-        lambda n, k: eulerian_rows(n)[n][k], 6, 1e-8),
+    "stirling": (_degenerate_q, lambda n, k: _CHAINS["stirling"]()[2](n)[n][k], 7, 1e-9),
+    "eulerian": (_degenerate_q, lambda n, k: _CHAINS["eulerian"]()[2](n)[n][k], 6, 1e-8),
     "lah": (_degenerate_lah, lambda n, k: lah(n, k), 6, 1e-8),
 }
 
@@ -521,7 +512,7 @@ def cmd_degenerate(args) -> int:
     tol = default_tol if args.tol is None else args.tol
     _check_tol(tol)
     rng = random.Random(args.seed)
-    ok = runner(N, tol, rng, sys.stdout)
+    ok = runner(args.family, N, tol, rng, sys.stdout)
     sys.stdout.write(f"result {'PASS' if ok else 'FAIL'} (tol {tol:.1e})\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

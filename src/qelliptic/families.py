@@ -4,9 +4,12 @@ Every family here is a triangle of connection coefficients between two
 Newton bases, so each value can be computed at least two structurally
 different ways: a Pascal-type triangle recurrence, an explicit
 interpolation sum, and (for the elliptic families) the raw
-divided-difference oracle.  The routes share no intermediate formulas;
-their agreement is the correctness argument, and the check suites replay
-it at runtime.
+divided-difference oracle or the generic connection engine.  Every family
+keeps a pair of routes that share no intermediate formula; their
+agreement is the correctness argument, and the check suites replay it at
+runtime.  Not every pair is such a pair: Lah's "explicit" and "oracle"
+routes are one Lagrange sum (below), so its formula-disjoint pair is the
+recurrence against either of them.
 
 Each family is one builder, ``*_rows(N, ..., route)``, that returns rows
 0..N by the route named; the per-entry forms are the ``*_scaled``
@@ -492,8 +495,13 @@ def elliptic_lah_rows(N: int, params: EllipticParams,
     W(-n) [n+k]; "explicit" evaluates the interpolation sum with raw node
     gaps; "oracle" hands the interior nodes [0], [-1], ..., [-(n-1)] to
     the generic connection engine.  The last two form each numerator
-    once per (n, j) and each gap product once per (k, j).  At the fully
-    degenerate point the triangle collapses to the integer Lah numbers.
+    once per (n, j) and each gap product once per (k, j), and they are
+    one Lagrange sum: the engine's gap product for (k, j) is the explicit
+    route's, bit for bit, and its numerator holds the same factors in the
+    reverse order.  So they check the engine's bookkeeping against a
+    hand-written loop, and only the recurrence is independent of both.
+    At the fully degenerate point the triangle collapses to the integer
+    Lah numbers.
     """
     _check_entry(N)
     if route == "recurrence":

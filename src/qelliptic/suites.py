@@ -8,9 +8,12 @@ are discarded and redrawn, so a suite always runs its full trial count;
 the resample consumes RNG state, which keeps reruns byte-identical.
 
 The suites are one table, ``_SUITES``: per suite its default tolerance,
-its default trials and its checks, each a name and a module-level
+its default trials and its checks, each a name and a
 ``draw(rng) -> (residual, record)``, in report order.  A suite seeds one
 ``random.Random(seed)`` and runs its checks on it in that order.
+
+The degeneration chains are declared once, in ``_CHAINS`` and beside it,
+for these suites and for the CLI's ``degenerate``.
 
 Residual conventions follow the library: identities with visible
 summands weigh the error against the largest summand.  Route comparisons
@@ -29,6 +32,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .errors import DegenerateParameters, DegenerateSequence, DomainError
@@ -73,6 +77,8 @@ from .newton import (
 from .scalars import _checked_power, residual
 from .theta import (
     EllipticParams,
+    _SAMPLE_MODULI,
+    _SAMPLE_NOME,
     elliptic_number,
     elliptic_number_shifted,
     elliptic_weight,
@@ -169,14 +175,8 @@ def _agreement(*routes) -> float:
 
 
 def _param_record(params, **extra):
-    bits = [
-        f"a={params.a!r}",
-        f"b={params.b!r}",
-        f"q={params.q!r}",
-        f"p={params.p!r}",
-    ]
-    bits.extend(f"{key}={val!r}" for key, val in extra.items())
-    return " ".join(bits)
+    bits = {"a": params.a, "b": params.b, "q": params.q, "p": params.p, **extra}
+    return " ".join(f"{key}={val!r}" for key, val in bits.items())
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +184,21 @@ def _param_record(params, **extra):
 # ---------------------------------------------------------------------------
 
 def _inversion(rng):
-    p = rng.uniform(0.05, 0.5)
+    p = rng.uniform(*_SAMPLE_NOME)
     x = sample_annulus(rng, 0.3, 1.8)
     err = residual(theta(x, p), -x * theta(1 / x, p))
     return err, f"x={x!r} p={p!r}"
 
 
 def _quasi_periodicity(rng):
-    p = rng.uniform(0.05, 0.5)
+    p = rng.uniform(*_SAMPLE_NOME)
     x = sample_annulus(rng, 0.3, 1.8)
     err = residual(theta(p * x, p), -(1 / x) * theta(x, p))
     return err, f"x={x!r} p={p!r}"
 
 
 def _three_term(rng):
-    p = rng.uniform(0.05, 0.5)
+    p = rng.uniform(*_SAMPLE_NOME)
     x, y, u, z = (sample_annulus(rng, 0.45, 1.5) for _ in range(4))
     lhs = theta_multi([x * y, x / y, u * z, u / z], p)
     t1 = theta_multi([u * y, u / y, x * z, x / z], p)
@@ -210,7 +210,7 @@ def _three_term(rng):
 def _series_vs_product(rng):
     # the reduced argument by both evaluators, over the arguments the
     # routes form; a draw whose value leaves double range is redrawn
-    p = rng.uniform(0.05, 0.5)
+    p = rng.uniform(*_SAMPLE_NOME)
     x = sample_route_argument(rng)
     want = theta_product(x, p)
     if not cmath.isfinite(want):
@@ -412,22 +412,6 @@ def _lah_routes(rng):
     return err, _param_record(params, n=n, k=k)
 
 
-def _lah_classical_point(rng):
-    n = rng.randint(1, 6)
-    k = rng.randint(0, n)
-    flat = EllipticParams(a=0, b=0, q=1, p=0)
-    got = elliptic_lah_rows(n, flat)[n][k]
-    err = abs(got - lah(n, k))
-    # the same integers must fall out of the connection oracle over
-    # the classical nodes with c_i = -(i - 1)
-    seq = ClassicalSequence()
-    cs = [Fraction(-(i - 1)) for i in range(1, n + 1)]
-    rows = connection_recurrence(Fraction(1), cs, seq)
-    if rows[n][k] != lah(n, k):
-        err = max(err, 1.0)
-    return err, f"n={n} k={k}"
-
-
 # ---------------------------------------------------------------------------
 # Eulerian routes
 # ---------------------------------------------------------------------------
@@ -521,40 +505,55 @@ def _worpitzky_elliptic(rng):
 # degeneration lattice
 # ---------------------------------------------------------------------------
 
-def _stirling_chain(rng):
-    qv = sample_annulus(rng, 0.4, 0.9)
-    flat = EllipticParams(a=0, b=0, q=qv, p=0)
+# each q-chain, elliptic -> exact q analogue -> classical, as a call that
+# returns its (elliptic, exact q, classical) row builders, looked up by name
+# then, as cli._FAMILIES does, so a tracer's rebinding sees every call
+_CHAINS = {
+    "stirling": lambda: (elliptic_stirling2_rows, q_stirling2_rows, stirling2_rows),
+    "eulerian": lambda: (elliptic_eulerian_rows, q_eulerian_rows, eulerian_rows),
+}
+
+
+def _q_point(q) -> EllipticParams:
+    """The rung p = a = b = 0: [z] is the q-number, and at q = 1 it is z."""
+    return EllipticParams(a=0, b=0, q=q, p=0)
+
+
+def _lah_connection_rows(N):
+    """Rows 0..N of the connection coefficients over the classical nodes
+    with c_i = -(i - 1), exactly: the Lah integers."""
+    cs = [Fraction(-(i - 1)) for i in range(1, N + 1)]
+    return connection_recurrence(Fraction(1), cs, ClassicalSequence())
+
+
+def _q_chain(family, rng):
+    qv = sample_annulus(rng, *_SAMPLE_MODULI)
     n = rng.randint(1, 5)
     k = rng.randint(0, n)
-    got = elliptic_stirling2_rows(n, flat)[n][k]
-    want = q_stirling2_rows(n)[n][k].evaluate(qv)
-    return residual(got, want), f"q={qv!r} n={n} k={k}"
+    elliptic_rows, q_rows, _ = _CHAINS[family]()
+    got = elliptic_rows(n, _q_point(qv))[n][k]
+    return residual(got, q_rows(n)[n][k].evaluate(qv)), f"q={qv!r} n={n} k={k}"
 
 
-def _eulerian_chain(rng):
-    qv = sample_annulus(rng, 0.4, 0.9)
-    flat = EllipticParams(a=0, b=0, q=qv, p=0)
-    n = rng.randint(1, 5)
-    k = rng.randint(0, n)
-    got = elliptic_eulerian_rows(n, flat)[n][k]
-    want = q_eulerian_rows(n)[n][k].evaluate(qv)
-    return residual(got, want), f"q={qv!r} n={n} k={k}"
-
-
-def _lah_chain(rng):
+def _lah_chain(rng, oracle=False):
     n = rng.randint(1, 6)
     k = rng.randint(0, n)
-    flat = EllipticParams(a=0, b=0, q=1, p=0)
-    got = elliptic_lah_rows(n, flat)[n][k]
-    return abs(got - lah(n, k)), f"n={n} k={k}"
+    err = abs(elliptic_lah_rows(n, _q_point(1))[n][k] - lah(n, k))
+    # the classical point: the same integers must fall out of the
+    # connection oracle over the classical nodes
+    if oracle and _lah_connection_rows(n)[n][k] != lah(n, k):
+        err = max(err, 1.0)
+    return err, f"n={n} k={k}"
 
 
 def _degeneration_classical_point(rng):
     n = rng.randint(1, 6)
     k = rng.randint(0, n)
-    s_err = abs(q_stirling2_rows(n)[n][k].evaluate(1.0) - stirling2_rows(n)[n][k])
-    e_err = abs(q_eulerian_rows(n)[n][k].evaluate(1.0) - eulerian_rows(n)[n][k])
-    return max(s_err, e_err), f"n={n} k={k}"
+    err = 0.0
+    for chain in _CHAINS.values():
+        _, q_rows, classical_rows = chain()
+        err = max(err, abs(q_rows(n)[n][k].evaluate(1.0) - classical_rows(n)[n][k]))
+    return err, f"n={n} k={k}"
 
 
 # suite -> (default tolerance, default trials, its checks in report order)
@@ -587,7 +586,7 @@ _SUITES = {
     )),
     "lah": (1e-8, 25, (
         ("routes", _lah_routes),
-        ("classical-point", _lah_classical_point),
+        ("classical-point", partial(_lah_chain, oracle=True)),
     )),
     "eulerian-routes": (1e-7, 25, (
         ("elliptic-routes", _eulerian_elliptic_routes),
@@ -600,8 +599,8 @@ _SUITES = {
         ("elliptic", _worpitzky_elliptic),
     )),
     "degeneration": (1e-8, 25, (
-        ("stirling-chain", _stirling_chain),
-        ("eulerian-chain", _eulerian_chain),
+        ("stirling-chain", partial(_q_chain, "stirling")),
+        ("eulerian-chain", partial(_q_chain, "eulerian")),
         ("lah-chain", _lah_chain),
         ("classical-point", _degeneration_classical_point),
     )),

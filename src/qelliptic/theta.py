@@ -742,24 +742,28 @@ def sample_route_argument(rng: random.Random) -> complex:
     """A theta argument as the routes at size n = _ROUTE_N (18) form it.
 
     |x| is log-uniform between |q|^(2n+2) m and its inverse, with |q| and
-    m = min(|a|, |b|) stand-ins drawn from [0.4, 0.9] as the sampler
+    m = min(|a|, |b|) stand-ins drawn from _SAMPLE_MODULI as the sampler
     draws moduli; the phase is uniform.
     """
-    log_lo = (2 * _ROUTE_N + 2) * math.log(rng.uniform(0.4, 0.9)) + math.log(
-        rng.uniform(0.4, 0.9))
+    log_lo = (2 * _ROUTE_N + 2) * math.log(rng.uniform(*_SAMPLE_MODULI)) + math.log(
+        rng.uniform(*_SAMPLE_MODULI))
     r = math.exp(rng.uniform(log_lo, -log_lo))
     phi = rng.uniform(0.0, _TWO_PI)
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
-# the index window a sampled parameter set clears, and the draws allowed
+# the sampling policy: the range of the moduli of q, a, b (and s, t), the
+# range of the nome p, the index window a sampled parameter set clears, and
+# the draws allowed
+_SAMPLE_MODULI = (0.4, 0.9)
+_SAMPLE_NOME = (0.05, 0.5)
 _SAMPLE_WINDOW = (-8, 10)
 _SAMPLE_RETRIES = 100
 
 
 def sample_elliptic_params(rng: random.Random) -> EllipticParams:
-    """Draw generic parameters: |p| in [0.05, 0.5], moduli of q, a, b in
-    [0.4, 0.9] with random phase.  Resamples (at most _SAMPLE_RETRIES
+    """Draw generic parameters: p in _SAMPLE_NOME, moduli of q, a, b in
+    _SAMPLE_MODULI with random phase.  Resamples (at most _SAMPLE_RETRIES
     times) until every guarded denominator over _SAMPLE_WINDOW clears
     DEFAULT_MIN_DENOMINATOR, every denominator product there is finite,
     and every numerator theta argument there is nonzero and finite
@@ -770,10 +774,10 @@ def sample_elliptic_params(rng: random.Random) -> EllipticParams:
     parameters have no number or weight cached.
     """
     for _ in range(_SAMPLE_RETRIES):
-        p = rng.uniform(0.05, 0.5)
-        q = sample_annulus(rng, 0.4, 0.9)
-        a = sample_annulus(rng, 0.4, 0.9)
-        b = sample_annulus(rng, 0.4, 0.9)
+        p = rng.uniform(*_SAMPLE_NOME)
+        q = sample_annulus(rng, *_SAMPLE_MODULI)
+        a = sample_annulus(rng, *_SAMPLE_MODULI)
+        b = sample_annulus(rng, *_SAMPLE_MODULI)
         params = EllipticParams(a=a, b=b, q=q, p=p)
         if params.window_ok(*_SAMPLE_WINDOW):
             return params

@@ -17,8 +17,9 @@ from ``perfbench/workloads.py``), ``check --suite all --trials 25`` at
 seeds 1-5 and at a tolerance below double error, the three
 ``degenerate`` chains, every exact family and route at a few n and
 (m, r), an edge pack of elliptic parameters on every numeric route, a few
-configuration edges, some ``--format csv`` and ``pretty`` documents, and
-a pack of ``table`` argv that only the argument parser reads.  Help text
+configuration edges, some ``--format csv`` and ``pretty`` documents, a
+pack of ``table`` argv that only the argument parser reads, and each
+``degenerate`` chain at and past its limit on ``--n``.  Help text
 wraps at the terminal width, so every command runs at 80 columns.
 """
 
@@ -101,6 +102,20 @@ PARSER_EDGES = (
     ("table", "--family", "stirling", "--n", "3", "--format", "xml"),
     ("table", "-h"),
 )
+# each degeneration chain at seed 1: the smallest grid, the largest --n
+# whose classical rows a double holds exactly, one past it (exit 2), and a
+# tolerance no chain meets (exit 1); and the chain suites at that
+# tolerance, so that their failing records are pinned
+DEGENERATE_LIMITS = {"stirling": 22, "eulerian": 18, "lah": 17}
+DEGENERATE_EDGES = tuple(
+    ("degenerate", "--family", family, *flags, "--seed", "1")
+    for family, limit in DEGENERATE_LIMITS.items()
+    for flags in (("--n", "0"), ("--n", str(limit)), ("--n", str(limit + 1)),
+                  ("--tol", "1e-30"))
+) + tuple(
+    ("check", "--suite", suite, "--seed", str(seed), "--tol", "1e-30")
+    for suite in ("degeneration", "lah") for seed in (1, 2, 3)
+)
 
 
 def _workloads():
@@ -134,7 +149,7 @@ def commands() -> list[list[str]]:
         cmds += [["table", "--family", family, "--route", route, *size, *mr, *edge]
                  for route in decl.routes for size in sizes for edge in EDGES]
     cmds += [[*cmd, "--format", fmt] for cmd in FORMATS for fmt in ("csv", "pretty")]
-    cmds += [list(cmd) for cmd in FIXED + CONFIGS + PARSER_EDGES]
+    cmds += [list(cmd) for cmd in FIXED + CONFIGS + PARSER_EDGES + DEGENERATE_EDGES]
     return cmds
 
 

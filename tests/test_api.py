@@ -11,7 +11,10 @@ failing.
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,25 +35,44 @@ def test_every_exported_name_resolves(name):
 
 
 def test_eulerian_names_the_module_after_importing_the_package(monkeypatch):
-    # the package re-exports the Eulerian builders but not the function
-    # eulerian(n, k), which would hide the module of the same name
+    # the package binds no function eulerian(n, k), which would hide the
+    # module of the same name
     import qelliptic
-    assert inspect.ismodule(qelliptic.eulerian)
-    assert [qelliptic.eulerian.eulerian(3, k) for k in range(1, 4)] == [1, 4, 1]
+    from qelliptic import eulerian
+    assert inspect.ismodule(eulerian) and eulerian is qelliptic.eulerian
+    assert [eulerian.eulerian(3, k) for k in range(1, 4)] == [1, 4, 1]
     monkeypatch.setattr("qelliptic.eulerian.general_eulerian_rows", None)
     assert importlib.import_module("qelliptic.eulerian").general_eulerian_rows is None
 
 
 def test_theta_names_the_module_after_importing_the_package(monkeypatch):
-    # the package re-exports the theta layer's records and numbers but not
-    # the function theta(x, p), which would hide the module of the same name
+    # the package binds no function theta(x, p), which would hide the
+    # module of the same name
     import qelliptic
     from qelliptic import theta
     assert inspect.ismodule(theta) and theta is qelliptic.theta
-    assert theta.EllipticParams is qelliptic.EllipticParams
     assert theta.theta(0.5, 0.0) == 0.5
     monkeypatch.setattr("qelliptic.theta.elliptic_number", None)
     assert importlib.import_module("qelliptic.theta").elliptic_number is None
+
+
+def test_importing_the_package_loads_no_module():
+    # the package is its modules: a fresh import runs the docstring and
+    # __version__ only, so a library user pays for the modules they import
+    script = (
+        "import sys\n"
+        "import qelliptic\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qelliptic.')))\n"
+        "print(sorted(n for n in vars(qelliptic) if not n.startswith('__')))\n"
+        "print(qelliptic.__version__)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PERFBENCH.parent / "src"), env.get("PYTHONPATH")) if p)
+    fresh = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == "[]\n[]\n0.1.0\n"
 
 
 def _validator_names() -> set[tuple[str, str]]:

@@ -574,15 +574,19 @@ def test_p0_window_refusal_names_the_index(capsys):
 
 
 def test_degenerate_calls_the_library_by_name(capsys, monkeypatch):
-    # a tracer rebinds the library names in the cli module; degenerate must
-    # call through them, not through objects bound at import
+    # a tracer rebinds the library names in the suites module, which holds
+    # the chain table; degenerate and the chain draws must call through
+    # them, not through objects bound at import
     calls = []
-    rows = cli.elliptic_stirling2_rows
-    monkeypatch.setattr(cli, "elliptic_stirling2_rows",
+    rows = suites.elliptic_stirling2_rows
+    monkeypatch.setattr(suites, "elliptic_stirling2_rows",
                         lambda *args: calls.append(args) or rows(*args))
     code, out, _ = run_cli(capsys, "degenerate", "--family", "stirling", "--seed", "1")
     assert code == 0 and "result PASS" in out
     assert len(calls) == 1
+    draw = dict(suites._SUITES["degeneration"][2])["stirling-chain"]
+    err, _ = draw(random.Random(1))
+    assert err <= 1e-8 and len(calls) == 2
 
 
 def _h_entry(e, n, k, nodes, field):
